@@ -95,9 +95,6 @@ class MappingConfig:
     def service_for(self, port: int) -> str:
         return self.port_service.get(port, UNKNOWN_SERVICE)
 
-    def has_catch_all(self) -> bool:
-        return any(p == CATCH_ALL_PATTERN for p, _ in self.signature_rules)
-
 
 def load_signature_rules(lines: Iterable[str]) -> list[tuple[str, AttackStage]]:
     """Read rules from ``PATTERN<TAB>STAGE_ACRONYM`` lines.
@@ -157,14 +154,12 @@ def default_mapping_config() -> MappingConfig:
     return MappingConfig(signature_rules=rules, port_service=ports)
 
 
-def _as_text_lines(source: Union[IO[bytes], IO[str], str, bytes]) -> Iterable[str]:
+def _as_lines(source: Union[IO[bytes], IO[str], str, bytes]) -> Iterable[Union[str, bytes]]:
+    """Lines of ``source``, left as bytes when it holds bytes."""
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        return io.BytesIO(source)
     if isinstance(source, str):
         return io.StringIO(source)
-    first = source.read(0)
-    if isinstance(first, bytes):
-        return io.TextIOWrapper(source, encoding="utf-8")
     return source
 
 
@@ -213,13 +208,14 @@ def parse_alerts(
     """
     stats = ParseStats()
     alerts: list[RawAlert] = []
-    lines = _as_text_lines(source)
     if format == "eve-json":
-        for line in lines:
+        for line in _as_lines(source):
             if not line.strip():
                 continue
             stats.total += 1
             try:
+                if isinstance(line, bytes):
+                    line = line.decode("utf-8")  # a bad byte skips this record only
                 raw = _raw_from_eve(json.loads(line))
             except (ValueError, KeyError, TypeError, AttributeError):
                 raw = None
@@ -229,6 +225,9 @@ def parse_alerts(
                 alerts.append(raw)
                 stats.parsed += 1
     elif format == "csv":
+        lines = _as_lines(source)
+        if isinstance(lines.read(0), bytes):
+            lines = io.TextIOWrapper(lines, encoding="utf-8")
         for row in csv.DictReader(lines):
             stats.total += 1
             try:

@@ -221,13 +221,21 @@ class SuffixPdfa:
                 f'    {sid} [shape={shape}, fillcolor="{color}", '
                 f'label="{sid}\\n{st.total}/{st.final}"];'
             )
+        rank = _str_rank(sym for st in self.states.values() for sym in st.trans).__getitem__
         for sid in sorted(self.states):
-            st = self.states[sid]
-            for sym, (tgt, cnt) in sorted(st.trans.items(), key=lambda kv: str(kv[0])):
+            trans = self.states[sid].trans
+            for sym in sorted(trans, key=rank):
+                tgt, cnt = trans[sym]
                 text = render_symbol(sym) if isinstance(sym, Symbol) else str(sym)
-                lines.append(f'    {sid} -> {tgt} [label="{text} ({cnt})"];')
+                lines.append(f"    {sid} -> {tgt} [label={dot_quote(f'{text} ({cnt})')}];")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def dot_quote(*lines: str) -> str:
+    """DOT string literal showing ``lines`` one below the other."""
+    escaped = (line.replace("\\", "\\\\").replace('"', '\\"') for line in lines)
+    return '"' + "\\n".join(escaped) + '"'
 
 
 def _smoothed_log2(count: int, total: int, alphabet_size: int, smoothed: bool) -> float:
@@ -256,6 +264,15 @@ def _suffix_model_log2(model, seq: Sequence[SymbolT], smoothed: bool) -> float:
     return lp + _smoothed_log2(final, total, n_alpha, smoothed)
 
 
+def _str_rank(symbols: Iterable[SymbolT]) -> dict[SymbolT, int]:
+    """Position of each distinct symbol in ``str`` order."""
+    return {sym: i for i, sym in enumerate(sorted(set(symbols), key=str))}
+
+
+def _term(c: int, n: int) -> float:
+    return c * math.log2(c / n) if c else 0.0
+
+
 class _Merger:
     """Red-blue state-merging search over a mutable copy of the trie.
 
@@ -265,6 +282,11 @@ class _Merger:
     lowest-id blue to red. Sinks never merge or get promoted but stay in the
     final automaton. The root is kept out of merge candidacy so the
     empty-suffix context (sequence endings) survives as a distinct state.
+
+    Symbols are visited in ``rank`` order, which is computed once and must
+    equal ``str`` order, not tuple or rendered order: the visiting order
+    fixes the float summation order of merge scores, which decides ties
+    between candidates, and the breadth-first state ids of the result.
     """
 
     def __init__(self, tree: PrefixTree, params: LearnParams):
@@ -275,6 +297,7 @@ class _Merger:
             i: {sym: [tgt, cnt] for sym, (tgt, cnt) in tree.trans[i].items()}
             for i in range(len(tree))
         }
+        self.rank = _str_rank(sym for t in tree.trans for sym in t).__getitem__
         self.root = tree.root
         self.red: set[int] = {self.root}
         self.threshold = math.sqrt(0.5 * math.log(2.0 / params.alpha))
@@ -282,7 +305,9 @@ class _Merger:
     def _blue_fringe(self) -> dict[int, tuple[int, SymbolT]]:
         fringe: dict[int, tuple[int, SymbolT]] = {}
         for r in sorted(self.red):
-            for sym, (tgt, _) in sorted(self.trans[r].items(), key=lambda kv: str(kv[0])):
+            trans = self.trans[r]
+            for sym in sorted(trans, key=self.rank):
+                tgt = trans[sym][0]
                 if tgt in self.red or tgt in fringe:
                     continue
                 if self.total[tgt] < self.p.sink_count:
@@ -298,32 +323,31 @@ class _Merger:
         ``state_count`` occurrences. The score is the summed log-likelihood
         gain of pooling the tested counts versus keeping them separate.
         """
+        total, final, trans, rank = self.total, self.final, self.trans, self.rank
+        symbol_count, state_count = self.p.symbol_count, self.p.state_count
         score = 0.0
         stack = [(red_id, blue_id)]
         while stack:
             q1, q2 = stack.pop()
-            n1, n2 = self.total[q1], self.total[q2]
+            n1, n2 = total[q1], total[q2]
             bound = self.threshold * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
-            f1, f2 = self.final[q1], self.final[q2]
-            if max(f1, f2) >= self.p.symbol_count:
+            f1, f2 = final[q1], final[q2]
+            if f1 >= symbol_count or f2 >= symbol_count:
                 if abs(f1 / n1 - f2 / n2) >= bound:
                     return None
-                score += _pool_gain(f1, n1, f2, n2)
-            t1, t2 = self.trans[q1], self.trans[q2]
-            for sym in sorted(set(t1) | set(t2), key=str):
-                c1 = t1[sym][1] if sym in t1 else 0
-                c2 = t2[sym][1] if sym in t2 else 0
-                if max(c1, c2) >= self.p.symbol_count:
+                score += _term(f1 + f2, n1 + n2) - (_term(f1, n1) + _term(f2, n2))
+            t1, t2 = trans[q1], trans[q2]
+            for sym in sorted(t1.keys() | t2.keys(), key=rank):
+                e1, e2 = t1.get(sym), t2.get(sym)
+                c1 = e1[1] if e1 else 0
+                c2 = e2[1] if e2 else 0
+                if c1 >= symbol_count or c2 >= symbol_count:
                     if abs(c1 / n1 - c2 / n2) >= bound:
                         return None
-                    score += _pool_gain(c1, n1, c2, n2)
-                if sym in t1 and sym in t2:
-                    ch1, ch2 = t1[sym][0], t2[sym][0]
-                    if (
-                        ch1 != ch2
-                        and self.total[ch1] >= self.p.state_count
-                        and self.total[ch2] >= self.p.state_count
-                    ):
+                    score += _term(c1 + c2, n1 + n2) - (_term(c1, n1) + _term(c2, n2))
+                if e1 and e2:
+                    ch1, ch2 = e1[0], e2[0]
+                    if ch1 != ch2 and total[ch1] >= state_count and total[ch2] >= state_count:
                         stack.append((ch1, ch2))
         return score
 
@@ -335,8 +359,9 @@ class _Merger:
             target, source = stack.pop()
             self.total[target] += self.total[source]
             self.final[target] += self.final[source]
-            ttrans = self.trans[target]
-            for sym, (s_tgt, s_cnt) in sorted(self.trans[source].items(), key=lambda kv: str(kv[0])):
+            ttrans, strans = self.trans[target], self.trans[source]
+            for sym in sorted(strans, key=self.rank):
+                s_tgt, s_cnt = strans[sym]
                 entry = ttrans.get(sym)
                 if entry is None:
                     ttrans[sym] = [s_tgt, s_cnt]
@@ -351,11 +376,10 @@ class _Merger:
             fringe = self._blue_fringe()
             if not fringe:
                 return
+            reds = sorted(self.red - {self.root})
             best = None
             for blue in sorted(fringe):
-                for red in sorted(self.red):
-                    if red == self.root:
-                        continue
+                for red in reds:
                     score = self._evaluate(red, blue)
                     if score is not None:
                         key = (-score, red, blue)
@@ -367,13 +391,6 @@ class _Merger:
                 _, red, blue = best
                 parent, via = fringe[blue]
                 self._merge(red, blue, parent, via)
-
-
-def _pool_gain(c1: int, n1: int, c2: int, n2: int) -> float:
-    def term(c: int, n: int) -> float:
-        return c * math.log2(c / n) if c else 0.0
-
-    return term(c1 + c2, n1 + n2) - (term(c1, n1) + term(c2, n2))
 
 
 def learn_pdfa(tree: PrefixTree, params: LearnParams = LearnParams()) -> SuffixPdfa:
@@ -390,7 +407,9 @@ def learn_pdfa(tree: PrefixTree, params: LearnParams = LearnParams()) -> SuffixP
     queue = [merger.root]
     while queue:
         node = queue.pop(0)
-        for _, (tgt, _) in sorted(merger.trans[node].items(), key=lambda kv: str(kv[0])):
+        trans = merger.trans[node]
+        for sym in sorted(trans, key=merger.rank):
+            tgt = trans[sym][0]
             if tgt not in order:
                 order[tgt] = len(order)
                 queue.append(tgt)

@@ -9,7 +9,6 @@ high-severity one, marking the start of a new attack attempt.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
@@ -198,5 +197,3 @@ def render_episode_dump(episodes: Iterable[Episode]) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-INFINITE_WINDOW = math.inf

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Sequence
 
-from .automaton import OUT_OF_MODEL, AnnotatedSequence
+from .automaton import OUT_OF_MODEL, AnnotatedSequence, dot_quote
 from .episodes import Episode
 from .stages import AttackStage, Severity
 
@@ -212,10 +212,6 @@ def ag_filename(key: ObjectiveKey) -> str:
     return f"attack-graph-{victim}-{key.stage.value}-{key.service}.dot"
 
 
-def _quote(text: str) -> str:
-    return '"' + text.replace('"', '\\"') + '"'
-
-
 def _vertex_id(triple: VertexKey) -> str:
     stage, service, sid = triple
     return f"{stage.value}|{service}|{sid}"
@@ -229,7 +225,7 @@ def emit_dot(ag: AttackGraph, style: StyleConfig = StyleConfig()) -> str:
     edge style and edge labels show hours since the team's first alert.
     """
     name = ag_filename(ag.key).removesuffix(".dot")
-    lines = [f"digraph {_quote(name)} {{"]
+    lines = [f"digraph {dot_quote(name)} {{"]
     team_style = style.team_styles(ag.teams)
     for triple in sorted(ag.vertices, key=lambda t: (t[0].value, t[1], t[2])):
         v = ag.vertices[triple]
@@ -245,17 +241,16 @@ def emit_dot(ag: AttackGraph, style: StyleConfig = StyleConfig()) -> str:
         if v.is_sink:
             styles.append("dotted")
         if styles:
-            attrs.append(f"style={_quote(','.join(styles))}")
+            attrs.append(f"style={dot_quote(','.join(styles))}")
         if fill:
-            attrs.append(f"fillcolor={_quote(fill)}")
-        label = f"{v.stage.value}\\n{v.service}\\n{v.sid}"
-        attrs.append(f'label="{label}"')
-        lines.append(f"    {_quote(_vertex_id(triple))} [{', '.join(attrs)}];")
+            attrs.append(f"fillcolor={dot_quote(fill)}")
+        attrs.append(f"label={dot_quote(v.stage.value, v.service, str(v.sid))}")
+        lines.append(f"    {dot_quote(_vertex_id(triple))} [{', '.join(attrs)}];")
     for edge in ag.edges:
         hours = edge.seconds_since_first_alert / 3600.0
         attrs = [f'label="{hours:.1f}h"', f"style={team_style[edge.team]}"]
         lines.append(
-            f"    {_quote(_vertex_id(edge.src))} -> {_quote(_vertex_id(edge.dst))}"
+            f"    {dot_quote(_vertex_id(edge.src))} -> {dot_quote(_vertex_id(edge.dst))}"
             f" [{', '.join(attrs)}];"
         )
     lines.append("}")

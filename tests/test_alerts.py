@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from datetime import timezone
@@ -89,6 +90,14 @@ class TestParseAlerts:
         del record["dest_port"]
         alerts, _ = parse_alerts(json.dumps(record).encode())
         assert alerts[0].dst_port == 0
+
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO])
+    def test_invalid_utf8_line_skipped(self, wrap):
+        bad = eve_line().encode().replace(b"Nmap", b"Nm\xffap")
+        data = b"\n".join([eve_line().encode(), bad, eve_line().encode(), b""])
+        alerts, stats = parse_alerts(wrap(data))
+        assert (stats.total, stats.parsed, stats.skipped) == (3, 2, 1)
+        assert len(alerts) == 2
 
     def test_csv_format(self):
         text = (

@@ -1,5 +1,7 @@
+import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,16 +11,20 @@ from alertgraphs.automaton import (
     OUT_OF_MODEL,
     AnnotatedSequence,
     LearnParams,
+    PdfaState,
+    PrefixTree,
     SuffixPdfa,
+    SymbolT,
     annotate_sequence,
     build_suffix_tree,
     learn_pdfa,
     replay_episodes,
 )
 from alertgraphs.episodes import EpisodeSequence, Symbol, partition_subsequences, to_symbols
+from alertgraphs.pipeline import PipelineConfig, run_pipeline
 from alertgraphs.stages import AttackStage
 
-from util import mk_episode, stage_of
+from util import dot_strings, mk_episode, stage_of
 
 
 def tree_paths(tree):
@@ -300,6 +306,12 @@ def test_automaton_dot_colors_by_incoming_severity():
     assert 'fillcolor="white"' in dot  # root has no incoming symbol
 
 
+def test_automaton_dot_escapes_edge_labels():
+    corpus = [[Symbol(AttackStage.DATA_EXFILTRATION, 'a"b\\')]] * 6
+    dot = learn_pdfa(build_suffix_tree(corpus), LearnParams()).to_dot()
+    assert 'DATA_EXFILTRATION|a"b\\ (6)' in dot_strings(dot)
+
+
 def test_unsmoothed_tree_probability_is_empirical_frequency():
     rng = random.Random(8)
     corpus = [[rng.choice("ab") for _ in range(rng.randrange(1, 4))] for _ in range(30)]
@@ -308,3 +320,196 @@ def test_unsmoothed_tree_probability_is_empirical_frequency():
     for seq, count in freq.items():
         prob = 2.0 ** tree.log2_probability(list(seq), smoothed=False)
         assert prob == pytest.approx(count / len(corpus))
+
+
+# Oracle: the red-blue merger as it was before symbols were ranked once. It
+# sorts by ``str`` at every visit; the learner must reproduce it exactly.
+class StrKeyedMerger:
+    """Red-blue state-merging search over a mutable copy of the trie.
+
+    Red states form the consolidated automaton core; blue states are the
+    non-sink children of red states. Each round either performs the highest
+    scoring compatible (red, blue) merge or, when none passes, promotes the
+    lowest-id blue to red. Sinks never merge or get promoted but stay in the
+    final automaton. The root is kept out of merge candidacy so the
+    empty-suffix context (sequence endings) survives as a distinct state.
+    """
+
+    def __init__(self, tree: PrefixTree, params: LearnParams):
+        self.p = params
+        self.total = {i: tree.totals[i] for i in range(len(tree))}
+        self.final = {i: tree.finals[i] for i in range(len(tree))}
+        self.trans = {
+            i: {sym: [tgt, cnt] for sym, (tgt, cnt) in tree.trans[i].items()}
+            for i in range(len(tree))
+        }
+        self.root = tree.root
+        self.red: set[int] = {self.root}
+        self.threshold = math.sqrt(0.5 * math.log(2.0 / params.alpha))
+
+    def _blue_fringe(self) -> dict[int, tuple[int, SymbolT]]:
+        fringe: dict[int, tuple[int, SymbolT]] = {}
+        for r in sorted(self.red):
+            for sym, (tgt, _) in sorted(self.trans[r].items(), key=lambda kv: str(kv[0])):
+                if tgt in self.red or tgt in fringe:
+                    continue
+                if self.total[tgt] < self.p.sink_count:
+                    continue  # sink: retained but never a merge candidate
+                fringe[tgt] = (r, sym)
+        return fringe
+
+    def _evaluate(self, red_id: int, blue_id: int) -> float | None:
+        """Merge score when the pair passes the Hoeffding test, else None.
+
+        The test covers every symbol (and the ending) frequent enough in
+        either state and recurses into child pairs that both carry at least
+        ``state_count`` occurrences. The score is the summed log-likelihood
+        gain of pooling the tested counts versus keeping them separate.
+        """
+        score = 0.0
+        stack = [(red_id, blue_id)]
+        while stack:
+            q1, q2 = stack.pop()
+            n1, n2 = self.total[q1], self.total[q2]
+            bound = self.threshold * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
+            f1, f2 = self.final[q1], self.final[q2]
+            if max(f1, f2) >= self.p.symbol_count:
+                if abs(f1 / n1 - f2 / n2) >= bound:
+                    return None
+                score += _pool_gain(f1, n1, f2, n2)
+            t1, t2 = self.trans[q1], self.trans[q2]
+            for sym in sorted(set(t1) | set(t2), key=str):
+                c1 = t1[sym][1] if sym in t1 else 0
+                c2 = t2[sym][1] if sym in t2 else 0
+                if max(c1, c2) >= self.p.symbol_count:
+                    if abs(c1 / n1 - c2 / n2) >= bound:
+                        return None
+                    score += _pool_gain(c1, n1, c2, n2)
+                if sym in t1 and sym in t2:
+                    ch1, ch2 = t1[sym][0], t2[sym][0]
+                    if (
+                        ch1 != ch2
+                        and self.total[ch1] >= self.p.state_count
+                        and self.total[ch2] >= self.p.state_count
+                    ):
+                        stack.append((ch1, ch2))
+        return score
+
+    def _merge(self, red_id: int, blue_id: int, parent: int, via: SymbolT) -> None:
+        """Fold ``blue_id``'s subtree into ``red_id``, determinizing as we go."""
+        self.trans[parent][via][0] = red_id
+        stack = [(red_id, blue_id)]
+        while stack:
+            target, source = stack.pop()
+            self.total[target] += self.total[source]
+            self.final[target] += self.final[source]
+            ttrans = self.trans[target]
+            for sym, (s_tgt, s_cnt) in sorted(self.trans[source].items(), key=lambda kv: str(kv[0])):
+                entry = ttrans.get(sym)
+                if entry is None:
+                    ttrans[sym] = [s_tgt, s_cnt]
+                else:
+                    entry[1] += s_cnt
+                    if entry[0] != s_tgt:
+                        stack.append((entry[0], s_tgt))
+            del self.total[source], self.final[source], self.trans[source]
+
+    def run(self) -> None:
+        while True:
+            fringe = self._blue_fringe()
+            if not fringe:
+                return
+            best = None
+            for blue in sorted(fringe):
+                for red in sorted(self.red):
+                    if red == self.root:
+                        continue
+                    score = self._evaluate(red, blue)
+                    if score is not None:
+                        key = (-score, red, blue)
+                        if best is None or key < best[0]:
+                            best = (key, red, blue)
+            if best is None:
+                self.red.add(min(fringe))
+            else:
+                _, red, blue = best
+                parent, via = fringe[blue]
+                self._merge(red, blue, parent, via)
+
+
+def _pool_gain(c1: int, n1: int, c2: int, n2: int) -> float:
+    def term(c: int, n: int) -> float:
+        return c * math.log2(c / n) if c else 0.0
+
+    return term(c1 + c2, n1 + n2) - (term(c1, n1) + term(c2, n2))
+
+
+def oracle_learn_pdfa(tree: PrefixTree, params: LearnParams) -> SuffixPdfa:
+    merger = StrKeyedMerger(tree, params)
+    merger.run()
+
+    order: dict[int, int] = {merger.root: 0}
+    queue = [merger.root]
+    while queue:
+        node = queue.pop(0)
+        for _, (tgt, _) in sorted(merger.trans[node].items(), key=lambda kv: str(kv[0])):
+            if tgt not in order:
+                order[tgt] = len(order)
+                queue.append(tgt)
+
+    states: dict[int, PdfaState] = {}
+    for node, sid in order.items():
+        states[sid] = PdfaState(
+            sid=sid,
+            total=merger.total[node],
+            final=merger.final[node],
+            is_sink=sid != 0 and merger.total[node] < params.sink_count,
+            trans={
+                sym: (order[tgt], cnt) for sym, (tgt, cnt) in merger.trans[node].items()
+            },
+        )
+    return SuffixPdfa(states=states, alphabet=tree.alphabet, root=0)
+
+
+# Services whose str order differs from tuple order: a quote makes repr
+# switch to double quotes, repr escapes backslashes, and characters below
+# the quote sort a longer service before its prefix.
+ODD_SERVICES = ["ssh", "ssh!", "ss", "SSH", "Ssh", "a'b", "ab", 'a"b', "a\\b", "a b", "é", ""]
+oracle_symbols = st.builds(
+    Symbol,
+    st.sampled_from([AttackStage.SERVICE_DISC, AttackStage.PRIV_ESC, AttackStage.DATA_EXFILTRATION]),
+    st.sampled_from(ODD_SERVICES),
+)
+learn_params = st.builds(
+    LearnParams,
+    symbol_count=st.integers(min_value=0, max_value=6),
+    state_count=st.integers(min_value=0, max_value=6),
+    sink_count=st.integers(min_value=0, max_value=6),
+    alpha=st.sampled_from([0.01, 0.05, 0.2, 0.5, 0.9]),
+)
+
+
+def test_str_order_differs_from_tuple_order_in_oracle_alphabet():
+    symbols = [Symbol(AttackStage.SERVICE_DISC, s) for s in ODD_SERVICES]
+    assert sorted(symbols, key=str) != sorted(symbols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(oracle_symbols, min_size=1, max_size=5), min_size=1, max_size=40),
+    learn_params,
+)
+def test_learner_matches_str_keyed_oracle(corpus, params):
+    tree = build_suffix_tree(corpus)
+    assert learn_pdfa(tree, params).to_text() == oracle_learn_pdfa(tree, params).to_text()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [LearnParams(), LearnParams(1, 1, 1), LearnParams(0, 0, 0, alpha=0.5), LearnParams(2, 2, 2, alpha=0.9)],
+)
+def test_learner_matches_str_keyed_oracle_on_fixture(tmp_path, params):
+    fixture = Path(__file__).parent / "fixtures/synthetic_alerts.jsonl"
+    result = run_pipeline(PipelineConfig(alerts=[fixture], out_dir=tmp_path, stop_after="episodes"))
+    tree = build_suffix_tree(result.corpus)
+    assert learn_pdfa(tree, params).to_text() == oracle_learn_pdfa(tree, params).to_text()

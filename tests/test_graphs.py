@@ -14,7 +14,7 @@ from alertgraphs.graphs import (
 )
 from alertgraphs.stages import AttackStage, Severity
 
-from util import mk_episode, ts
+from util import dot_strings, mk_episode, ts
 
 EXFIL = AttackStage.DATA_EXFILTRATION
 MANIP = AttackStage.DATA_MANIPULATION
@@ -336,6 +336,14 @@ class TestEmitDot:
             "}\n"
         )
         assert emit_dot(ag) == expected
+
+    def test_backslash_and_quote_escaped(self):
+        svc = 'a"b\\'
+        sequence = aseq("t1", "v1", [(0.0, SCAN, svc, 1), (1800.0, EXFIL, svc, 2)])
+        strings = dot_strings(emit_dot(extract_ag(ObjectiveKey("v1", EXFIL, svc), [sequence])))
+        assert f"attack-graph-v1-DATA_EXFILTRATION-{svc}" in strings
+        assert f"SERVICE_DISC|{svc}|1" in strings
+        assert f"SERVICE_DISC\\n{svc}\\n1" in strings
 
     def test_style_config_cycles(self):
         style = StyleConfig()

@@ -91,6 +91,17 @@ class TestErrors:
         # artifacts of completed stages stay in place
         assert (out / "episodes.tsv").exists()
 
+    def test_invalid_utf8_csv_fails_in_ingest(self, tmp_path):
+        csv_file = tmp_path / "alerts.csv"
+        csv_file.write_bytes(
+            b"timestamp,src_ip,dst_ip,dst_port,signature,category\n"
+            b"2018-11-03T10:00:00+00:00,t1,v1,22,Nm\xffap,x\n"
+        )
+        cfg = PipelineConfig(alerts=[csv_file], out_dir=tmp_path / "out", format="csv")
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(cfg)
+        assert excinfo.value.stage == "ingest"
+
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             config(tmp_path, t=0.0).validate()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from datetime import datetime, timedelta, timezone
 
 from alertgraphs.alerts import Alert
@@ -62,3 +64,18 @@ def stage_of(letter: str) -> AttackStage:
         "M": AttackStage.PRIV_ESC,
         "H": AttackStage.DATA_EXFILTRATION,
     }[letter]
+
+
+_DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def dot_strings(dot: str) -> list[str]:
+    """Every quoted string of a DOT text with ``\\"`` and ``\\\\`` unescaped.
+
+    Fails on a quote that does not open or close a well-formed string.
+    """
+    found = []
+    for line in dot.splitlines():
+        assert '"' not in _DOT_STRING.sub("", line), line
+        found.extend(re.sub(r'\\(["\\])', r"\1", s) for s in _DOT_STRING.findall(line))
+    return found
