@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .automaton import OUT_OF_MODEL, AnnotatedSequence, dot_quote
 from .episodes import Episode
@@ -98,6 +98,8 @@ def extract_ag(
     key: ObjectiveKey,
     annotated: Sequence[AnnotatedSequence],
     sink_ids: frozenset[int] = frozenset(),
+    *,
+    starts: Mapping[str, datetime] | None = None,
 ) -> AttackGraph:
     """Build the attack graph for one ⟨victim, objective⟩.
 
@@ -106,8 +108,16 @@ def extract_ag(
     is one attempt path. Vertices are shared across attempts and teams while
     parallel edges stay distinct per (team, attempt, position). Adjacent
     episodes collapsing to the same vertex triple are drawn once.
+
+    ``annotated`` need only hold the sequences against ``key.victim``.
+    ``starts`` maps each team to its first-alert instant, as
+    ``team_start_times`` gives it; edge labels are measured from it. It must
+    be computed over *all* sequences, not only this victim's, because a
+    team's first alert may be against another victim. When omitted it is
+    computed from ``annotated``.
     """
-    starts = team_start_times(annotated)
+    if starts is None:
+        starts = team_start_times(annotated)
     qualifying = [
         seq
         for seq in annotated
@@ -205,6 +215,9 @@ class StyleConfig:
     def team_styles(self, teams: Sequence[str]) -> dict[str, str]:
         ordered = sorted(teams)
         return {t: self.edge_styles[i % len(self.edge_styles)] for i, t in enumerate(ordered)}
+
+
+AG_FILE_GLOB = "attack-graph-*.dot"  # matches every name ag_filename gives
 
 
 def ag_filename(key: ObjectiveKey) -> str:

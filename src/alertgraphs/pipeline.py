@@ -35,7 +35,17 @@ from .episodes import (
     to_symbols,
 )
 from .evaluation import learn_markov_chain, perplexity, split_sequences
-from .graphs import AttackGraph, ag_filename, emit_dot, extract_ag, find_objectives, render_index
+from .graphs import (
+    AG_FILE_GLOB,
+    AttackGraph,
+    ObjectiveKey,
+    ag_filename,
+    emit_dot,
+    extract_ag,
+    find_objectives,
+    render_index,
+    team_start_times,
+)
 
 STAGES = ("ingest", "episodes", "learn", "graphs", "stats")
 
@@ -47,6 +57,16 @@ INDEX_FILE = "attack_graph_index.tsv"
 STATS_REPORT = "stats_report.tsv"
 SUMMARY_JSON = "summary.json"
 PERPLEXITY_REPORT = "perplexity_report.tsv"
+OUTPUT_FILES = (
+    EPISODE_DUMP,
+    ATTEMPT_CORPUS,
+    MODEL_TEXT,
+    MODEL_DOT,
+    INDEX_FILE,
+    STATS_REPORT,
+    SUMMARY_JSON,
+    PERPLEXITY_REPORT,
+)
 
 
 class StageError(RuntimeError):
@@ -127,9 +147,18 @@ def _load_mapping(cfg: PipelineConfig) -> MappingConfig:
     return mapping
 
 
+def _remove_owned_outputs(out_dir: Path) -> None:
+    """Delete the artifacts an earlier run left in ``out_dir``; other files stay."""
+    owned = [out_dir / name for name in OUTPUT_FILES] + list(out_dir.glob(AG_FILE_GLOB))
+    for path in owned:
+        if not path.is_dir():
+            path.unlink(missing_ok=True)
+
+
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     cfg.validate()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    _remove_owned_outputs(cfg.out_dir)
     result = PipelineResult(parse_stats=ParseStats())
 
     stages = STAGES[: STAGES.index(cfg.stop_after) + 1] if cfg.stop_after else STAGES
@@ -200,10 +229,19 @@ def _stage_graphs(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
     model = result.model
     result.annotated = [annotate_sequence(es, model) for es in result.sequences]
     sink_ids = model.sink_ids()
-    entries = []
+    filenames: dict[str, ObjectiveKey] = {}
     for key in find_objectives(result.annotated):
-        ag = extract_ag(key, result.annotated, sink_ids)
         filename = ag_filename(key)
+        if filename in filenames:
+            raise ValueError(f"{filenames[filename]} and {key} share the graph file name {filename}")
+        filenames[filename] = key
+    starts = team_start_times(result.annotated)
+    by_victim: dict[str, list[AnnotatedSequence]] = {}
+    for seq in result.annotated:
+        by_victim.setdefault(seq.victim, []).append(seq)
+    entries = []
+    for filename, key in filenames.items():
+        ag = extract_ag(key, by_victim[key.victim], sink_ids, starts=starts)
         writer.write(filename, emit_dot(ag))
         entries.append((filename, ag))
     result.ags = sorted(entries)

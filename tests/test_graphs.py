@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alertgraphs.automaton import AnnotatedSequence
 from alertgraphs.graphs import (
@@ -226,6 +228,57 @@ class TestExtractAg:
         ]
         starts = team_start_times(sequences)
         assert starts == {"t1": ts(50.0), "t2": ts(10.0)}
+
+
+# Every team here may hit every victim; t0 always hits v0 and v1 and v0 is
+# always hit by t0 and t1, so start times cross victims and graphs mix teams.
+CORPUS_TEAMS = ("t0", "t1", "t2")
+CORPUS_VICTIMS = ("v0", "v1", "v2")
+corpus_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=20_000),
+        st.sampled_from([SCAN, PRIV, INFO, EXFIL, MANIP]),
+        st.sampled_from(["ssh", "http"]),
+        st.integers(min_value=-1, max_value=4),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def annotated_corpora(draw):
+    pairs = {("t0", "v0"), ("t0", "v1"), ("t1", "v0")} | draw(
+        st.sets(st.tuples(st.sampled_from(CORPUS_TEAMS), st.sampled_from(CORPUS_VICTIMS)))
+    )
+    order = draw(st.permutations(sorted(pairs)))
+    return [aseq(t, v, sorted(draw(corpus_rows), key=lambda r: r[0])) for t, v in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(annotated_corpora(), st.frozensets(st.integers(min_value=0, max_value=4)))
+def test_per_victim_extraction_matches_whole_corpus_scan(corpus, sinks):
+    """The graphs stage's per-victim index gives the graphs a scan of every sequence gives."""
+    starts = team_start_times(corpus)
+    by_victim = {}
+    for seq in corpus:
+        by_victim.setdefault(seq.victim, []).append(seq)
+    for key in find_objectives(corpus):
+        indexed = extract_ag(key, by_victim[key.victim], sinks, starts=starts)
+        scanned = extract_ag(key, corpus, sinks)
+        assert emit_dot(indexed) == emit_dot(scanned)
+        assert indexed.attempts == scanned.attempts
+        assert indexed.teams == scanned.teams
+
+
+def test_edge_labels_count_from_first_alert_at_another_victim():
+    earlier = aseq("t1", "v2", [(0.0, SCAN, "ssh", 9)])  # v2 holds no objective
+    sequence = aseq("t1", "v1", [(7200.0, SCAN, "ssh", 1), (7300.0, EXFIL, "ssh", 2)])
+    key = ObjectiveKey("v1", EXFIL, "ssh")
+    assert find_objectives([earlier, sequence]) == [key]
+    ag = extract_ag(key, [sequence], starts=team_start_times([earlier, sequence]))
+    assert [e.seconds_since_first_alert for e in ag.edges] == [7200]
+    assert 'label="2.0h"' in emit_dot(ag)
 
 
 class TestSimplicity:

@@ -61,6 +61,17 @@ class TestStageIsolation:
         run_pipeline(config(tmp_path, stop_after=stage))
         assert {p.name for p in (tmp_path / "out").iterdir()} == expected
 
+    def test_reused_out_keeps_only_this_runs_artifacts(self, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(config(tmp_path))
+        (out / "notes.txt").write_text("not an artifact\n")
+        run_pipeline(config(tmp_path, stop_after="episodes"))
+        assert {p.name for p in out.iterdir()} == {
+            "episodes.tsv",
+            "attempt_corpus.tsv",
+            "notes.txt",
+        }
+
     def test_stop_after_graphs_includes_dots(self, tmp_path):
         run_pipeline(config(tmp_path, stop_after="graphs"))
         names = {p.name for p in (tmp_path / "out").iterdir()}
@@ -101,6 +112,24 @@ class TestErrors:
         with pytest.raises(StageError) as excinfo:
             run_pipeline(cfg)
         assert excinfo.value.stage == "ingest"
+
+    def test_colliding_graph_file_names_fail_before_writing(self, tmp_path):
+        csv_file = tmp_path / "alerts.csv"
+        csv_file.write_text(
+            "timestamp,src_ip,dst_ip,dst_port,signature,category\n"
+            "2018-11-03T10:00:00+00:00,t1,10.0.0.1,5653,Exfiltration,x\n"
+            "2018-11-03T10:05:00+00:00,t1,10-0-0-1,5653,Exfiltration,x\n"
+        )
+        cfg = PipelineConfig(alerts=[csv_file], out_dir=tmp_path / "out", format="csv")
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(cfg)
+        assert excinfo.value.stage == "graphs"
+        assert isinstance(excinfo.value.cause, ValueError)
+        message = str(excinfo.value)
+        assert "victim='10.0.0.1'" in message and "victim='10-0-0-1'" in message
+        names = {p.name for p in (tmp_path / "out").iterdir()}
+        assert not any(n.startswith("attack-graph-") for n in names)
+        assert "attack_graph_index.tsv" not in names
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
