@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
@@ -25,8 +24,6 @@ from .stages import AttackStage
 DEFAULT_STAGE = AttackStage.SURFING
 CATCH_ALL_PATTERN = "*"
 UNKNOWN_SERVICE = "unknown"
-
-_TZ_NO_COLON = re.compile(r"([+-]\d{2})(\d{2})$")
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -39,8 +36,8 @@ def parse_timestamp(value: str) -> datetime:
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
-    else:
-        text = _TZ_NO_COLON.sub(r"\1:\2", text)
+    elif text[-5:-4] in ("+", "-") and text[-4:].isascii() and text[-4:].isdigit():
+        text = text[:-2] + ":" + text[-2:]
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
@@ -80,12 +77,33 @@ class MappingConfig:
     Each rule is ``(pattern, stage)``; the first rule whose pattern occurs
     (case-insensitively) in the alert signature or category wins. The
     pattern ``*`` matches everything and acts as the mandatory catch-all.
+
+    ``signature_rules`` is stored as a tuple whatever sequence is assigned,
+    so an in-place edit such as ``append`` fails instead of going unseen.
+    ``stage_for`` remembers its answer for each ``(signature, category)``
+    pair it has seen; assigning ``signature_rules`` forgets them all.
     """
 
-    signature_rules: list[tuple[str, AttackStage]] = field(default_factory=list)
+    signature_rules: tuple[tuple[str, AttackStage], ...] = ()
     port_service: dict[int, str] = field(default_factory=dict)
+    _stages: dict[tuple[str, str], AttackStage] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "signature_rules":
+            value = tuple(value)
+            object.__setattr__(self, "_stages", {})
+        object.__setattr__(self, name, value)
 
     def stage_for(self, signature: str, category: str = "") -> AttackStage:
+        key = (signature, category)
+        stage = self._stages.get(key)
+        if stage is None:
+            stage = self._stages[key] = self._scan(signature, category)
+        return stage
+
+    def _scan(self, signature: str, category: str) -> AttackStage:
         haystack = (signature + "\n" + category).lower()
         for pattern, stage in self.signature_rules:
             if pattern == CATCH_ALL_PATTERN or pattern.lower() in haystack:

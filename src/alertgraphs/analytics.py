@@ -7,8 +7,11 @@ their edges is incident to it.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .alerts import Alert
@@ -37,10 +40,18 @@ class TeamScore:
     medium_total: int
     score: float
 
+    @property
+    def severe_pct(self) -> int:
+        """Share of all severe vertices this team found, in whole percent."""
+        return _round_half_up(100.0 * self.severe_vertices / self.severe_total)
+
+    @property
+    def medium_pct(self) -> int:
+        """Share of all medium vertices this team found, in whole percent."""
+        return _round_half_up(100.0 * self.medium_vertices / self.medium_total)
+
 
 def _round_half_up(value: float) -> int:
-    import math
-
     return math.floor(value + 0.5)
 
 
@@ -76,10 +87,9 @@ def workload_stats(
 
     for team in teams:
         bucket(team)
-    for alert in raw_alerts:
-        bucket(alert.attacker)["raw"] += 1
-    for alert in filtered_alerts:
-        bucket(alert.attacker)["filtered"] += 1
+    for kind, alerts in (("raw", raw_alerts), ("filtered", filtered_alerts)):
+        for team, count in Counter(map(attrgetter("attacker"), alerts)).items():
+            bucket(team)[kind] += count
     for episode in episodes:
         bucket(episode.attacker)["episodes"] += 1
     for es in sequences:

@@ -9,6 +9,7 @@ its own path ending at the variant it reached.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Mapping, Sequence
@@ -218,11 +219,22 @@ class StyleConfig:
 
 
 AG_FILE_GLOB = "attack-graph-*.dot"  # matches every name ag_filename gives
+_UNSAFE_NAME_CHAR = re.compile(r"[^A-Za-z0-9_.-]")
+
+
+def _graph_name(key: ObjectiveKey) -> str:
+    victim = key.victim.replace(".", "-").replace(":", "-")
+    return f"attack-graph-{victim}-{key.stage.value}-{key.service}"
 
 
 def ag_filename(key: ObjectiveKey) -> str:
-    victim = key.victim.replace(".", "-").replace(":", "-")
-    return f"attack-graph-{victim}-{key.stage.value}-{key.service}.dot"
+    """File name of one graph inside the output directory: its DOT graph
+    name with every character outside ``[A-Za-z0-9_.-]`` replaced by ``-``,
+    so no victim or service can put a path separator into it. Distinct keys
+    can still share a file name; the graphs stage rejects that before
+    writing.
+    """
+    return _UNSAFE_NAME_CHAR.sub("-", _graph_name(key)) + ".dot"
 
 
 def _vertex_id(triple: VertexKey) -> str:
@@ -237,7 +249,7 @@ def emit_dot(ag: AttackGraph, style: StyleConfig = StyleConfig()) -> str:
     objective variants red, sink states dotted; each team gets its own
     edge style and edge labels show hours since the team's first alert.
     """
-    name = ag_filename(ag.key).removesuffix(".dot")
+    name = _graph_name(ag.key)
     lines = [f"digraph {dot_quote(name)} {{"]
     team_style = style.team_styles(ag.teams)
     for triple in sorted(ag.vertices, key=lambda t: (t[0].value, t[1], t[2])):

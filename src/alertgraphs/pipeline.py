@@ -304,11 +304,9 @@ def _render_stats(team_stats, scores, ranking_note, repeat, summary) -> str:
         "\tmedium_total\tmedium_pct\tscore"
     )
     for sc in scores:
-        sev_pct = analytics._round_half_up(100.0 * sc.severe_vertices / sc.severe_total)
-        med_pct = analytics._round_half_up(100.0 * sc.medium_vertices / sc.medium_total)
         lines.append(
-            f"{sc.team}\t{sc.severe_vertices}\t{sc.severe_total}\t{sev_pct}"
-            f"\t{sc.medium_vertices}\t{sc.medium_total}\t{med_pct}\t{sc.score:.2f}"
+            f"{sc.team}\t{sc.severe_vertices}\t{sc.severe_total}\t{sc.severe_pct}"
+            f"\t{sc.medium_vertices}\t{sc.medium_total}\t{sc.medium_pct}\t{sc.score:.2f}"
         )
     lines.append("# repeat attempts: consecutive same-team attempt pairs at one objective;")
     lines.append("# counted as shorter when the later path has strictly fewer vertices")

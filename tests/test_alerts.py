@@ -1,7 +1,8 @@
 import io
 import json
 import random
-from datetime import timezone
+import re
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given
@@ -129,6 +130,63 @@ def test_parse_timestamp_variants(value):
     assert dt.microsecond == 148520
 
 
+_TZ_NO_COLON = re.compile(r"([+-]\d{2})(\d{2})$")
+
+
+def oracle_parse_timestamp(value: str) -> datetime:
+    """The regex form of ``parse_timestamp`` that slicing replaced."""
+    text = value.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    else:
+        text = _TZ_NO_COLON.sub(r"\1:\2", text)
+    dt = datetime.fromisoformat(text)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the ``ValueError``/``OverflowError`` it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+offsets = st.tuples(
+    st.sampled_from("+-"),
+    st.integers(min_value=0, max_value=23),
+    st.integers(min_value=0, max_value=59),
+    st.booleans(),
+).map(lambda t: f"{t[0]}{t[1]:02d}{':' if t[3] else ''}{t[2]:02d}")
+
+valid_timestamps = st.tuples(
+    st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1)),
+    st.sampled_from(["seconds", "microseconds"]),
+    st.one_of(st.sampled_from(["", "Z", "z"]), offsets),
+    st.sampled_from(["", " ", "\n"]),
+).map(lambda t: t[0].isoformat(timespec=t[1]) + t[2] + t[3])
+
+# text ending in a sign and four characters, some of them non-ASCII digits,
+# so the offset branch is taken or refused on purpose
+offset_like_text = st.tuples(
+    st.one_of(st.text(max_size=30), valid_timestamps),
+    st.sampled_from("+-"),
+    st.text(alphabet="0123456789\u0660\u0661\u00b2\u06f3\uff11a:", min_size=4, max_size=4),
+).map("".join)
+
+
+@given(st.one_of(valid_timestamps, offset_like_text, st.text()))
+def test_parse_timestamp_matches_regex_oracle(value):
+    assert outcome(parse_timestamp, value) == outcome(oracle_parse_timestamp, value)
+
+
+@given(valid_timestamps)
+def test_valid_timestamps_parse(value):
+    assert parse_timestamp(value).tzinfo == timezone.utc
+
+
 class TestStageTable:
     def test_twenty_one_stages(self):
         assert len(AttackStage) == 21
@@ -182,6 +240,19 @@ class TestMapping:
         with pytest.raises(ValueError):
             cfg.stage_for("something else")
 
+    def test_rules_cannot_change_behind_the_memo(self):
+        rules = [("scan", AttackStage.SERVICE_DISC), ("*", AttackStage.SURFING)]
+        cfg = MappingConfig(signature_rules=rules)
+        assert cfg.stage_for("Exploit attempt") == AttackStage.SURFING
+        rules.insert(0, ("exploit", AttackStage.PRIV_ESC))  # the caller's list, not cfg's
+        assert cfg.stage_for("Exploit attempt") == AttackStage.SURFING
+        with pytest.raises(AttributeError):
+            cfg.signature_rules.append(("exploit", AttackStage.PRIV_ESC))
+        with pytest.raises(TypeError):
+            cfg.signature_rules[0] = ("exploit", AttackStage.PRIV_ESC)
+        cfg.signature_rules = rules
+        assert cfg.stage_for("Exploit attempt") == AttackStage.PRIV_ESC
+
     def test_load_signature_rules_appends_catch_all(self):
         rules = load_signature_rules(["# comment", "scan\tSERVICE_DISC", ""])
         assert rules[-1] == ("*", AttackStage.SURFING)
@@ -198,6 +269,41 @@ class TestMapping:
         assert ports[6001] == "x11"
         assert 1023 not in ports
         assert ports[80] == "http"
+
+
+def oracle_stage_for(rules, signature, category):
+    """Plain first-match scan over ``rules``, with no memo."""
+    haystack = (signature + "\n" + category).lower()
+    for pattern, stage in rules:
+        if pattern == "*" or pattern.lower() in haystack:
+            return stage
+    raise ValueError("mapping config has no catch-all rule")
+
+
+rule_lists = st.lists(
+    st.tuples(
+        st.one_of(st.just("*"), st.text(alphabet="abAB\n", min_size=1, max_size=3)),
+        st.sampled_from(list(AttackStage)),
+    ),
+    max_size=6,
+)
+lookups = st.lists(
+    st.tuples(
+        st.sampled_from(["", "a", "ab", "AB", "Ba", "bab", "aBBa"]),
+        st.sampled_from(["", "a", "B", "ba"]),
+    ),
+    max_size=25,
+)
+
+
+@given(rule_lists, rule_lists, lookups, lookups)
+def test_memoized_stage_for_matches_scan(first_rules, second_rules, before, after):
+    cfg = MappingConfig(signature_rules=first_rules)
+    for rules, pairs in ((first_rules, before), (second_rules, before + after)):
+        cfg.signature_rules = rules
+        for signature, category in pairs + pairs:  # every pair is looked up again
+            expected = outcome(oracle_stage_for, rules, signature, category)
+            assert outcome(cfg.stage_for, signature, category) == expected
 
 
 def dedup_oracle(alerts, t):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from alertgraphs.analytics import (
+    TeamScore,
     graph_summary,
     rank_teams,
     score_from_counts,
@@ -50,6 +51,12 @@ class TestScoreFromCounts:
     def test_half_up_rounding(self):
         # 21/40 = 52.5% must round up to 53
         assert score_from_counts(21, 40, 0, 148) == pytest.approx((2 * 53 + 0) / 3, abs=0.005)
+
+    def test_team_score_percentages_are_derived_not_stored(self):
+        sc = TeamScore("t1", 21, 18, 40, 70, score_from_counts(21, 40, 18, 70))
+        assert (sc.severe_pct, sc.medium_pct) == (53, 26)  # 52.5 rounds up, 25.71 down
+        assert sc.score == pytest.approx((2 * 53 + 26) / 3, abs=0.005)
+        assert "severe_pct" not in vars(sc) and "medium_pct" not in vars(sc)
 
 
 def aseq(attacker, victim, rows):
@@ -235,6 +242,12 @@ class TestWorkloadStats:
                 1 for s in subsequences if s.parent[0] == team
             )
             assert by_team[team].ag_count == sum(1 for ag in ags if team in ag.teams)
+
+    def test_alerts_counted_from_one_pass_iterables(self):
+        raw = [mk_alert(float(i), attacker=team) for i, team in enumerate("abab" + "c")]
+        stats = workload_stats(iter(raw), iter(raw[:2]), [], [], [], [], teams=["d"])
+        counts = {s.team: (s.raw_alerts, s.filtered_alerts) for s in stats}
+        assert counts == {"a": (2, 1), "b": (2, 1), "c": (1, 0), "d": (0, 0)}
 
     def test_ag_attribution_overlaps(self):
         _, ags = build_ags()

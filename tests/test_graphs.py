@@ -413,6 +413,29 @@ def test_ag_filename_replaces_address_dots():
     assert ag_filename(key) == "attack-graph-10-0-0-20-DATA_EXFILTRATION-remoteware-cl.dot"
 
 
+@pytest.mark.parametrize(
+    "victim, service, expected",
+    [
+        ("v1", "a/b", "attack-graph-v1-DATA_EXFILTRATION-a-b.dot"),
+        ("v1", "../x", "attack-graph-v1-DATA_EXFILTRATION-..-x.dot"),
+        ("v1", "my svc", "attack-graph-v1-DATA_EXFILTRATION-my-svc.dot"),
+        ("fe80::1/64", "a\\b\t\"c", "attack-graph-fe80--1-64-DATA_EXFILTRATION-a-b--c.dot"),
+        ("v1", "x.y_z-1", "attack-graph-v1-DATA_EXFILTRATION-x.y_z-1.dot"),
+    ],
+)
+def test_ag_filename_replaces_unsafe_characters(victim, service, expected):
+    name = ag_filename(ObjectiveKey(victim, EXFIL, service))
+    assert name == expected
+    assert "/" not in name and "\\" not in name
+
+
+@given(st.text(), st.text())
+def test_ag_filename_is_one_safe_component(victim, service):
+    name = ag_filename(ObjectiveKey(victim, EXFIL, service))
+    assert name.startswith("attack-graph-") and name.endswith(".dot")
+    assert set(name) <= set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
+
+
 def test_render_index_lists_counts_and_simplicity():
     ag = extract_ag(
         ObjectiveKey("v1", EXFIL, "ssh"),

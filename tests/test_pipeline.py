@@ -131,6 +131,56 @@ class TestErrors:
         assert not any(n.startswith("attack-graph-") for n in names)
         assert "attack_graph_index.tsv" not in names
 
+    @pytest.mark.parametrize(
+        "service, filename",
+        [
+            ("a/b", "attack-graph-v1-DATA_EXFILTRATION-a-b.dot"),
+            ("../x", "attack-graph-v1-DATA_EXFILTRATION-..-x.dot"),
+            ("my svc", "attack-graph-v1-DATA_EXFILTRATION-my-svc.dot"),
+        ],
+    )
+    def test_unsafe_service_names_stay_inside_out(self, tmp_path, service, filename):
+        ports = tmp_path / "ports.csv"
+        ports.write_text(
+            "Service Name,Port Number,Transport Protocol,Description\n"
+            f"{service},5653,tcp,custom\n"
+        )
+        csv_file = tmp_path / "alerts.csv"
+        csv_file.write_text(
+            "timestamp,src_ip,dst_ip,dst_port,signature,category\n"
+            "2018-11-03T10:00:00+00:00,t1,v1,5653,Exfiltration,x\n"
+        )
+        out = tmp_path / "out"
+        cfg = PipelineConfig(alerts=[csv_file], out_dir=out, format="csv", port_map=ports)
+        result = run_pipeline(cfg)
+        assert [name for name, _ in result.ags] == [filename]
+        assert (out / filename).is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["alerts.csv", "out", "ports.csv"]
+        assert f"{filename}\tv1\tDATA_EXFILTRATION\t{service}\t" in (
+            out / "attack_graph_index.tsv"
+        ).read_text()
+
+    def test_services_sanitized_to_one_file_name_collide(self, tmp_path):
+        ports = tmp_path / "ports.csv"
+        ports.write_text(
+            "Service Name,Port Number,Transport Protocol,Description\n"
+            "a/b,5653,tcp,custom\n"
+            "a b,5654,tcp,custom\n"
+        )
+        csv_file = tmp_path / "alerts.csv"
+        csv_file.write_text(
+            "timestamp,src_ip,dst_ip,dst_port,signature,category\n"
+            "2018-11-03T10:00:00+00:00,t1,v1,5653,Exfiltration,x\n"
+            "2018-11-03T10:05:00+00:00,t1,v1,5654,Exfiltration,x\n"
+        )
+        out = tmp_path / "out"
+        cfg = PipelineConfig(alerts=[csv_file], out_dir=out, format="csv", port_map=ports)
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(cfg)
+        assert excinfo.value.stage == "graphs"
+        assert "service='a/b'" in str(excinfo.value) and "service='a b'" in str(excinfo.value)
+        assert not any(p.name.startswith("attack-graph-") for p in out.iterdir())
+
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             config(tmp_path, t=0.0).validate()
