@@ -215,6 +215,11 @@ def _raw_from_csv_row(row: dict) -> RawAlert:
     return raw
 
 
+# What one malformed record can raise: OverflowError from an offset that moves
+# a timestamp outside years 1-9999, RecursionError from deeply nested JSON.
+_RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
+
+
 def parse_alerts(
     source: Union[IO[bytes], IO[str], str, bytes], format: str = "eve-json"
 ) -> tuple[list[RawAlert], ParseStats]:
@@ -235,7 +240,7 @@ def parse_alerts(
                 if isinstance(line, bytes):
                     line = line.decode("utf-8")  # a bad byte skips this record only
                 raw = _raw_from_eve(json.loads(line))
-            except (ValueError, KeyError, TypeError, AttributeError):
+            except _RECORD_ERRORS:
                 raw = None
             if raw is None:
                 stats.skipped += 1
@@ -250,7 +255,7 @@ def parse_alerts(
             stats.total += 1
             try:
                 raw = _raw_from_csv_row(row)
-            except (ValueError, KeyError, TypeError, AttributeError):
+            except _RECORD_ERRORS:
                 stats.skipped += 1
             else:
                 alerts.append(raw)

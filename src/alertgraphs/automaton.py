@@ -269,10 +269,6 @@ def _str_rank(symbols: Iterable[SymbolT]) -> dict[SymbolT, int]:
     return {sym: i for i, sym in enumerate(sorted(set(symbols), key=str))}
 
 
-def _term(c: int, n: int) -> float:
-    return c * math.log2(c / n) if c else 0.0
-
-
 class _Merger:
     """Red-blue state-merging search over a mutable copy of the trie.
 
@@ -283,30 +279,40 @@ class _Merger:
     final automaton. The root is kept out of merge candidacy so the
     empty-suffix context (sequence endings) survives as a distinct state.
 
-    Symbols are visited in ``rank`` order, which is computed once and must
-    equal ``str`` order, not tuple or rendered order: the visiting order
-    fixes the float summation order of merge scores, which decides ties
-    between candidates, and the breadth-first state ids of the result.
+    The merger works on symbol ids: each id is the symbol's position in
+    ``str`` order over the trie's symbols, so plain int order is ``str``
+    order, not tuple or rendered order. The visiting order fixes the float
+    summation order of merge scores, which decides ties between candidates,
+    and the breadth-first state ids of the result.
+
+    ``_evaluate`` visits only the red-side state's frequent symbols (count at
+    least ``symbol_count``) plus all of the blue-side state's symbols. A
+    red-only symbol below the threshold is never tested, adds nothing to the
+    score and has no child pair to recurse into, so skipping it leaves every
+    score bit-identical: the terms that are added keep their order. The
+    frequent set is cached per state and dropped for every state a merge
+    adds counts to.
     """
 
     def __init__(self, tree: PrefixTree, params: LearnParams):
         self.p = params
-        self.total = {i: tree.totals[i] for i in range(len(tree))}
-        self.final = {i: tree.finals[i] for i in range(len(tree))}
-        self.trans = {
-            i: {sym: [tgt, cnt] for sym, (tgt, cnt) in tree.trans[i].items()}
-            for i in range(len(tree))
-        }
-        self.rank = _str_rank(sym for t in tree.trans for sym in t).__getitem__
+        sid = _str_rank(sym for t in tree.trans for sym in t)
+        self.symbols = list(sid)  # id -> symbol
+        self.total = list(tree.totals)
+        self.final = list(tree.finals)
+        self.trans = [
+            {sid[sym]: [tgt, cnt] for sym, (tgt, cnt) in t.items()} for t in tree.trans
+        ]
+        self.frequent: list[set[int] | None] = [None] * len(tree)
         self.root = tree.root
         self.red: set[int] = {self.root}
         self.threshold = math.sqrt(0.5 * math.log(2.0 / params.alpha))
 
-    def _blue_fringe(self) -> dict[int, tuple[int, SymbolT]]:
-        fringe: dict[int, tuple[int, SymbolT]] = {}
+    def _blue_fringe(self) -> dict[int, tuple[int, int]]:
+        fringe: dict[int, tuple[int, int]] = {}
         for r in sorted(self.red):
             trans = self.trans[r]
-            for sym in sorted(trans, key=self.rank):
+            for sym in sorted(trans):
                 tgt = trans[sym][0]
                 if tgt in self.red or tgt in fringe:
                     continue
@@ -323,44 +329,56 @@ class _Merger:
         ``state_count`` occurrences. The score is the summed log-likelihood
         gain of pooling the tested counts versus keeping them separate.
         """
-        total, final, trans, rank = self.total, self.final, self.trans, self.rank
+        total, final, trans, frequent = self.total, self.final, self.trans, self.frequent
         symbol_count, state_count = self.p.symbol_count, self.p.state_count
+        log2, sqrt, threshold = math.log2, math.sqrt, self.threshold
         score = 0.0
         stack = [(red_id, blue_id)]
         while stack:
             q1, q2 = stack.pop()
             n1, n2 = total[q1], total[q2]
-            bound = self.threshold * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
+            bound = threshold * (1.0 / sqrt(n1) + 1.0 / sqrt(n2))
             f1, f2 = final[q1], final[q2]
             if f1 >= symbol_count or f2 >= symbol_count:
                 if abs(f1 / n1 - f2 / n2) >= bound:
                     return None
-                score += _term(f1 + f2, n1 + n2) - (_term(f1, n1) + _term(f2, n2))
+                c, n = f1 + f2, n1 + n2
+                score += (c * log2(c / n) if c else 0.0) - (
+                    (f1 * log2(f1 / n1) if f1 else 0.0) + (f2 * log2(f2 / n2) if f2 else 0.0)
+                )
             t1, t2 = trans[q1], trans[q2]
-            for sym in sorted(t1.keys() | t2.keys(), key=rank):
+            freq1 = frequent[q1]
+            if freq1 is None:
+                freq1 = frequent[q1] = {s for s, e in t1.items() if e[1] >= symbol_count}
+            for sym in sorted(freq1.union(t2)):
                 e1, e2 = t1.get(sym), t2.get(sym)
                 c1 = e1[1] if e1 else 0
                 c2 = e2[1] if e2 else 0
                 if c1 >= symbol_count or c2 >= symbol_count:
                     if abs(c1 / n1 - c2 / n2) >= bound:
                         return None
-                    score += _term(c1 + c2, n1 + n2) - (_term(c1, n1) + _term(c2, n2))
+                    c, n = c1 + c2, n1 + n2
+                    score += (c * log2(c / n) if c else 0.0) - (
+                        (c1 * log2(c1 / n1) if c1 else 0.0) + (c2 * log2(c2 / n2) if c2 else 0.0)
+                    )
                 if e1 and e2:
                     ch1, ch2 = e1[0], e2[0]
                     if ch1 != ch2 and total[ch1] >= state_count and total[ch2] >= state_count:
                         stack.append((ch1, ch2))
         return score
 
-    def _merge(self, red_id: int, blue_id: int, parent: int, via: SymbolT) -> None:
+    def _merge(self, red_id: int, blue_id: int, parent: int, via: int) -> None:
         """Fold ``blue_id``'s subtree into ``red_id``, determinizing as we go."""
-        self.trans[parent][via][0] = red_id
+        total, final, trans, frequent = self.total, self.final, self.trans, self.frequent
+        trans[parent][via][0] = red_id
         stack = [(red_id, blue_id)]
         while stack:
             target, source = stack.pop()
-            self.total[target] += self.total[source]
-            self.final[target] += self.final[source]
-            ttrans, strans = self.trans[target], self.trans[source]
-            for sym in sorted(strans, key=self.rank):
+            total[target] += total[source]
+            final[target] += final[source]
+            frequent[target] = None
+            ttrans, strans = trans[target], trans[source]
+            for sym in sorted(strans):
                 s_tgt, s_cnt = strans[sym]
                 entry = ttrans.get(sym)
                 if entry is None:
@@ -369,7 +387,7 @@ class _Merger:
                     entry[1] += s_cnt
                     if entry[0] != s_tgt:
                         stack.append((entry[0], s_tgt))
-            del self.total[source], self.final[source], self.trans[source]
+            trans[source] = {}  # unreachable from now on
 
     def run(self) -> None:
         while True:
@@ -405,15 +423,15 @@ def learn_pdfa(tree: PrefixTree, params: LearnParams = LearnParams()) -> SuffixP
 
     order: dict[int, int] = {merger.root: 0}
     queue = [merger.root]
-    while queue:
-        node = queue.pop(0)
+    for node in queue:
         trans = merger.trans[node]
-        for sym in sorted(trans, key=merger.rank):
+        for sym in sorted(trans):
             tgt = trans[sym][0]
             if tgt not in order:
                 order[tgt] = len(order)
                 queue.append(tgt)
 
+    symbols = merger.symbols
     states: dict[int, PdfaState] = {}
     for node, sid in order.items():
         states[sid] = PdfaState(
@@ -422,7 +440,7 @@ def learn_pdfa(tree: PrefixTree, params: LearnParams = LearnParams()) -> SuffixP
             final=merger.final[node],
             is_sink=sid != 0 and merger.total[node] < params.sink_count,
             trans={
-                sym: (order[tgt], cnt) for sym, (tgt, cnt) in merger.trans[node].items()
+                symbols[sym]: (order[tgt], cnt) for sym, (tgt, cnt) in merger.trans[node].items()
             },
         )
     return SuffixPdfa(states=states, alphabet=tree.alphabet, root=0)

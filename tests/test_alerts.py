@@ -110,6 +110,31 @@ class TestParseAlerts:
         assert (stats.total, stats.parsed, stats.skipped) == (2, 1, 1)
         assert alerts[0].dst_port == 22
 
+    def test_offset_out_of_datetime_range_skipped(self):
+        # +0100 moves 0001-01-01T00:30 to year 0, which datetime cannot hold
+        text = "\n".join([eve_line(), eve_line(timestamp="0001-01-01T00:30:00.000000+0100"), eve_line()])
+        alerts, stats = parse_alerts(text)
+        assert (stats.total, stats.parsed, stats.skipped) == (3, 2, 1)
+        assert len(alerts) == 2
+
+    def test_csv_offset_out_of_datetime_range_skipped(self):
+        text = (
+            "timestamp,src_ip,dst_ip,dst_port,signature,category\n"
+            "2018-11-03T10:00:00+0000,10.0.254.1,10.0.0.1,22,ET SCAN Nmap,Misc\n"
+            "0001-01-01T00:30:00+0100,10.0.254.1,10.0.0.1,22,ET SCAN Nmap,Misc\n"
+            "2018-11-03T10:00:01+0000,10.0.254.1,10.0.0.1,22,ET SCAN Nmap,Misc\n"
+        )
+        alerts, stats = parse_alerts(text, format="csv")
+        assert (stats.total, stats.parsed, stats.skipped) == (3, 2, 1)
+        assert len(alerts) == 2
+
+    def test_deeply_nested_json_skipped(self):
+        text = "\n".join([eve_line(), "[" * 100_000, eve_line()]) + "\n"
+        alerts, stats = parse_alerts(text)
+        assert stats.parsed + stats.skipped == stats.total == 3
+        assert (stats.parsed, stats.skipped) == (2, 1)
+        assert len(alerts) == 2
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_alerts("", format="xml")

@@ -513,3 +513,34 @@ def test_learner_matches_str_keyed_oracle_on_fixture(tmp_path, params):
     result = run_pipeline(PipelineConfig(alerts=[fixture], out_dir=tmp_path, stop_after="episodes"))
     tree = build_suffix_tree(result.corpus)
     assert learn_pdfa(tree, params).to_text() == oracle_learn_pdfa(tree, params).to_text()
+
+
+def merge_heavy_corpus(seed: int = 9, n: int = 500) -> list[list[Symbol]]:
+    """Short sequences of skewed draws over 40 symbols.
+
+    Every context has the same future distribution, so hundreds of trie
+    states fold into a few red states whose counts grow between
+    evaluations: the case where a per-state cache of frequent symbols
+    would go stale.
+    """
+    rng = random.Random(seed)
+    alphabet = [
+        Symbol(stage, service)
+        for stage in list(AttackStage)[:8]
+        for service in ("ssh", "http", "a'b", "a b", "SMB")
+    ]
+    rng.shuffle(alphabet)
+    weights = [1.0 / (i + 1) ** 0.8 for i in range(len(alphabet))]
+    return [rng.choices(alphabet, weights, k=rng.randint(1, 3)) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [LearnParams(), LearnParams(2, 3, 2, 0.2), LearnParams(0, 0, 0, alpha=0.5)],
+    ids=["default", "loose", "zero"],
+)
+def test_learner_matches_str_keyed_oracle_when_merge_heavy(params):
+    tree = build_suffix_tree(merge_heavy_corpus())
+    learned = learn_pdfa(tree, params)
+    assert len(learned) * 2 < len(tree)
+    assert learned.to_text() == oracle_learn_pdfa(tree, params).to_text()
