@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Run the pipeline on an enlarged benchmark workload; report time and memory.
+
+Takes a workload shape from ``bench/workloads.py`` (imported from the
+``bench`` directory, never edited), enlarges it with ``dataclasses.replace``,
+writes its log under a temporary directory and runs ``run_pipeline`` on that
+log in a fresh process, so the peak RSS is the pipeline's own and not the
+generator's. Prints one JSON line: the seconds of each stage, the record
+count and the peak RSS (``VmHWM``, Linux only) in MB. Run from anywhere:
+
+    python3 scripts/scale_run.py --workload flood                           # ~70k records
+    python3 scripts/scale_run.py --workload flood --victims 24              # ~210k records
+    python3 scripts/scale_run.py --workload flood --teams 40 --victims 24   # ~2.08M records
+
+Generating the largest log takes about 2.4 GB in this script's own process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import multiprocessing
+import sys
+import tempfile
+import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402  bench/workloads.py
+from tracing import peak_rss_mb  # noqa: E402  bench/tracing.py, VmHWM in MB
+
+
+def _run(alerts: str, fmt: str, out_dir: str) -> dict:
+    """One timed ``run_pipeline`` call; runs in the worker process."""
+    from alertgraphs import pipeline
+
+    stage_s: dict[str, float] = {}
+
+    def timed(stage, fn):
+        def run(*args):
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                stage_s[stage] = time.perf_counter() - start
+
+        return run
+
+    for stage, fn in list(pipeline._STAGE_FUNCS.items()):
+        pipeline._STAGE_FUNCS[stage] = timed(stage, fn)
+    cfg = pipeline.PipelineConfig(alerts=[Path(alerts)], out_dir=Path(out_dir), format=fmt)
+    start = time.perf_counter()
+    result = pipeline.run_pipeline(cfg)
+    wall_s = time.perf_counter() - start
+    stats = result.parse_stats
+    return {
+        "records": stats.total,
+        "parsed": stats.parsed,
+        "skipped": stats.skipped,
+        "wall_s": round(wall_s, 3),
+        "stage_s": {stage: round(s, 3) for stage, s in stage_s.items()},
+        "vmhwm_mb": round(peak_rss_mb(), 1),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), default="flood")
+    parser.add_argument("--teams", type=int, help="attacker teams (default: the workload's)")
+    parser.add_argument("--victims", type=int, help="victims per team (default: the workload's)")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+
+    spec = workloads.WORKLOADS[args.workload]
+    spec = dataclasses.replace(
+        spec,
+        teams=spec.teams if args.teams is None else args.teams,
+        victims=spec.victims if args.victims is None else args.victims,
+    )
+    with tempfile.TemporaryDirectory(prefix="alertgraphs-scale-") as tmp:
+        log = Path(tmp) / ("alerts.csv" if spec.format == "csv" else "alerts.jsonl")
+        text, _ = workloads.generate(args.workload, args.seed, ROOT, spec)
+        log.write_text(text, encoding="utf-8")
+        del text
+        log_size = log.stat().st_size
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            record = pool.submit(_run, str(log), spec.format, str(Path(tmp) / "out")).result()
+    print(json.dumps({
+        "workload": args.workload,
+        "seed": args.seed,
+        "teams": spec.teams,
+        "victims": spec.victims,
+        "log_mb": round(log_size / 1e6, 1),
+        **record,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

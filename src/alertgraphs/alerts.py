@@ -44,7 +44,7 @@ def parse_timestamp(value: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawAlert:
     timestamp: datetime
     src_ip: str
@@ -54,7 +54,7 @@ class RawAlert:
     category: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alert:
     timestamp: datetime
     attacker: str
@@ -181,38 +181,75 @@ def _as_lines(source: Union[IO[bytes], IO[str], str, bytes]) -> Iterable[Union[s
     return source
 
 
-def _raw_from_eve(record: dict) -> RawAlert | None:
+class _Shared(dict):
+    """One object per distinct value: ``shared[v]`` is the first ``v`` seen.
+
+    A log repeats a few addresses, signatures, categories and ports across
+    millions of records; sharing them keeps one copy of each per parse.
+    """
+
+    def __missing__(self, value):
+        self[value] = value
+        return value
+
+
+def _address(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError("an address must be a non-empty string")
+    return value
+
+
+def _port(value) -> int:
+    """``value`` as a port; numeric strings and integral floats are accepted."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("a port must be an integer")
+    port = int(value)
+    if not 0 <= port <= 65535:
+        raise ValueError(f"dst_port out of range: {port}")
+    return port
+
+
+def _raw_alert(timestamp, src_ip, dst_ip, port, signature, category, shared: _Shared) -> RawAlert:
+    if category is None:
+        category = ""
+    if not isinstance(signature, str) or not isinstance(category, str):
+        raise ValueError("signature and category must be strings")
+    return RawAlert(
+        timestamp=parse_timestamp(timestamp),
+        src_ip=shared[_address(src_ip)],
+        dst_ip=shared[_address(dst_ip)],
+        dst_port=shared[_port(port)],
+        signature=shared[signature],
+        category=shared[category],
+    )
+
+
+def _raw_from_eve(record: dict, shared: _Shared) -> RawAlert | None:
     if record.get("event_type") != "alert":
         return None
     alert = record["alert"]
-    port = record.get("dest_port", 0)  # port-less protocols (ICMP) map to 0
-    raw = RawAlert(
-        timestamp=parse_timestamp(record["timestamp"]),
-        src_ip=str(record["src_ip"]),
-        dst_ip=str(record["dest_ip"]),
-        dst_port=int(port),
-        signature=str(alert["signature"]),
-        category=str(alert.get("category", "")),
+    return _raw_alert(
+        record["timestamp"],
+        record["src_ip"],
+        record["dest_ip"],
+        record.get("dest_port", 0),  # port-less protocols (ICMP) map to 0
+        alert["signature"],
+        alert.get("category"),
+        shared,
     )
-    if not 0 <= raw.dst_port <= 65535:
-        raise ValueError(f"dst_port out of range: {raw.dst_port}")
-    return raw
 
 
-def _raw_from_csv_row(row: dict) -> RawAlert:
-    raw = RawAlert(
-        timestamp=parse_timestamp(row["timestamp"]),
-        src_ip=row["src_ip"].strip(),
-        dst_ip=row["dst_ip"].strip(),
-        dst_port=int(row["dst_port"]),
-        signature=row["signature"],
-        category=(row.get("category") or ""),
+def _raw_from_csv_row(row: dict, shared: _Shared) -> RawAlert:
+    # a short row holds None in its missing fields
+    return _raw_alert(
+        row["timestamp"],
+        (row["src_ip"] or "").strip(),
+        (row["dst_ip"] or "").strip(),
+        row["dst_port"],
+        row["signature"],
+        row.get("category"),
+        shared,
     )
-    if not raw.src_ip or not raw.dst_ip:
-        raise ValueError("missing address")
-    if not 0 <= raw.dst_port <= 65535:
-        raise ValueError(f"dst_port out of range: {raw.dst_port}")
-    return raw
 
 
 # What one malformed record can raise: OverflowError from an offset that moves
@@ -231,6 +268,7 @@ def parse_alerts(
     """
     stats = ParseStats()
     alerts: list[RawAlert] = []
+    shared = _Shared()
     if format == "eve-json":
         for line in _as_lines(source):
             if not line.strip():
@@ -239,7 +277,7 @@ def parse_alerts(
             try:
                 if isinstance(line, bytes):
                     line = line.decode("utf-8")  # a bad byte skips this record only
-                raw = _raw_from_eve(json.loads(line))
+                raw = _raw_from_eve(json.loads(line), shared)
             except _RECORD_ERRORS:
                 raw = None
             if raw is None:
@@ -251,10 +289,22 @@ def parse_alerts(
         lines = _as_lines(source)
         if isinstance(lines.read(0), bytes):
             lines = io.TextIOWrapper(lines, encoding="utf-8")
-        for row in csv.DictReader(lines):
+        rows = csv.DictReader(lines)
+        while True:
+            try:
+                row = next(rows)
+            except StopIteration:
+                break
+            except csv.Error:
+                # an oversized field, a carriage return in an unquoted field, or
+                # a NUL byte before Python 3.11: the reader drops this row and
+                # resumes at the next line
+                stats.total += 1
+                stats.skipped += 1
+                continue
             stats.total += 1
             try:
-                raw = _raw_from_csv_row(row)
+                raw = _raw_from_csv_row(row, shared)
             except _RECORD_ERRORS:
                 stats.skipped += 1
             else:

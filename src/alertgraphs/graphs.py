@@ -252,6 +252,7 @@ def emit_dot(ag: AttackGraph, style: StyleConfig = StyleConfig()) -> str:
     name = _graph_name(ag.key)
     lines = [f"digraph {dot_quote(name)} {{"]
     team_style = style.team_styles(ag.teams)
+    ids = {triple: dot_quote(_vertex_id(triple)) for triple in ag.vertices}
     for triple in sorted(ag.vertices, key=lambda t: (t[0].value, t[1], t[2])):
         v = ag.vertices[triple]
         attrs = [f"shape={style.shape_for(v.severity)}"]
@@ -270,14 +271,11 @@ def emit_dot(ag: AttackGraph, style: StyleConfig = StyleConfig()) -> str:
         if fill:
             attrs.append(f"fillcolor={dot_quote(fill)}")
         attrs.append(f"label={dot_quote(v.stage.value, v.service, str(v.sid))}")
-        lines.append(f"    {dot_quote(_vertex_id(triple))} [{', '.join(attrs)}];")
+        lines.append(f"    {ids[triple]} [{', '.join(attrs)}];")
     for edge in ag.edges:
         hours = edge.seconds_since_first_alert / 3600.0
         attrs = [f'label="{hours:.1f}h"', f"style={team_style[edge.team]}"]
-        lines.append(
-            f"    {dot_quote(_vertex_id(edge.src))} -> {dot_quote(_vertex_id(edge.dst))}"
-            f" [{', '.join(attrs)}];"
-        )
+        lines.append(f"    {ids[edge.src]} -> {ids[edge.dst]} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

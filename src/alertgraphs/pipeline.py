@@ -183,6 +183,7 @@ def _stage_ingest(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
         result.parse_stats.parsed += stats.parsed
         result.parse_stats.skipped += stats.skipped
         mapped.extend(alerts_mod.map_alert(raw, mapping) for raw in raws)
+        del raws  # free this file's raw records before the next file is parsed
     mapped.sort(key=lambda a: a.timestamp)  # stable: ties keep input order
     result.mapped_alerts = mapped
     result.filtered_alerts = alerts_mod.filter_duplicates(mapped, cfg.t)

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -138,6 +139,205 @@ class TestParseAlerts:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_alerts("", format="xml")
+
+
+def eve_with(key, value):
+    """``eve_line()`` with one field, top-level or under ``alert``, set to ``value``."""
+    record = json.loads(eve_line())
+    owner = record["alert"] if key in ("signature", "category") else record
+    owner[key] = value
+    return json.dumps(record)
+
+
+class TestTypedEveFields:
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("src_ip", None),
+            ("dest_ip", None),
+            ("src_ip", ""),
+            ("dest_ip", ""),
+            ("src_ip", ["10.0.254.1"]),
+            ("dest_ip", {"addr": "10.0.0.1"}),
+            ("src_ip", 17),
+            ("signature", ["ET SCAN"]),
+            ("signature", {"text": "ET SCAN"}),
+            ("signature", None),
+            ("category", ["Misc"]),
+            ("dest_port", True),
+            ("dest_port", False),
+            ("dest_port", 22.7),
+            ("dest_port", None),
+        ],
+    )
+    def test_mistyped_field_skips_record(self, key, value):
+        alerts, stats = parse_alerts("\n".join([eve_line(), eve_with(key, value), eve_line()]))
+        assert (stats.total, stats.parsed, stats.skipped) == (3, 2, 1)
+        assert len(alerts) == 2
+
+    def test_absent_or_null_category_is_empty(self):
+        absent = json.loads(eve_line())
+        del absent["alert"]["category"]
+        alerts, stats = parse_alerts("\n".join([json.dumps(absent), eve_with("category", None)]))
+        assert stats.parsed == 2
+        assert [a.category for a in alerts] == ["", ""]
+
+    @pytest.mark.parametrize("port,expected", [("22", 22), (22.0, 22), (0, 0)])
+    def test_numeric_ports_accepted(self, port, expected):
+        alerts, stats = parse_alerts(eve_with("dest_port", port))
+        assert stats.parsed == 1
+        assert alerts[0].dst_port == expected
+
+
+CSV_HEADER = "timestamp,src_ip,dst_ip,dst_port,signature,category\n"
+CSV_ROW = "2018-11-03T10:00:00+00:00,10.0.254.1,10.0.0.1,22,ET SCAN Nmap,Misc\n"
+
+
+class TestCsvRows:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            CSV_ROW.replace("ET SCAN Nmap", "x" * 200_000),  # over the csv field limit
+            CSV_ROW.replace("ET SCAN Nmap", "ET\0SCAN"),  # csv.Error on Python 3.10
+            CSV_ROW.replace("ET SCAN Nmap", "ET\rSCAN"),  # a bare CR in an unquoted field
+        ],
+        ids=["oversized-field", "nul-byte", "bare-cr"],
+    )
+    def test_unreadable_row_skips_only_itself(self, bad):
+        good_b = CSV_ROW.replace("10:00:00", "10:00:05")
+        alerts, stats = parse_alerts(CSV_HEADER + CSV_ROW + bad + good_b, format="csv")
+        assert stats.total == 3
+        assert stats.parsed + stats.skipped == stats.total
+        kept = [a for a in alerts if a.signature == "ET SCAN Nmap"]
+        assert [a.timestamp.second for a in kept] == [0, 5]
+
+    def test_unreadable_row_skipped_from_bytes(self):
+        data = CSV_HEADER + CSV_ROW + CSV_ROW.replace("ET SCAN Nmap", "x" * 200_000) + CSV_ROW
+        alerts, stats = parse_alerts(io.BytesIO(data.encode()), format="csv")
+        assert (stats.total, stats.parsed, stats.skipped) == (3, 2, 1)
+        assert len(alerts) == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "2018-11-03T10:00:00+00:00,10.0.254.1,10.0.0.1,22\n",  # no signature
+            "2018-11-03T10:00:00+00:00,10.0.254.1\n",  # no victim
+            "2018-11-03T10:00:00+00:00, ,10.0.0.1,22,ET SCAN Nmap,Misc\n",  # blank attacker
+            "2018-11-03T10:00:00+00:00,10.0.254.1,10.0.0.1,,ET SCAN Nmap,Misc\n",  # no port
+        ],
+        ids=["short-row-no-signature", "short-row-no-victim", "blank-attacker", "empty-port"],
+    )
+    def test_short_or_blank_row_skipped(self, bad):
+        alerts, stats = parse_alerts(CSV_HEADER + CSV_ROW + bad + CSV_ROW, format="csv")
+        assert (stats.total, stats.parsed, stats.skipped) == (3, 2, 1)
+        assert all(isinstance(a.signature, str) for a in alerts)
+
+    def test_missing_category_is_empty(self):
+        alerts, _ = parse_alerts(CSV_HEADER + CSV_ROW.replace(",Misc", ""), format="csv")
+        assert alerts[0].category == ""
+
+
+class TestRecordMemory:
+    def test_records_have_no_instance_dict(self):
+        raw = parse_alerts(eve_line())[0][0]
+        alert = map_alert(raw, default_mapping_config())
+        for record in (raw, alert):
+            assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("format", ["eve-json", "csv"])
+    def test_repeated_values_are_one_object(self, format):
+        # values are built per line, so equal values start out as distinct
+        # objects; port 5653 is above the small ints CPython caches
+        stamps = [f"2018-11-03T10:00:{i:02d}+00:00" for i in range(4)]
+        if format == "eve-json":
+            text = "\n".join(eve_line(timestamp=t, port=5653) for t in stamps)
+        else:
+            row = CSV_ROW.replace(",22,", ",5653,")
+            text = CSV_HEADER + "".join(row.replace("10:00:00", t[11:19]) for t in stamps)
+        alerts, stats = parse_alerts(text.encode(), format=format)
+        assert stats.parsed == 4
+        first = alerts[0]
+        for other in alerts[1:]:
+            assert other.src_ip is first.src_ip
+            assert other.dst_ip is first.dst_ip
+            assert other.dst_port is first.dst_port
+            assert other.signature is first.signature
+            assert other.category is first.category
+        mapped = [map_alert(a, default_mapping_config()) for a in alerts]
+        assert all(m.attacker is first.src_ip and m.victim is first.dst_ip for m in mapped)
+
+
+FIXTURE = Path(__file__).parent / "fixtures/synthetic_alerts.jsonl"
+
+
+def test_fixture_parse_matches_plain_oracle():
+    """``parse_alerts`` equals a plain ``json.loads`` parse that shares nothing."""
+    expected = []
+    for line in FIXTURE.read_text(encoding="utf-8").splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if record.get("event_type") != "alert":
+            continue
+        expected.append(
+            RawAlert(
+                timestamp=parse_timestamp(record["timestamp"]),
+                src_ip=record["src_ip"],
+                dst_ip=record["dest_ip"],
+                dst_port=record.get("dest_port", 0),
+                signature=record["alert"]["signature"],
+                category=record["alert"].get("category", ""),
+            )
+        )
+    with open(FIXTURE, "rb") as fh:
+        got, stats = parse_alerts(fh)
+    assert len(expected) > 100
+    assert got == expected
+    assert stats.parsed == len(expected)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def field(valid):
+    return st.one_of(st.just(valid), json_values)
+
+
+# EVE records whose every field is either well formed or any JSON value
+eve_records = st.fixed_dictionaries(
+    {
+        "event_type": field("alert"),
+        "timestamp": field("2018-11-03T10:00:00.000000+0000"),
+        "src_ip": field("10.0.254.1"),
+        "dest_ip": field("10.0.0.1"),
+        "dest_port": field(22),
+        "alert": field({"signature": "ET SCAN Nmap", "category": "Misc"})
+        | st.fixed_dictionaries({"signature": field("ET SCAN Nmap"), "category": field("Misc")}),
+    }
+).map(lambda record: json.dumps(record).encode())
+
+
+@given(st.lists(st.binary(max_size=120) | eve_records, max_size=10))
+def test_eve_parse_never_raises(lines):
+    alerts, stats = parse_alerts(b"\n".join(lines))
+    assert stats.parsed + stats.skipped == stats.total
+    assert len(alerts) == stats.parsed
+
+
+csv_text = st.text(alphabet=st.sampled_from(',"\r\n\0 x2:-T+') | st.characters(), max_size=120)
+
+
+@given(st.lists(csv_text | st.just(CSV_ROW), max_size=10))
+def test_csv_parse_never_raises(chunks):
+    for text in ("".join(chunks), CSV_HEADER + "".join(chunks)):
+        alerts, stats = parse_alerts(text, format="csv")
+        assert stats.parsed + stats.skipped == stats.total
+        assert len(alerts) == stats.parsed
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,17 @@ class TestReproducibility:
         run_pipeline(cfg_a)
         run_pipeline(cfg_b)
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+
+class TestInputOrder:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shuffled_input_lines_give_golden_artifacts(self, tmp_path, seed):
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+        random.Random(seed).shuffle(lines)
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        run_pipeline(PipelineConfig(alerts=[shuffled], out_dir=tmp_path / "out"))
+        assert tree_bytes(tmp_path / "out") == tree_bytes(GOLDEN)
 
 
 class TestStageIsolation:
