@@ -21,12 +21,10 @@ from .automaton import (
     OUT_OF_MODEL,
     AnnotatedSequence,
     LearnParams,
-    PrefixTree,
     SuffixPdfa,
     annotate_sequence,
     build_suffix_tree,
     learn_pdfa,
-    replay_episodes,
 )
 from .episodes import (
     Episode,
@@ -38,13 +36,7 @@ from .episodes import (
     partition_subsequences,
     to_symbols,
 )
-from .evaluation import (
-    MarkovChain,
-    learn_markov_chain,
-    perplexity,
-    sequence_probability,
-    split_sequences,
-)
+from .evaluation import learn_markov_chain, perplexity, split_sequences
 from .graphs import (
     AttackGraph,
     ObjectiveKey,

@@ -186,9 +186,14 @@ class _Shared(dict):
 
     A log repeats a few addresses, signatures, categories and ports across
     millions of records; sharing them keeps one copy of each per parse.
+    A string that is not UTF-8 text (a lone surrogate from a JSON escape or
+    an undecodable CSV byte) raises ``UnicodeEncodeError``, which skips the
+    record; each distinct value is checked once.
     """
 
     def __missing__(self, value):
+        if isinstance(value, str):
+            value.encode("utf-8")
         self[value] = value
         return value
 
@@ -288,7 +293,8 @@ def parse_alerts(
     elif format == "csv":
         lines = _as_lines(source)
         if isinstance(lines.read(0), bytes):
-            lines = io.TextIOWrapper(lines, encoding="utf-8")
+            # an undecodable byte becomes a lone surrogate, which skips its row
+            lines = io.TextIOWrapper(lines, encoding="utf-8", errors="surrogateescape")
         rows = csv.DictReader(lines)
         while True:
             try:

@@ -2,28 +2,29 @@
 
 Sequences are reversed before anything else happens, so the model predicts
 the past: states summarize which futures (attack endings) a context leads
-to. A frequency trie of the reversed corpus (``PrefixTree``) is folded into
-a compact deterministic automaton (``SuffixPdfa``) by red-blue state merging
-under a Hoeffding compatibility test. Rare states are kept as sinks instead
-of being discarded, so infrequent severe behavior stays visible.
+to. A frequency trie of the reversed corpus is folded into a compact
+deterministic automaton by red-blue state merging under a Hoeffding
+compatibility test. Rare states are kept as sinks instead of being
+discarded, so infrequent severe behavior stays visible.
+
+One counted-automaton class, ``SuffixPdfa``, holds the trie, the learned
+S-PDFA and the first-order Markov baseline (``evaluation.learn_markov_chain``);
+the merger works on copies of the trie's count tables. The Markov chain has
+one state per symbol, and a transition it never saw still leads to that
+symbol's state: a first-order context is just the last symbol consumed, so
+an unseen bigram changes the probability of that step but not the context
+of the next one. Its ``fallback`` table says so; it is empty for the trie
+and the S-PDFA, whose walks fall off the automaton on a miss.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .episodes import (
-    Episode,
-    EpisodeSequence,
-    EpisodeSubSequence,
-    Symbol,
-    parse_symbol,
-    partition_subsequences,
-    render_symbol,
-    to_symbols,
-)
+from .episodes import Episode, EpisodeSubSequence, Symbol, parse_symbol, render_symbol, to_symbols
 from .stages import Severity
 
 OUT_OF_MODEL = -1  # state id assigned when replay falls off the automaton
@@ -53,130 +54,90 @@ class LearnParams:
             raise ValueError("alpha must be in (0, 1)")
 
 
-class PrefixTree:
-    """Frequency trie over the reversed corpus.
-
-    Node counts record how many sequences traverse each node; ``finals``
-    count sequences ending exactly there. At every node the occurrence count
-    equals the sum of child counts plus the final count.
-    """
-
-    def __init__(self):
-        self.totals: list[int] = [0]
-        self.finals: list[int] = [0]
-        self.trans: list[dict[SymbolT, tuple[int, int]]] = [{}]
-        self.alphabet: tuple = ()
-        self.root = 0
-
-    def _insert(self, reversed_seq: Sequence[SymbolT]) -> None:
-        node = self.root
-        self.totals[node] += 1
-        for sym in reversed_seq:
-            hop = self.trans[node].get(sym)
-            if hop is None:
-                child = len(self.totals)
-                self.totals.append(0)
-                self.finals.append(0)
-                self.trans.append({})
-                self.trans[node][sym] = (child, 1)
-            else:
-                child, count = hop
-                self.trans[node][sym] = (child, count + 1)
-            node = child
-            self.totals[node] += 1
-        self.finals[node] += 1
-
-    # uniform state accessors shared with SuffixPdfa
-    def occurrence(self, state: int) -> int:
-        return self.totals[state]
-
-    def final_count(self, state: int) -> int:
-        return self.finals[state]
-
-    def transition(self, state: int, sym: SymbolT):
-        return self.trans[state].get(sym)
-
-    def __len__(self) -> int:
-        return len(self.totals)
-
-    def log2_probability(self, seq: Sequence[SymbolT], smoothed: bool = True) -> float:
-        return _suffix_model_log2(self, seq, smoothed)
-
-
-def build_suffix_tree(sequences: Iterable[Sequence[SymbolT]]) -> PrefixTree:
-    """Insert every sequence, reversed, into a fresh frequency trie."""
-    tree = PrefixTree()
-    alphabet = set()
-    for seq in sequences:
-        tree._insert(list(reversed(seq)))
-        alphabet.update(seq)
-    tree.alphabet = tuple(sorted(alphabet))
-    return tree
-
-
-@dataclass
-class PdfaState:
-    sid: int
-    total: int
-    final: int
-    is_sink: bool
-    trans: dict[SymbolT, tuple[int, int]] = field(default_factory=dict)
-
-
 class SuffixPdfa:
-    """Deterministic automaton over reversed sequences with raw counts.
+    """Counted deterministic automaton over reversed sequences.
 
+    States are list indices: ``total[q]`` counts the sequences passing
+    state ``q`` and ``final[q]`` those ending there, and ``trans[q]`` maps a
+    symbol id to ``(target, count)``. A symbol's id is its position in
+    ``str`` order, ``symbols[id]``. A missing transition on symbol id ``s``
+    goes to ``fallback[s]`` when present, else off the automaton.
     Probabilities are derived on demand (add-one smoothed over the alphabet
     plus termination); the stored counts stay raw.
     """
 
-    def __init__(self, states: dict[int, PdfaState], alphabet: tuple, root: int = 0):
-        self.states = states
-        self.alphabet = alphabet
-        self.root = root
-
-    def occurrence(self, state: int) -> int:
-        return self.states[state].total
-
-    def final_count(self, state: int) -> int:
-        return self.states[state].final
-
-    def transition(self, state: int, sym: SymbolT):
-        return self.states[state].trans.get(sym)
+    def __init__(
+        self,
+        symbols: list,
+        total: list[int],
+        final: list[int],
+        trans: list[dict[int, tuple[int, int]]],
+        sink: list[bool],
+        fallback: dict[int, int],
+    ):
+        self.symbols = symbols
+        self.ids = {sym: i for i, sym in enumerate(symbols)}
+        self.alphabet = tuple(sorted(symbols))
+        self.root = 0
+        self.total = total
+        self.final = final
+        self.trans = trans
+        self.sink = sink
+        self.fallback = fallback
 
     def sink_ids(self) -> frozenset[int]:
-        return frozenset(s.sid for s in self.states.values() if s.is_sink)
+        return frozenset(q for q, is_sink in enumerate(self.sink) if is_sink)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.total)
 
     def log2_probability(self, seq: Sequence[SymbolT], smoothed: bool = True) -> float:
-        return _suffix_model_log2(self, seq, smoothed)
+        """log2 of the probability of ``seq`` and then its end; off the
+        automaton every step counts as unseen in an unseen context."""
+        n_alpha = len(self.alphabet)
+        ids, total, trans, fallback = self.ids, self.total, self.trans, self.fallback
+        cur = self.root
+        lp = 0.0
+        for sym in reversed(seq):
+            sid = ids.get(sym)
+            n, hop = (0, None) if cur == OUT_OF_MODEL else (total[cur], trans[cur].get(sid))
+            cur, count = hop or (fallback.get(sid, OUT_OF_MODEL), 0)
+            lp += _smoothed_log2(count, n, n_alpha, smoothed)
+        n, count = (0, 0) if cur == OUT_OF_MODEL else (total[cur], self.final[cur])
+        return lp + _smoothed_log2(count, n, n_alpha, smoothed)
 
     def replay(self, symbols: Sequence[SymbolT]) -> list[int]:
         """State id reached as each symbol is consumed, in original order.
 
-        Traversal runs over the reversed symbol list; once a missing
-        transition is hit every remaining position gets OUT_OF_MODEL.
+        Traversal runs over the reversed symbol list. A missing transition
+        leads to the symbol's fallback state if it has one, else off the
+        automaton, to OUT_OF_MODEL, which has no transitions.
         """
+        ids, trans, fallback = self.ids, self.trans, self.fallback
         cur = self.root
         reached: list[int] = []
         for sym in reversed(symbols):
-            hop = None if cur == OUT_OF_MODEL else self.transition(cur, sym)
-            cur = OUT_OF_MODEL if hop is None else hop[0]
+            sid = ids.get(sym)
+            hop = None if cur == OUT_OF_MODEL else trans[cur].get(sid)
+            cur = fallback.get(sid, OUT_OF_MODEL) if hop is None else hop[0]
             reached.append(cur)
         reached.reverse()
         return reached
 
     def to_text(self, render: Callable[[SymbolT], str] = render_symbol) -> str:
-        """Lossless text form: one state per line, transitions inline."""
-        lines = ["alphabet\t" + "\t".join(render(s) for s in self.alphabet)]
+        """Lossless text form: one state per line, transitions inline.
+
+        Symbols are rendered with backslash, tab, LF and CR escaped, so any
+        service name keeps its line and field.
+        """
+        names = [render(sym).translate(_ESCAPES) for sym in self.symbols]
+        lines = ["alphabet\t" + "\t".join(names[self.ids[sym]] for sym in self.alphabet)]
         lines.append(f"root\t{self.root}")
-        for sid in sorted(self.states):
-            st = self.states[sid]
-            parts = [str(sid), str(st.total), str(st.final), str(int(st.is_sink))]
-            for sym, (tgt, cnt) in sorted(st.trans.items(), key=lambda kv: render(kv[0])):
-                parts.append(f"{render(sym)}->{tgt}:{cnt}")
+        for q, trans in enumerate(self.trans):
+            parts = [str(q), str(self.total[q]), str(self.final[q]), str(int(self.sink[q]))]
+            for sid in sorted(trans, key=names.__getitem__):
+                tgt, cnt = trans[sid]
+                parts.append(f"{names[sid]}->{tgt}:{cnt}")
             lines.append("\t".join(parts))
         return "\n".join(lines) + "\n"
 
@@ -184,52 +145,63 @@ class SuffixPdfa:
     def from_text(
         cls, text: str, parse: Callable[[str], SymbolT] = parse_symbol
     ) -> "SuffixPdfa":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2 or not lines[0].startswith("alphabet\t") and lines[0] != "alphabet":
+        lines = [ln for ln in text.split("\n") if ln.strip()]
+        if len(lines) < 2 or lines[0].split("\t")[0] != "alphabet":
             raise ValueError("malformed automaton text: missing alphabet line")
-        alpha_fields = lines[0].split("\t")[1:]
-        alphabet = tuple(sorted(parse(f) for f in alpha_fields if f))
-        root = int(lines[1].split("\t")[1])
-        states: dict[int, PdfaState] = {}
+        alphabet = [_parse_field(f, parse) for f in lines[0].split("\t")[1:] if f]
+        model = cls(_symbol_table([alphabet]), [], [], [], [], {})
+        model.root = int(lines[1].split("\t")[1])
         for line in lines[2:]:
-            fields = line.split("\t")
-            sid, total, final, sink = (int(f) for f in fields[:4])
-            trans: dict[SymbolT, tuple[int, int]] = {}
-            for item in fields[4:]:
-                sym_text, _, rest = item.rpartition("->")
+            q, total, final, sink, *edges = line.split("\t")
+            if int(q) != len(model):
+                raise ValueError(f"malformed automaton text: state {q} out of order")
+            model.total.append(int(total))
+            model.final.append(int(final))
+            model.sink.append(bool(int(sink)))
+            trans = {}
+            for item in edges:
+                name, _, rest = item.rpartition("->")
                 tgt, cnt = rest.rsplit(":", 1)
-                trans[parse(sym_text)] = (int(tgt), int(cnt))
-            states[sid] = PdfaState(sid=sid, total=total, final=final, is_sink=bool(sink), trans=trans)
-        return cls(states=states, alphabet=alphabet, root=root)
+                trans[model.ids[_parse_field(name, parse)]] = (int(tgt), int(cnt))
+            model.trans.append(trans)
+        return model
 
     def to_dot(self) -> str:
         """Debug rendering; states colored by their highest-severity incoming
         symbol (High=red, Med=blue, Low=white)."""
+        severity = [
+            getattr(getattr(sym, "stage", None), "severity", Severity.LOW) for sym in self.symbols
+        ]
         severity_in: dict[int, Severity] = {}
-        for st in self.states.values():
-            for sym, (tgt, _) in st.trans.items():
-                sev = getattr(getattr(sym, "stage", None), "severity", Severity.LOW)
-                if tgt not in severity_in or sev > severity_in[tgt]:
-                    severity_in[tgt] = sev
+        for trans in self.trans:
+            for sid, (tgt, _) in trans.items():
+                if tgt not in severity_in or severity[sid] > severity_in[tgt]:
+                    severity_in[tgt] = severity[sid]
         fill = {Severity.HIGH: "red", Severity.MED: "blue", Severity.LOW: "white"}
         lines = ["digraph automaton {", "    node [style=filled];"]
-        for sid in sorted(self.states):
-            st = self.states[sid]
-            color = fill[severity_in.get(sid, Severity.LOW)]
-            shape = "doublecircle" if st.final else "circle"
+        for q in range(len(self)):
+            color = fill[severity_in.get(q, Severity.LOW)]
+            shape = "doublecircle" if self.final[q] else "circle"
             lines.append(
-                f'    {sid} [shape={shape}, fillcolor="{color}", '
-                f'label="{sid}\\n{st.total}/{st.final}"];'
+                f'    {q} [shape={shape}, fillcolor="{color}", '
+                f'label="{q}\\n{self.total[q]}/{self.final[q]}"];'
             )
-        rank = _str_rank(sym for st in self.states.values() for sym in st.trans).__getitem__
-        for sid in sorted(self.states):
-            trans = self.states[sid].trans
-            for sym in sorted(trans, key=rank):
-                tgt, cnt = trans[sym]
-                text = render_symbol(sym) if isinstance(sym, Symbol) else str(sym)
-                lines.append(f"    {sid} -> {tgt} [label={dot_quote(f'{text} ({cnt})')}];")
+        labels = [render_symbol(s) if isinstance(s, Symbol) else str(s) for s in self.symbols]
+        for q, trans in enumerate(self.trans):
+            for sid in sorted(trans):
+                tgt, cnt = trans[sid]
+                lines.append(f"    {q} -> {tgt} [label={dot_quote(f'{labels[sid]} ({cnt})')}];")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
+def _parse_field(field: str, parse: Callable[[str], SymbolT]) -> SymbolT:
+    """Inverse of the escaped rendering in ``SuffixPdfa.to_text``."""
+    return parse(re.sub(r"\\([\\tnr])", lambda m: _UNESCAPES[m[1]], field))
 
 
 def dot_quote(*lines: str) -> str:
@@ -246,31 +218,52 @@ def _smoothed_log2(count: int, total: int, alphabet_size: int, smoothed: bool) -
     return math.log2(count / total)
 
 
-def _suffix_model_log2(model, seq: Sequence[SymbolT], smoothed: bool) -> float:
-    n_alpha = len(model.alphabet)
-    cur = model.root
-    lp = 0.0
-    for sym in reversed(seq):
-        hop = None if cur is None else model.transition(cur, sym)
-        total = 0 if cur is None else model.occurrence(cur)
-        if hop is None:
-            lp += _smoothed_log2(0, total, n_alpha, smoothed)
-            cur = None
-        else:
-            lp += _smoothed_log2(hop[1], total, n_alpha, smoothed)
-            cur = hop[0]
-    total = 0 if cur is None else model.occurrence(cur)
-    final = 0 if cur is None else model.final_count(cur)
-    return lp + _smoothed_log2(final, total, n_alpha, smoothed)
+def _symbol_table(sequences: Iterable[Sequence[SymbolT]]) -> list:
+    """Every distinct symbol of ``sequences`` in ``str`` order: the id table."""
+    return sorted({sym for seq in sequences for sym in seq}, key=str)
 
 
-def _str_rank(symbols: Iterable[SymbolT]) -> dict[SymbolT, int]:
-    """Position of each distinct symbol in ``str`` order."""
-    return {sym: i for i, sym in enumerate(sorted(set(symbols), key=str))}
+def count_sequences(model: SuffixPdfa, sequences: Iterable[Sequence[SymbolT]]) -> SuffixPdfa:
+    """Add every sequence, reversed, to ``model``'s counts and return it.
+
+    A symbol without a transition goes to its fallback state, or to a new
+    state when it has none. Every symbol must be in ``model.symbols``.
+    """
+    ids, total, final, trans, fallback = (
+        model.ids, model.total, model.final, model.trans, model.fallback
+    )
+    for seq in sequences:
+        node = model.root
+        total[node] += 1
+        for sym in reversed(seq):
+            sid = ids[sym]
+            tgt, cnt = trans[node].get(sid) or (fallback.get(sid), 0)
+            if tgt is None:
+                tgt = len(total)
+                total.append(0)
+                final.append(0)
+                trans.append({})
+                model.sink.append(False)
+            trans[node][sid] = (tgt, cnt + 1)
+            node = tgt
+            total[node] += 1
+        final[node] += 1
+    return model
+
+
+def build_suffix_tree(sequences: Iterable[Sequence[SymbolT]]) -> SuffixPdfa:
+    """Insert every sequence, reversed, into a fresh frequency trie.
+
+    At every node the occurrence count equals the sum of child counts plus
+    the final count.
+    """
+    sequences = list(sequences)
+    trie = SuffixPdfa(_symbol_table(sequences), [0], [0], [{}], [False], {})
+    return count_sequences(trie, sequences)
 
 
 class _Merger:
-    """Red-blue state-merging search over a mutable copy of the trie.
+    """Red-blue state-merging search over a copy of the trie's counts.
 
     Red states form the consolidated automaton core; blue states are the
     non-sink children of red states. Each round either performs the highest
@@ -279,11 +272,11 @@ class _Merger:
     final automaton. The root is kept out of merge candidacy so the
     empty-suffix context (sequence endings) survives as a distinct state.
 
-    The merger works on symbol ids: each id is the symbol's position in
-    ``str`` order over the trie's symbols, so plain int order is ``str``
-    order, not tuple or rendered order. The visiting order fixes the float
-    summation order of merge scores, which decides ties between candidates,
-    and the breadth-first state ids of the result.
+    The merger works on the trie's symbol ids: each id is the symbol's
+    position in ``str`` order, so plain int order is ``str`` order, not
+    tuple or rendered order. The visiting order fixes the float summation
+    order of merge scores, which decides ties between candidates, and the
+    breadth-first state ids of the result.
 
     ``_evaluate`` visits only the red-side state's frequent symbols (count at
     least ``symbol_count``) plus all of the blue-side state's symbols. A
@@ -294,15 +287,11 @@ class _Merger:
     adds counts to.
     """
 
-    def __init__(self, tree: PrefixTree, params: LearnParams):
+    def __init__(self, tree: SuffixPdfa, params: LearnParams):
         self.p = params
-        sid = _str_rank(sym for t in tree.trans for sym in t)
-        self.symbols = list(sid)  # id -> symbol
-        self.total = list(tree.totals)
-        self.final = list(tree.finals)
-        self.trans = [
-            {sid[sym]: [tgt, cnt] for sym, (tgt, cnt) in t.items()} for t in tree.trans
-        ]
+        self.total = list(tree.total)
+        self.final = list(tree.final)
+        self.trans = [dict(t) for t in tree.trans]
         self.frequent: list[set[int] | None] = [None] * len(tree)
         self.root = tree.root
         self.red: set[int] = {self.root}
@@ -370,7 +359,7 @@ class _Merger:
     def _merge(self, red_id: int, blue_id: int, parent: int, via: int) -> None:
         """Fold ``blue_id``'s subtree into ``red_id``, determinizing as we go."""
         total, final, trans, frequent = self.total, self.final, self.trans, self.frequent
-        trans[parent][via][0] = red_id
+        trans[parent][via] = (red_id, trans[parent][via][1])
         stack = [(red_id, blue_id)]
         while stack:
             target, source = stack.pop()
@@ -382,9 +371,9 @@ class _Merger:
                 s_tgt, s_cnt = strans[sym]
                 entry = ttrans.get(sym)
                 if entry is None:
-                    ttrans[sym] = [s_tgt, s_cnt]
+                    ttrans[sym] = (s_tgt, s_cnt)
                 else:
-                    entry[1] += s_cnt
+                    ttrans[sym] = (entry[0], entry[1] + s_cnt)
                     if entry[0] != s_tgt:
                         stack.append((entry[0], s_tgt))
             trans[source] = {}  # unreachable from now on
@@ -411,8 +400,8 @@ class _Merger:
                 self._merge(red, blue, parent, via)
 
 
-def learn_pdfa(tree: PrefixTree, params: LearnParams = LearnParams()) -> SuffixPdfa:
-    """Learn the merged automaton from a suffix trie.
+def learn_pdfa(tree: SuffixPdfa, params: LearnParams = LearnParams()) -> SuffixPdfa:
+    """Learn the merged automaton from a suffix trie; ``tree`` is left intact.
 
     Deterministic by construction: candidate merges are ordered by
     (score descending, red id, blue id) and state ids in the result come
@@ -430,20 +419,15 @@ def learn_pdfa(tree: PrefixTree, params: LearnParams = LearnParams()) -> SuffixP
             if tgt not in order:
                 order[tgt] = len(order)
                 queue.append(tgt)
-
-    symbols = merger.symbols
-    states: dict[int, PdfaState] = {}
-    for node, sid in order.items():
-        states[sid] = PdfaState(
-            sid=sid,
-            total=merger.total[node],
-            final=merger.final[node],
-            is_sink=sid != 0 and merger.total[node] < params.sink_count,
-            trans={
-                symbols[sym]: (order[tgt], cnt) for sym, (tgt, cnt) in merger.trans[node].items()
-            },
-        )
-    return SuffixPdfa(states=states, alphabet=tree.alphabet, root=0)
+    total = [merger.total[node] for node in order]
+    return SuffixPdfa(
+        tree.symbols,
+        total,
+        [merger.final[node] for node in order],
+        [{sym: (order[t], c) for sym, (t, c) in merger.trans[node].items()} for node in order],
+        [q != 0 and n < params.sink_count for q, n in enumerate(total)],
+        {},
+    )
 
 
 @dataclass
@@ -455,15 +439,12 @@ class AnnotatedSequence:
     entries: list[tuple[Episode, int]]
 
 
-def replay_episodes(model: SuffixPdfa, ess: EpisodeSubSequence) -> list[tuple[Episode, int]]:
-    """Pair each episode of one sub-sequence with its replay state id."""
-    sids = model.replay(to_symbols(ess))
-    return list(zip(ess.episodes, sids))
-
-
-def annotate_sequence(es: EpisodeSequence, model: SuffixPdfa) -> AnnotatedSequence:
-    """Replay every attack attempt of a sequence and concatenate the results."""
-    entries: list[tuple[Episode, int]] = []
-    for ess in partition_subsequences(es):
-        entries.extend(replay_episodes(model, ess))
-    return AnnotatedSequence(attacker=es.attacker, victim=es.victim, entries=entries)
+def annotate_sequence(
+    attempts: Sequence[EpisodeSubSequence], model: SuffixPdfa
+) -> AnnotatedSequence:
+    """Replay every attack attempt of one sequence and concatenate the results."""
+    entries = [
+        entry for ess in attempts for entry in zip(ess.episodes, model.replay(to_symbols(ess)))
+    ]
+    attacker, victim = attempts[0].parent
+    return AnnotatedSequence(attacker=attacker, victim=victim, entries=entries)

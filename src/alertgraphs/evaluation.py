@@ -7,73 +7,23 @@ applied at evaluation time only, so probabilities never hit zero.
 
 from __future__ import annotations
 
-import math
 import random
-from collections import defaultdict
-from typing import Hashable, Sequence
+from typing import Sequence
 
-from .automaton import _smoothed_log2
-
-SymbolT = Hashable
+from .automaton import SuffixPdfa, SymbolT, _symbol_table, count_sequences
 
 
-class MarkovChain:
-    """Bigram model over reversed sequences with start/end pseudo-states."""
+def learn_markov_chain(sequences: Sequence[Sequence[SymbolT]]) -> SuffixPdfa:
+    """Bigram model over reversed sequences as a counted automaton.
 
-    def __init__(self):
-        self.start_counts: dict[SymbolT, int] = defaultdict(int)
-        self.start_end = 0  # empty sequences
-        self.start_total = 0
-        self.bigram_counts: dict[SymbolT, dict[SymbolT, int]] = defaultdict(lambda: defaultdict(int))
-        self.end_counts: dict[SymbolT, int] = defaultdict(int)
-        self.context_totals: dict[SymbolT, int] = defaultdict(int)
-        self.alphabet: tuple = ()
-
-    def _observe(self, reversed_seq: Sequence[SymbolT]) -> None:
-        self.start_total += 1
-        if not reversed_seq:
-            self.start_end += 1
-            return
-        self.start_counts[reversed_seq[0]] += 1
-        for prev, cur in zip(reversed_seq, reversed_seq[1:]):
-            self.bigram_counts[prev][cur] += 1
-            self.context_totals[prev] += 1
-        self.end_counts[reversed_seq[-1]] += 1
-        self.context_totals[reversed_seq[-1]] += 1
-
-    def log2_probability(self, seq: Sequence[SymbolT], smoothed: bool = True) -> float:
-        n_alpha = len(self.alphabet)
-        rev = list(reversed(seq))
-        prev: SymbolT | None = None  # None = start pseudo-state
-        lp = 0.0
-        for sym in rev:
-            if prev is None:
-                count, total = self.start_counts.get(sym, 0), self.start_total
-            else:
-                count = self.bigram_counts.get(prev, {}).get(sym, 0)
-                total = self.context_totals.get(prev, 0)
-            lp += _smoothed_log2(count, total, n_alpha, smoothed)
-            prev = sym
-        if prev is None:
-            count, total = self.start_end, self.start_total
-        else:
-            count, total = self.end_counts.get(prev, 0), self.context_totals.get(prev, 0)
-        return lp + _smoothed_log2(count, total, n_alpha, smoothed)
-
-
-def learn_markov_chain(sequences: Sequence[Sequence[SymbolT]]) -> MarkovChain:
-    chain = MarkovChain()
-    alphabet = set()
-    for seq in sequences:
-        chain._observe(list(reversed(seq)))
-        alphabet.update(seq)
-    chain.alphabet = tuple(sorted(alphabet))
-    return chain
-
-
-def sequence_probability(model, seq: Sequence[SymbolT], smoothed: bool = True) -> float:
-    """Probability the model assigns to one trace (in (0, 1] when smoothed)."""
-    return 2.0 ** model.log2_probability(seq, smoothed=smoothed)
+    State 0 is the start; state ``i + 1`` is the context after symbol id
+    ``i``, and every symbol leads to its own state, seen bigram or not.
+    """
+    symbols = _symbol_table(sequences)
+    n = len(symbols) + 1
+    fallback = {i: i + 1 for i in range(n - 1)}
+    chain = SuffixPdfa(symbols, [0] * n, [0] * n, [{} for _ in range(n)], [False] * n, fallback)
+    return count_sequences(chain, sequences)
 
 
 def perplexity(model, sequences: Sequence[Sequence[SymbolT]], smoothed: bool = True) -> float:

@@ -9,7 +9,8 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -228,7 +229,10 @@ def _stage_learn(cfg: PipelineConfig, result: PipelineResult, writer: _StageWrit
 
 def _stage_graphs(cfg: PipelineConfig, result: PipelineResult, writer: _StageWriter) -> None:
     model = result.model
-    result.annotated = [annotate_sequence(es, model) for es in result.sequences]
+    result.annotated = [
+        annotate_sequence(list(attempts), model)
+        for _, attempts in groupby(result.subsequences, key=lambda ess: ess.parent)
+    ]
     sink_ids = model.sink_ids()
     filenames: dict[str, ObjectiveKey] = {}
     for key in find_objectives(result.annotated):

@@ -101,6 +101,20 @@ class TestParseAlerts:
         assert (stats.total, stats.parsed, stats.skipped) == (3, 2, 1)
         assert len(alerts) == 2
 
+    @pytest.mark.parametrize(
+        "path", [("src_ip",), ("dest_ip",), ("alert", "signature"), ("alert", "category")]
+    )
+    def test_lone_surrogate_skips_record(self, path):
+        record = json.loads(eve_line())
+        owner = record
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = "a\udcffb"
+        data = "\n".join([eve_line(), json.dumps(record), eve_line()])
+        alerts, stats = parse_alerts(data)
+        assert (stats.total, stats.parsed, stats.skipped) == (3, 2, 1)
+        assert len(alerts) == 2
+
     def test_csv_format(self):
         text = (
             "timestamp,src_ip,dst_ip,dst_port,signature,category\n"
@@ -210,6 +224,14 @@ class TestCsvRows:
         assert stats.parsed + stats.skipped == stats.total
         kept = [a for a in alerts if a.signature == "ET SCAN Nmap"]
         assert [a.timestamp.second for a in kept] == [0, 5]
+
+    @pytest.mark.parametrize("field", ["10.0.254.1", "10.0.0.1", "ET SCAN Nmap", "Misc"])
+    def test_undecodable_byte_skips_only_its_row(self, field):
+        bad = CSV_ROW.replace(field, field[:2] + "\udcff" + field[2:])
+        data = (CSV_HEADER + CSV_ROW + bad + CSV_ROW).encode("utf-8", "surrogateescape")
+        alerts, stats = parse_alerts(io.BytesIO(data), format="csv")
+        assert (stats.total, stats.parsed, stats.skipped) == (3, 2, 1)
+        assert len(alerts) == 2
 
     def test_unreadable_row_skipped_from_bytes(self):
         data = CSV_HEADER + CSV_ROW + CSV_ROW.replace("ET SCAN Nmap", "x" * 200_000) + CSV_ROW

@@ -11,14 +11,11 @@ from alertgraphs.automaton import (
     OUT_OF_MODEL,
     AnnotatedSequence,
     LearnParams,
-    PdfaState,
-    PrefixTree,
     SuffixPdfa,
     SymbolT,
     annotate_sequence,
     build_suffix_tree,
     learn_pdfa,
-    replay_episodes,
 )
 from alertgraphs.episodes import EpisodeSequence, Symbol, partition_subsequences, to_symbols
 from alertgraphs.pipeline import PipelineConfig, run_pipeline
@@ -27,13 +24,18 @@ from alertgraphs.stages import AttackStage
 from util import dot_strings, mk_episode, stage_of
 
 
+def edges(model, state):
+    """Transitions of ``state`` keyed by symbol: {symbol: (target, count)}."""
+    return {model.symbols[sid]: hop for sid, hop in model.trans[state].items()}
+
+
 def tree_paths(tree):
     """Flatten a trie into {reversed-prefix tuple: (total, final)} via DFS."""
     out = {}
 
     def walk(node, path):
-        out[tuple(path)] = (tree.totals[node], tree.finals[node])
-        for sym, (child, _) in tree.trans[node].items():
+        out[tuple(path)] = (tree.total[node], tree.final[node])
+        for sym, (child, _) in edges(tree, node).items():
             walk(child, path + [sym])
 
     walk(tree.root, [])
@@ -90,7 +92,7 @@ def test_tree_count_conservation(corpus):
     tree = build_suffix_tree(corpus)
     for node in range(len(tree)):
         child_sum = sum(cnt for _, cnt in tree.trans[node].values())
-        assert tree.totals[node] == child_sum + tree.finals[node]
+        assert tree.total[node] == child_sum + tree.final[node]
 
 
 class TestLearnPdfa:
@@ -100,9 +102,9 @@ class TestLearnPdfa:
         assert len(model) == 3
         assert not model.sink_ids()
         # chain root --b--> 1 --a--> 2, ending state 2
-        assert model.states[0].trans == {"b": (1, 10)}
-        assert model.states[1].trans == {"a": (2, 10)}
-        assert model.states[2].final == 10
+        assert edges(model, 0) == {"b": (1, 10)}
+        assert edges(model, 1) == {"a": (2, 10)}
+        assert model.final[2] == 10
 
     def test_indistinct_futures_merge(self):
         # Hand-run of the Hoeffding test with n1=n2=5: the two childless
@@ -110,21 +112,20 @@ class TestLearnPdfa:
         tree = build_suffix_tree([["a"]] * 5 + [["b"]] * 5)
         model = learn_pdfa(tree, LearnParams(sink_count=0))
         assert len(model) == 2
-        root = model.states[0]
-        assert root.trans["a"][0] == root.trans["b"][0] == 1
-        merged = model.states[1]
-        assert (merged.total, merged.final) == (10, 10)
+        root = edges(model, 0)
+        assert root["a"][0] == root["b"][0] == 1
+        assert (model.total[1], model.final[1]) == (10, 10)
 
     def test_all_rare_states_become_sinks(self):
         tree = build_suffix_tree([["a"], ["b"], ["c"], ["d"]])
         model = learn_pdfa(tree, LearnParams(sink_count=5))
-        assert all(st.is_sink for st in model.states.values() if st.sid != 0)
-        assert not model.states[0].is_sink
+        assert all(model.sink[1:])
+        assert not model.sink[0]
 
     def test_degenerate_empty_corpus(self):
         model = learn_pdfa(build_suffix_tree([]), LearnParams())
         assert len(model) == 1
-        assert model.states[0].trans == {}
+        assert edges(model, 0) == {}
 
     def test_determinism_byte_identical(self):
         rng = random.Random(99)
@@ -135,20 +136,27 @@ class TestLearnPdfa:
         second = learn_pdfa(build_suffix_tree(corpus), LearnParams()).to_text(render=str)
         assert first == second
 
+    def test_trie_left_intact(self):
+        tree = build_suffix_tree(merge_heavy_corpus(n=200))
+        before = tree.to_text()
+        learned = learn_pdfa(tree, LearnParams(0, 0, 0, alpha=0.5))
+        assert len(learned) < len(tree)
+        assert tree.to_text() == before
+
 
 @settings(max_examples=40)
 @given(short_corpora, st.integers(min_value=0, max_value=6))
 def test_learned_model_count_conservation(corpus, sink_count):
     params = LearnParams(symbol_count=2, state_count=2, sink_count=sink_count)
     model = learn_pdfa(build_suffix_tree(corpus), params)
-    for state in model.states.values():
-        child_sum = sum(cnt for _, cnt in state.trans.values())
-        assert state.total == child_sum + state.final
+    for state in range(len(model)):
+        child_sum = sum(cnt for _, cnt in edges(model, state).values())
+        assert model.total[state] == child_sum + model.final[state]
     # determinism of transitions is structural (dict keyed by symbol); check
     # every target exists
-    for state in model.states.values():
-        for tgt, _ in state.trans.values():
-            assert tgt in model.states
+    for state in range(len(model)):
+        for tgt, _ in edges(model, state).values():
+            assert 0 <= tgt < len(model)
 
 
 @settings(max_examples=40)
@@ -163,8 +171,8 @@ def replay_oracle(model, symbols):
     """Walk the serialized transition table one step at a time."""
     table = {
         (sid, sym): tgt
-        for sid, state in model.states.items()
-        for sym, (tgt, _) in state.trans.items()
+        for sid in range(len(model))
+        for sym, (tgt, _) in edges(model, sid).items()
     }
     cur = model.root
     reached = []
@@ -209,6 +217,11 @@ def es_from_letters(letters):
     return EpisodeSequence(attacker="10.0.254.1", victim="10.0.0.1", episodes=episodes)
 
 
+def replay_episodes(model, ess):
+    """Pair each episode of one sub-sequence with its replay state id."""
+    return list(zip(ess.episodes, model.replay(to_symbols(ess))))
+
+
 class TestAnnotateSequence:
     def _model_for(self, sequences):
         return learn_pdfa(
@@ -219,16 +232,16 @@ class TestAnnotateSequence:
     def test_single_slice_equals_replay(self):
         es = es_from_letters("LMH")
         model = self._model_for([es])
-        annotated = annotate_sequence(es, model)
         part, = partition_subsequences(es)
+        annotated = annotate_sequence([part], model)
         assert annotated.entries == replay_episodes(model, part)
         assert len(annotated.entries) == len(es.episodes)
 
     def test_two_slices_concatenate(self):
         es = es_from_letters("LHLH")
         model = self._model_for([es])
-        annotated = annotate_sequence(es, model)
         parts = partition_subsequences(es)
+        annotated = annotate_sequence(parts, model)
         expected = [e for p in parts for e in replay_episodes(model, p)]
         assert annotated.entries == expected
 
@@ -240,7 +253,7 @@ class TestAnnotateSequence:
         ]
         model = self._model_for(sequences)
         for es in sequences:
-            annotated = annotate_sequence(es, model)
+            annotated = annotate_sequence(partition_subsequences(es), model)
             expected = [
                 entry
                 for part in partition_subsequences(es)
@@ -248,6 +261,7 @@ class TestAnnotateSequence:
             ]
             assert annotated.entries == expected
             assert isinstance(annotated, AnnotatedSequence)
+            assert (annotated.attacker, annotated.victim) == (es.attacker, es.victim)
 
 
 def symbol_corpus(rng, n):
@@ -272,14 +286,14 @@ class TestSerialization:
         assert back.to_text() == text
         assert back.alphabet == model.alphabet
         assert back.root == model.root
-        for sid, state in model.states.items():
-            other = back.states[sid]
-            assert (state.total, state.final, state.is_sink) == (
-                other.total,
-                other.final,
-                other.is_sink,
+        assert len(back) == len(model)
+        for sid in range(len(model)):
+            assert (model.total[sid], model.final[sid], model.sink[sid]) == (
+                back.total[sid],
+                back.final[sid],
+                back.sink[sid],
             )
-            assert state.trans == other.trans
+            assert edges(model, sid) == edges(back, sid)
 
     def test_rendered_symbols(self):
         corpus = [[Symbol(AttackStage.DATA_EXFILTRATION, "remoteware-cl")]] * 6
@@ -294,6 +308,37 @@ class TestSerialization:
         model = learn_pdfa(build_suffix_tree([]), LearnParams())
         text = model.to_text()
         assert SuffixPdfa.from_text(text).to_text() == text
+
+    @pytest.mark.parametrize(
+        "service", ["a\tb", "a\nb", "a\rb", "a\x85b", "a\u2028b", "a\\tb", "a\\", "x->1:2"]
+    )
+    def test_service_keeps_its_line_and_field(self, service):
+        corpus = [[Symbol(AttackStage.DATA_EXFILTRATION, service)]] * 6
+        text = learn_pdfa(build_suffix_tree(corpus), LearnParams()).to_text()
+        assert len(text.split("\n")) == 5 and "\r" not in text
+        back = SuffixPdfa.from_text(text)
+        assert back.alphabet == (Symbol(AttackStage.DATA_EXFILTRATION, service),)
+        assert back.to_text() == text
+
+
+any_service_symbols = st.builds(
+    Symbol,
+    st.sampled_from([AttackStage.SERVICE_DISC, AttackStage.PRIV_ESC, AttackStage.DATA_EXFILTRATION]),
+    st.one_of(st.text(), st.sampled_from(["\t", "\n", "\r", "\\", "\x85", "\u2028", "->", ":"])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(any_service_symbols, min_size=1, max_size=4), min_size=1, max_size=12),
+    st.integers(min_value=0, max_value=3),
+)
+def test_text_round_trip_for_any_service(corpus, count):
+    model = learn_pdfa(build_suffix_tree(corpus), LearnParams(count, count, count))
+    text = model.to_text()
+    back = SuffixPdfa.from_text(text)
+    assert back.to_text() == text
+    assert back.to_dot() == model.to_dot()
 
 
 def test_automaton_dot_colors_by_incoming_severity():
@@ -335,12 +380,12 @@ class StrKeyedMerger:
     empty-suffix context (sequence endings) survives as a distinct state.
     """
 
-    def __init__(self, tree: PrefixTree, params: LearnParams):
+    def __init__(self, tree: SuffixPdfa, params: LearnParams):
         self.p = params
-        self.total = {i: tree.totals[i] for i in range(len(tree))}
-        self.final = {i: tree.finals[i] for i in range(len(tree))}
+        self.total = {i: tree.total[i] for i in range(len(tree))}
+        self.final = {i: tree.final[i] for i in range(len(tree))}
         self.trans = {
-            i: {sym: [tgt, cnt] for sym, (tgt, cnt) in tree.trans[i].items()}
+            i: {sym: [tgt, cnt] for sym, (tgt, cnt) in edges(tree, i).items()}
             for i in range(len(tree))
         }
         self.root = tree.root
@@ -444,7 +489,7 @@ def _pool_gain(c1: int, n1: int, c2: int, n2: int) -> float:
     return term(c1 + c2, n1 + n2) - (term(c1, n1) + term(c2, n2))
 
 
-def oracle_learn_pdfa(tree: PrefixTree, params: LearnParams) -> SuffixPdfa:
+def oracle_learn_pdfa(tree: SuffixPdfa, params: LearnParams) -> SuffixPdfa:
     merger = StrKeyedMerger(tree, params)
     merger.run()
 
@@ -457,18 +502,18 @@ def oracle_learn_pdfa(tree: PrefixTree, params: LearnParams) -> SuffixPdfa:
                 order[tgt] = len(order)
                 queue.append(tgt)
 
-    states: dict[int, PdfaState] = {}
-    for node, sid in order.items():
-        states[sid] = PdfaState(
-            sid=sid,
-            total=merger.total[node],
-            final=merger.final[node],
-            is_sink=sid != 0 and merger.total[node] < params.sink_count,
-            trans={
-                sym: (order[tgt], cnt) for sym, (tgt, cnt) in merger.trans[node].items()
-            },
-        )
-    return SuffixPdfa(states=states, alphabet=tree.alphabet, root=0)
+    nodes = sorted(order, key=order.__getitem__)
+    return SuffixPdfa(
+        tree.symbols,
+        [merger.total[node] for node in nodes],
+        [merger.final[node] for node in nodes],
+        [
+            {tree.ids[sym]: (order[tgt], cnt) for sym, (tgt, cnt) in merger.trans[node].items()}
+            for node in nodes
+        ],
+        [sid != 0 and merger.total[node] < params.sink_count for sid, node in enumerate(nodes)],
+        {},
+    )
 
 
 # Services whose str order differs from tuple order: a quote makes repr

@@ -1,15 +1,32 @@
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from alertgraphs.automaton import LearnParams, build_suffix_tree, learn_pdfa
-from alertgraphs.evaluation import (
-    learn_markov_chain,
-    perplexity,
-    sequence_probability,
-    split_sequences,
-)
+from alertgraphs.automaton import LearnParams, _smoothed_log2, build_suffix_tree, learn_pdfa
+from alertgraphs.evaluation import learn_markov_chain, perplexity, split_sequences
+
+
+def sequence_probability(model, seq, smoothed=True):
+    """Probability the model assigns to one trace (in (0, 1] when smoothed)."""
+    return 2.0 ** model.log2_probability(seq, smoothed=smoothed)
+
+
+def context_state(chain, sym):
+    """The Markov chain's state after consuming ``sym``."""
+    return chain.fallback[chain.ids[sym]]
+
+
+def bigram_counts(chain):
+    """{(prev, cur): count} read off the chain's transitions."""
+    return {
+        (prev, chain.symbols[sid]): cnt
+        for prev in chain.alphabet
+        for sid, (_, cnt) in chain.trans[context_state(chain, prev)].items()
+    }
 
 
 class TestSequenceProbability:
@@ -87,25 +104,93 @@ class TestMarkovChain:
         chain = learn_markov_chain(corpus)
         contexts = list(chain.alphabet)
         n_alpha = len(chain.alphabet)
+        counts = bigram_counts(chain)
         for ctx in contexts:
-            total = chain.context_totals.get(ctx, 0)
+            total = chain.total[context_state(chain, ctx)]
             row = [
-                (chain.bigram_counts.get(ctx, {}).get(sym, 0) + 1) / (total + n_alpha + 1)
+                (counts.get((ctx, sym), 0) + 1) / (total + n_alpha + 1)
                 for sym in chain.alphabet
             ]
-            row.append((chain.end_counts.get(ctx, 0) + 1) / (total + n_alpha + 1))
+            row.append((chain.final[context_state(chain, ctx)] + 1) / (total + n_alpha + 1))
             assert sum(row) == pytest.approx(1.0)
 
     def test_bigram_counts_match_sliding_window_oracle(self):
         rng = random.Random(6)
         corpus = [[rng.choice("abcd") for _ in range(rng.randrange(1, 7))] for _ in range(20)]
-        chain = learn_markov_chain(corpus)
-        got = {
-            (prev, cur): cnt
-            for prev, row in chain.bigram_counts.items()
-            for cur, cnt in row.items()
-        }
-        assert got == bigram_oracle(corpus)
+        assert bigram_counts(learn_markov_chain(corpus)) == bigram_oracle(corpus)
+
+
+# Reference: the bigram-dict Markov chain the automaton form replaced. It
+# keeps a context per symbol whether or not the bigram was seen.
+class MarkovChain:
+    """Bigram model over reversed sequences with start/end pseudo-states."""
+
+    def __init__(self):
+        self.start_counts = defaultdict(int)
+        self.start_end = 0  # empty sequences
+        self.start_total = 0
+        self.bigram_counts = defaultdict(lambda: defaultdict(int))
+        self.end_counts = defaultdict(int)
+        self.context_totals = defaultdict(int)
+        self.alphabet: tuple = ()
+
+    def _observe(self, reversed_seq):
+        self.start_total += 1
+        if not reversed_seq:
+            self.start_end += 1
+            return
+        self.start_counts[reversed_seq[0]] += 1
+        for prev, cur in zip(reversed_seq, reversed_seq[1:]):
+            self.bigram_counts[prev][cur] += 1
+            self.context_totals[prev] += 1
+        self.end_counts[reversed_seq[-1]] += 1
+        self.context_totals[reversed_seq[-1]] += 1
+
+    def log2_probability(self, seq, smoothed=True):
+        n_alpha = len(self.alphabet)
+        rev = list(reversed(seq))
+        prev = None  # None = start pseudo-state
+        lp = 0.0
+        for sym in rev:
+            if prev is None:
+                count, total = self.start_counts.get(sym, 0), self.start_total
+            else:
+                count = self.bigram_counts.get(prev, {}).get(sym, 0)
+                total = self.context_totals.get(prev, 0)
+            lp += _smoothed_log2(count, total, n_alpha, smoothed)
+            prev = sym
+        if prev is None:
+            count, total = self.start_end, self.start_total
+        else:
+            count, total = self.end_counts.get(prev, 0), self.context_totals.get(prev, 0)
+        return lp + _smoothed_log2(count, total, n_alpha, smoothed)
+
+
+def reference_markov_chain(sequences):
+    chain = MarkovChain()
+    alphabet = set()
+    for seq in sequences:
+        chain._observe(list(reversed(seq)))
+        alphabet.update(seq)
+    chain.alphabet = tuple(sorted(alphabet))
+    return chain
+
+
+markov_corpora = st.lists(st.lists(st.sampled_from("abcd"), max_size=5), min_size=1, max_size=15)
+
+
+@given(markov_corpora, st.lists(st.lists(st.sampled_from("abcdxy"), max_size=6), max_size=8))
+def test_markov_chain_matches_reference(train, held_out):
+    # x and y never occur in training: a held-out sequence may hold an
+    # unseen symbol before, between or after seen ones
+    held_out += [["a", "x"], ["x", "a", "b"], ["a", "y", "x", "b", "c"], []]
+    chain, reference = learn_markov_chain(train), reference_markov_chain(train)
+    assert chain.alphabet == reference.alphabet
+    for seq in train + held_out:
+        for smoothed in (True, False):
+            assert chain.log2_probability(seq, smoothed) == reference.log2_probability(
+                seq, smoothed
+            )
 
 
 class TestSplit:

@@ -114,16 +114,28 @@ class TestErrors:
         # artifacts of completed stages stay in place
         assert (out / "episodes.tsv").exists()
 
-    def test_invalid_utf8_csv_fails_in_ingest(self, tmp_path):
+    def test_invalid_utf8_csv_row_skipped(self, tmp_path):
         csv_file = tmp_path / "alerts.csv"
         csv_file.write_bytes(
             b"timestamp,src_ip,dst_ip,dst_port,signature,category\n"
             b"2018-11-03T10:00:00+00:00,t1,v1,22,Nm\xffap,x\n"
+            b"2018-11-03T10:00:05+00:00,t1,v1,22,Nmap,x\n"
+            b"2018-11-03T10:00:09+00:00,t\xff,v1,22,Nmap,x\n"
         )
         cfg = PipelineConfig(alerts=[csv_file], out_dir=tmp_path / "out", format="csv")
-        with pytest.raises(StageError) as excinfo:
-            run_pipeline(cfg)
-        assert excinfo.value.stage == "ingest"
+        stats = run_pipeline(cfg).parse_stats
+        assert (stats.total, stats.parsed, stats.skipped) == (3, 1, 2)
+
+    def test_lone_surrogate_in_eve_record_skipped(self, tmp_path):
+        good = FIXTURE.read_text(encoding="utf-8").splitlines()
+        record = json.loads(good[0])
+        record["src_ip"] = "\udcff"
+        eve_file = tmp_path / "alerts.jsonl"
+        eve_file.write_text("\n".join([json.dumps(record)] + good) + "\n", encoding="utf-8")
+        base = run_pipeline(config(tmp_path / "base", stop_after="ingest")).parse_stats
+        stats = run_pipeline(PipelineConfig(alerts=[eve_file], out_dir=tmp_path / "out")).parse_stats
+        assert (stats.total, stats.parsed) == (base.total + 1, base.parsed)
+        assert tree_bytes(tmp_path / "out") == tree_bytes(GOLDEN)
 
     def test_colliding_graph_file_names_fail_before_writing(self, tmp_path):
         csv_file = tmp_path / "alerts.csv"
