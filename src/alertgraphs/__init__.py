@@ -40,7 +40,6 @@ from .evaluation import learn_markov_chain, perplexity, split_sequences
 from .graphs import (
     AttackGraph,
     ObjectiveKey,
-    StyleConfig,
     emit_dot,
     extract_ag,
     find_objectives,

@@ -296,6 +296,7 @@ def parse_alerts(
             # an undecodable byte becomes a lone surrogate, which skips its row
             lines = io.TextIOWrapper(lines, encoding="utf-8", errors="surrogateescape")
         rows = csv.DictReader(lines)
+        header_checked = False
         while True:
             try:
                 row = next(rows)
@@ -310,6 +311,11 @@ def parse_alerts(
                 continue
             stats.total += 1
             try:
+                if not header_checked:
+                    # a header name that is not UTF-8 text skips every row, as
+                    # a garbled required column does
+                    "".join(rows.fieldnames).encode("utf-8")
+                    header_checked = True
                 raw = _raw_from_csv_row(row, shared)
             except _RECORD_ERRORS:
                 stats.skipped += 1

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .alerts import Alert
 from .episodes import Episode, EpisodeSequence, EpisodeSubSequence
@@ -73,7 +73,6 @@ def workload_stats(
     sequences: Iterable[EpisodeSequence],
     subsequences: Iterable[EpisodeSubSequence],
     ags: Iterable[AttackGraph],
-    teams: Iterable[str] = (),
 ) -> list[TeamStats]:
     """Per-team tallies of every pipeline stage; AGs count toward every team
     appearing in them, so AG counts may overlap across teams."""
@@ -85,8 +84,6 @@ def workload_stats(
             {"raw": 0, "filtered": 0, "episodes": 0, "es": 0, "ess": 0, "ags": 0},
         )
 
-    for team in teams:
-        bucket(team)
     for kind, alerts in (("raw", raw_alerts), ("filtered", filtered_alerts)):
         for team, count in Counter(map(attrgetter("attacker"), alerts)).items():
             bucket(team)[kind] += count

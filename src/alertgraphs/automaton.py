@@ -150,7 +150,10 @@ class SuffixPdfa:
             raise ValueError("malformed automaton text: missing alphabet line")
         alphabet = [_parse_field(f, parse) for f in lines[0].split("\t")[1:] if f]
         model = cls(_symbol_table([alphabet]), [], [], [], [], {})
-        model.root = int(lines[1].split("\t")[1])
+        label, _, root = lines[1].partition("\t")
+        if label != "root":
+            raise ValueError("malformed automaton text: missing root line")
+        model.root = int(root)
         for line in lines[2:]:
             q, total, final, sink, *edges = line.split("\t")
             if int(q) != len(model):
@@ -162,8 +165,16 @@ class SuffixPdfa:
             for item in edges:
                 name, _, rest = item.rpartition("->")
                 tgt, cnt = rest.rsplit(":", 1)
-                trans[model.ids[_parse_field(name, parse)]] = (int(tgt), int(cnt))
+                sid = model.ids.get(_parse_field(name, parse))
+                if sid is None:
+                    raise ValueError(f"malformed automaton text: {name!r} is not in the alphabet")
+                trans[sid] = (int(tgt), int(cnt))
             model.trans.append(trans)
+        states = range(len(model))
+        if model.root not in states or any(
+            tgt not in states for trans in model.trans for tgt, _ in trans.values()
+        ):
+            raise ValueError("malformed automaton text: the root or a target is not a state")
         return model
 
     def to_dot(self) -> str:

@@ -10,8 +10,9 @@ its own path ending at the variant it reached.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .automaton import OUT_OF_MODEL, AnnotatedSequence, dot_quote
@@ -19,6 +20,7 @@ from .episodes import Episode
 from .stages import AttackStage, Severity
 
 VertexKey = tuple[AttackStage, str, int]  # (stage, service, state id)
+Attempt = tuple[str, int, list[tuple[Episode, int]]]  # (team, 1-based number, entries)
 
 
 @dataclass(frozen=True, order=True)
@@ -44,10 +46,6 @@ class AgVertex:
     @property
     def severity(self) -> Severity:
         return self.stage.severity
-
-    @property
-    def key(self) -> VertexKey:
-        return (self.stage, self.service, self.sid)
 
 
 @dataclass(frozen=True)
@@ -75,14 +73,29 @@ class AttackGraph:
     teams: tuple[str, ...]
 
 
-def find_objectives(annotated: Iterable[AnnotatedSequence]) -> list[ObjectiveKey]:
-    """Distinct (victim, high-severity stage, service) present in the data."""
-    keys = set()
-    for seq in annotated:
-        for episode, _ in seq.entries:
-            if episode.severity == Severity.HIGH:
-                keys.add(ObjectiveKey(seq.victim, episode.stage, episode.service))
-    return sorted(keys)
+def find_objectives(annotated: Iterable[AnnotatedSequence]) -> dict[ObjectiveKey, list[Attempt]]:
+    """Every attempt at every objective present in the data, in key order.
+
+    An objective is a (victim, high-severity stage, service). An attempt is
+    the stretch of one sequence that ends at an occurrence of the objective
+    and starts after its previous occurrence there, or at the start of the
+    sequence; whatever follows the last occurrence is unfinished and
+    dropped. Sequences are walked in attacker order, ties in input order,
+    so each objective's attempts are grouped by team.
+    """
+    found: dict[ObjectiveKey, list[Attempt]] = {}
+    for seq in sorted(annotated, key=attrgetter("attacker")):
+        cuts: dict[tuple[AttackStage, str], tuple[int, int]] = {}  # -> (start, attempts so far)
+        for end, (episode, _) in enumerate(seq.entries, 1):
+            if episode.severity != Severity.HIGH:
+                continue
+            objective = (episode.stage, episode.service)
+            start, number = cuts.get(objective, (0, 0))
+            cuts[objective] = (end, number + 1)
+            found.setdefault(ObjectiveKey(seq.victim, *objective), []).append(
+                (seq.attacker, number + 1, seq.entries[start:end])
+            )
+    return {key: found[key] for key in sorted(found)}
 
 
 def team_start_times(annotated: Iterable[AnnotatedSequence]) -> dict[str, datetime]:
@@ -97,42 +110,23 @@ def team_start_times(annotated: Iterable[AnnotatedSequence]) -> dict[str, dateti
 
 def extract_ag(
     key: ObjectiveKey,
-    annotated: Sequence[AnnotatedSequence],
-    sink_ids: frozenset[int] = frozenset(),
-    *,
-    starts: Mapping[str, datetime] | None = None,
+    attempts: Iterable[Attempt],
+    sink_ids: frozenset[int],
+    starts: Mapping[str, datetime],
 ) -> AttackGraph:
-    """Build the attack graph for one ⟨victim, objective⟩.
+    """Draw the attack graph of one ⟨victim, objective⟩ from its attempts,
+    as ``find_objectives`` gives them.
 
-    Qualifying sequences (same victim, containing the objective) are split at
-    every objective occurrence; each prefix up to and including an occurrence
-    is one attempt path. Vertices are shared across attempts and teams while
-    parallel edges stay distinct per (team, attempt, position). Adjacent
-    episodes collapsing to the same vertex triple are drawn once.
-
-    ``annotated`` need only hold the sequences against ``key.victim``.
-    ``starts`` maps each team to its first-alert instant, as
-    ``team_start_times`` gives it; edge labels are measured from it. It must
-    be computed over *all* sequences, not only this victim's, because a
-    team's first alert may be against another victim. When omitted it is
-    computed from ``annotated``.
+    Each attempt is one path. Vertices are shared across attempts and teams
+    while parallel edges stay distinct per (team, attempt, position).
+    Adjacent episodes collapsing to the same vertex triple are drawn once.
+    ``starts`` maps each team to its first-alert instant over *all*
+    sequences, as ``team_start_times`` gives it; edge labels are measured
+    from it.
     """
-    if starts is None:
-        starts = team_start_times(annotated)
-    qualifying = [
-        seq
-        for seq in annotated
-        if seq.victim == key.victim
-        and any(
-            ep.stage == key.stage and ep.service == key.service for ep, _ in seq.entries
-        )
-    ]
-    if not qualifying:
-        raise ValueError(f"objective not present in any sequence: {key}")
-
     vertices: dict[VertexKey, AgVertex] = {}
     edges: list[AgEdge] = []
-    attempts: list[AttemptPath] = []
+    paths: list[AttemptPath] = []
 
     def vertex(triple: VertexKey) -> AgVertex:
         if triple not in vertices:
@@ -145,26 +139,16 @@ def extract_ag(
             )
         return vertices[triple]
 
-    for seq in sorted(qualifying, key=lambda e: e.attacker):
-        team = seq.attacker
-        start = starts[team]
-        attempt: list[tuple[Episode, int]] = []
-        attempt_no = 0
-        for episode, sid in seq.entries:
-            attempt.append((episode, sid))
-            if episode.stage == key.stage and episode.service == key.service:
-                attempt_no += 1
-                _add_attempt(vertex, edges, attempts, attempt, team, attempt_no, start)
-                attempt = []
-        # anything after the last occurrence is an unfinished attempt: dropped
-    teams = tuple(sorted({a.team for a in attempts}))
-    return AttackGraph(key=key, vertices=vertices, edges=edges, attempts=attempts, teams=teams)
+    for team, number, entries in attempts:
+        _add_attempt(vertex, edges, paths, entries, team, number, starts[team])
+    teams = tuple(sorted({p.team for p in paths}))
+    return AttackGraph(key=key, vertices=vertices, edges=edges, attempts=paths, teams=teams)
 
 
-def _add_attempt(vertex, edges, attempts, attempt, team, attempt_no, start):
+def _add_attempt(vertex, edges, paths, entries, team, number, start):
     path: list[VertexKey] = []
     last_episode: dict[int, Episode] = {}  # per path position, for edge timing
-    for episode, sid in attempt:
+    for episode, sid in entries:
         triple: VertexKey = (episode.stage, episode.service, sid)
         if path and path[-1] == triple:
             last_episode[len(path) - 1] = episode
@@ -186,10 +170,10 @@ def _add_attempt(vertex, edges, attempts, attempt, team, attempt_no, start):
                     dst=triple,
                     team=team,
                     seconds_since_first_alert=seconds,
-                    attempt_index=attempt_no,
+                    attempt_index=number,
                 )
             )
-    attempts.append(AttemptPath(team=team, index=attempt_no, vertices=path))
+    paths.append(AttemptPath(team=team, index=number, vertices=path))
 
 
 def simplicity(ag: AttackGraph) -> float | None:
@@ -199,24 +183,10 @@ def simplicity(ag: AttackGraph) -> float | None:
     return len(ag.vertices) / len(ag.edges)
 
 
-@dataclass(frozen=True)
-class StyleConfig:
-    severity_shapes: tuple[tuple[Severity, str], ...] = (
-        (Severity.LOW, "oval"),
-        (Severity.MED, "box"),
-        (Severity.HIGH, "hexagon"),
-    )
-    start_fill: str = "yellow"
-    objective_fill: str = "red"
-    edge_styles: tuple[str, ...] = ("dashed", "solid", "dotted", "bold")
-
-    def shape_for(self, severity: Severity) -> str:
-        return dict(self.severity_shapes)[severity]
-
-    def team_styles(self, teams: Sequence[str]) -> dict[str, str]:
-        ordered = sorted(teams)
-        return {t: self.edge_styles[i % len(self.edge_styles)] for i, t in enumerate(ordered)}
-
+_SEVERITY_SHAPES = {Severity.LOW: "oval", Severity.MED: "box", Severity.HIGH: "hexagon"}
+_START_FILL = "yellow"
+_OBJECTIVE_FILL = "red"
+_TEAM_EDGE_STYLES = ("dashed", "solid", "dotted", "bold")  # cycled over the sorted teams
 
 AG_FILE_GLOB = "attack-graph-*.dot"  # matches every name ag_filename gives
 _UNSAFE_NAME_CHAR = re.compile(r"[^A-Za-z0-9_.-]")
@@ -242,7 +212,7 @@ def _vertex_id(triple: VertexKey) -> str:
     return f"{stage.value}|{service}|{sid}"
 
 
-def emit_dot(ag: AttackGraph, style: StyleConfig = StyleConfig()) -> str:
+def emit_dot(ag: AttackGraph) -> str:
     """Deterministic DOT rendering of one attack graph.
 
     Severity picks the shape (oval/box/hexagon), path starts are yellow,
@@ -251,17 +221,18 @@ def emit_dot(ag: AttackGraph, style: StyleConfig = StyleConfig()) -> str:
     """
     name = _graph_name(ag.key)
     lines = [f"digraph {dot_quote(name)} {{"]
-    team_style = style.team_styles(ag.teams)
+    n_styles = len(_TEAM_EDGE_STYLES)
+    team_style = {t: _TEAM_EDGE_STYLES[i % n_styles] for i, t in enumerate(sorted(ag.teams))}
     ids = {triple: dot_quote(_vertex_id(triple)) for triple in ag.vertices}
     for triple in sorted(ag.vertices, key=lambda t: (t[0].value, t[1], t[2])):
         v = ag.vertices[triple]
-        attrs = [f"shape={style.shape_for(v.severity)}"]
+        attrs = [f"shape={_SEVERITY_SHAPES[v.severity]}"]
         styles = []
         fill = None
         if v.is_objective_variant:
-            fill = style.objective_fill
+            fill = _OBJECTIVE_FILL
         elif v.is_path_start:
-            fill = style.start_fill
+            fill = _START_FILL
         if fill:
             styles.append("filled")
         if v.is_sink:

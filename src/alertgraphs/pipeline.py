@@ -234,19 +234,17 @@ def _stage_graphs(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
         for _, attempts in groupby(result.subsequences, key=lambda ess: ess.parent)
     ]
     sink_ids = model.sink_ids()
+    objectives = find_objectives(result.annotated)
     filenames: dict[str, ObjectiveKey] = {}
-    for key in find_objectives(result.annotated):
+    for key in objectives:
         filename = ag_filename(key)
         if filename in filenames:
             raise ValueError(f"{filenames[filename]} and {key} share the graph file name {filename}")
         filenames[filename] = key
     starts = team_start_times(result.annotated)
-    by_victim: dict[str, list[AnnotatedSequence]] = {}
-    for seq in result.annotated:
-        by_victim.setdefault(seq.victim, []).append(seq)
     entries = []
     for filename, key in filenames.items():
-        ag = extract_ag(key, by_victim[key.victim], sink_ids, starts=starts)
+        ag = extract_ag(key, objectives[key], sink_ids, starts)
         writer.write(filename, emit_dot(ag))
         entries.append((filename, ag))
     result.ags = sorted(entries)

@@ -233,6 +233,15 @@ class TestCsvRows:
         assert (stats.total, stats.parsed, stats.skipped) == (3, 2, 1)
         assert len(alerts) == 2
 
+    def test_undecodable_header_name_skips_every_row(self):
+        data = (
+            b"timestamp,src_ip,dst_ip,dst_port,signature,categ\xffory\n"
+            b"2021-01-01T00:00:00Z,1.1.1.1,2.2.2.2,5653,ET x,Exfiltration\n"
+        )
+        alerts, stats = parse_alerts(io.BytesIO(data), format="csv")
+        assert (stats.total, stats.parsed, stats.skipped) == (1, 0, 1)
+        assert alerts == []
+
     def test_unreadable_row_skipped_from_bytes(self):
         data = CSV_HEADER + CSV_ROW + CSV_ROW.replace("ET SCAN Nmap", "x" * 200_000) + CSV_ROW
         alerts, stats = parse_alerts(io.BytesIO(data.encode()), format="csv")

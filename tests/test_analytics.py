@@ -12,10 +12,10 @@ from alertgraphs.analytics import (
 )
 from alertgraphs.automaton import AnnotatedSequence
 from alertgraphs.episodes import EpisodeSequence, EpisodeSubSequence
-from alertgraphs.graphs import ObjectiveKey, extract_ag
+from alertgraphs.graphs import ObjectiveKey
 from alertgraphs.stages import AttackStage
 
-from util import mk_alert, mk_episode
+from util import draw_ag, mk_alert, mk_episode
 
 EXFIL = AttackStage.DATA_EXFILTRATION
 SCAN = AttackStage.SERVICE_DISC
@@ -99,8 +99,8 @@ def build_ags():
         ),
     ]
     ags = [
-        extract_ag(ObjectiveKey("v1", EXFIL, "rw"), sequences),
-        extract_ag(ObjectiveKey("v2", EXFIL, "rw"), sequences),
+        draw_ag(ObjectiveKey("v1", EXFIL, "rw"), sequences),
+        draw_ag(ObjectiveKey("v2", EXFIL, "rw"), sequences),
     ]
     return sequences, ags
 
@@ -139,8 +139,8 @@ class TestRankTeams:
             ],
         )
         ags2 = [
-            extract_ag(ObjectiveKey("v1", EXFIL, "rw"), sequences + [clone]),
-            extract_ag(ObjectiveKey("v2", EXFIL, "rw"), sequences + [clone]),
+            draw_ag(ObjectiveKey("v1", EXFIL, "rw"), sequences + [clone]),
+            draw_ag(ObjectiveKey("v2", EXFIL, "rw"), sequences + [clone]),
         ]
         before = {s.team: s.score for s in rank_teams(ags)}
         after = {s.team: s.score for s in rank_teams(ags2)}
@@ -149,7 +149,7 @@ class TestRankTeams:
 
     def test_zero_totals_raise(self):
         sequences = [aseq("t1", "v1", [(0.0, EXFIL, "rw", 1)])]
-        ags = [extract_ag(ObjectiveKey("v1", EXFIL, "rw"), sequences)]
+        ags = [draw_ag(ObjectiveKey("v1", EXFIL, "rw"), sequences)]
         with pytest.raises(ValueError):
             rank_teams(ags)  # no medium-severity vertex anywhere
 
@@ -190,20 +190,13 @@ class TestShorterRepeatRatio:
             ],
         )
         ags = [
-            extract_ag(ObjectiveKey("v1", EXFIL, "rw"), [seq_a, seq_b]),
-            extract_ag(ObjectiveKey("v2", EXFIL, "rw"), [seq_a, seq_b]),
+            draw_ag(ObjectiveKey("v1", EXFIL, "rw"), [seq_a, seq_b]),
+            draw_ag(ObjectiveKey("v2", EXFIL, "rw"), [seq_a, seq_b]),
         ]
         assert shorter_repeat_ratio(ags) == pytest.approx(50.0)
 
 
 class TestWorkloadStats:
-    def test_empty_team_all_zeros(self):
-        stats = workload_stats([], [], [], [], [], [], teams=["t0"])
-        assert len(stats) == 1
-        ts = stats[0]
-        assert (ts.raw_alerts, ts.filtered_alerts, ts.episodes) == (0, 0, 0)
-        assert (ts.sequence_count, ts.subsequence_count, ts.ag_count) == (0, 0, 0)
-
     def test_fixture_matches_recount_oracle(self):
         rng = random.Random(15)
         raw = [
@@ -245,9 +238,9 @@ class TestWorkloadStats:
 
     def test_alerts_counted_from_one_pass_iterables(self):
         raw = [mk_alert(float(i), attacker=team) for i, team in enumerate("abab" + "c")]
-        stats = workload_stats(iter(raw), iter(raw[:2]), [], [], [], [], teams=["d"])
+        stats = workload_stats(iter(raw), iter(raw[:2]), [], [], [], [])
         counts = {s.team: (s.raw_alerts, s.filtered_alerts) for s in stats}
-        assert counts == {"a": (2, 1), "b": (2, 1), "c": (1, 0), "d": (0, 0)}
+        assert counts == {"a": (2, 1), "b": (2, 1), "c": (1, 0)}
 
     def test_ag_attribution_overlaps(self):
         _, ags = build_ags()

@@ -304,6 +304,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             SuffixPdfa.from_text("bogus\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "alphabet\t\nroot\t0\n0\t1\t0\t0\tSURFING|x->1:1\n",  # symbol not in the alphabet
+            "alphabet\tSURFING|x\nroot\t0\n0\t1\t0\t0\tSURFING|x->7:1\n",  # target not a state
+            "alphabet\t\nroot\t5\n0\t0\t0\t0\n",  # root not a state
+            "alphabet\t\nroot\n0\t0\t0\t0\n",  # root line without its state
+        ],
+    )
+    def test_inconsistent_text_rejected(self, text):
+        with pytest.raises(ValueError):
+            SuffixPdfa.from_text(text)
+
     def test_empty_automaton_round_trip(self):
         model = learn_pdfa(build_suffix_tree([]), LearnParams())
         text = model.to_text()

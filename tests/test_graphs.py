@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alertgraphs.automaton import AnnotatedSequence
+from alertgraphs.automaton import OUT_OF_MODEL, AnnotatedSequence
 from alertgraphs.graphs import (
+    AgEdge,
+    AgVertex,
+    AttackGraph,
+    AttemptPath,
     ObjectiveKey,
-    StyleConfig,
     ag_filename,
     emit_dot,
     extract_ag,
@@ -16,7 +19,7 @@ from alertgraphs.graphs import (
 )
 from alertgraphs.stages import AttackStage, Severity
 
-from util import dot_strings, mk_episode, ts
+from util import dot_strings, draw_ag, mk_episode, ts
 
 EXFIL = AttackStage.DATA_EXFILTRATION
 MANIP = AttackStage.DATA_MANIPULATION
@@ -49,31 +52,101 @@ def single_attempt_seq(attacker="t1", victim="10.0.0.20"):
     )
 
 
+def oracle_find_objectives(annotated):
+    """Every (victim, high-severity stage, service) present, by a set scan."""
+    return sorted(
+        {
+            ObjectiveKey(seq.victim, ep.stage, ep.service)
+            for seq in annotated
+            for ep, _ in seq.entries
+            if ep.severity == Severity.HIGH
+        }
+    )
+
+
+def oracle_extract_ag(key, annotated, sink_ids):
+    """One objective's graph by a scan of every sequence, the way it was
+    drawn before ``find_objectives`` cut the attempts: keep the victim's
+    sequences that hold the objective, sort them by attacker, cut each at
+    every occurrence, take team start times from all sequences, and draw
+    each attempt as a path."""
+    starts = team_start_times(annotated)
+    qualifying = [
+        seq
+        for seq in annotated
+        if seq.victim == key.victim
+        and any(ep.stage == key.stage and ep.service == key.service for ep, _ in seq.entries)
+    ]
+    vertices, edges, attempts = {}, [], []
+    for seq in sorted(qualifying, key=lambda e: e.attacker):
+        team = seq.attacker
+        attempt, attempt_no = [], 0
+        for episode, sid in seq.entries:
+            attempt.append((episode, sid))
+            if not (episode.stage == key.stage and episode.service == key.service):
+                continue
+            attempt_no += 1
+            path, last_episode = [], {}
+            for ep, state in attempt:
+                triple = (ep.stage, ep.service, state)
+                if not (path and path[-1] == triple):
+                    path.append(triple)
+                last_episode[len(path) - 1] = ep
+            for pos, triple in enumerate(path):
+                if triple not in vertices:
+                    is_sink = triple[2] == OUT_OF_MODEL or triple[2] in sink_ids
+                    vertices[triple] = AgVertex(*triple, is_sink=is_sink)
+                v = vertices[triple]
+                if pos == 0:
+                    v.is_path_start = True
+                if pos == len(path) - 1:
+                    v.is_objective_variant = True
+                if pos > 0:
+                    seconds = int((last_episode[pos - 1].et - starts[team]).total_seconds())
+                    edges.append(AgEdge(path[pos - 1], triple, team, seconds, attempt_no))
+            attempts.append(AttemptPath(team=team, index=attempt_no, vertices=path))
+            attempt = []
+    teams = tuple(sorted({a.team for a in attempts}))
+    return AttackGraph(key=key, vertices=vertices, edges=edges, attempts=attempts, teams=teams)
+
+
 class TestFindObjectives:
     def test_no_high_severity(self):
         seqs = [aseq("t1", "v1", [(0.0, SCAN, "ssh", 1), (10.0, PRIV, "http", 2)])]
-        assert find_objectives(seqs) == []
+        assert find_objectives(seqs) == {}
 
     def test_single_exfiltration_key(self):
         keys = find_objectives([single_attempt_seq()])
-        assert keys == [ObjectiveKey("10.0.0.20", EXFIL, "remoteware-cl")]
+        assert list(keys) == [ObjectiveKey("10.0.0.20", EXFIL, "remoteware-cl")]
 
     def test_three_victims_two_stages_six_keys(self):
         seqs = []
         for victim in ("v1", "v2", "v3"):
             seqs.append(aseq("t1", victim, [(0.0, EXFIL, "ssh", 1), (10.0, MANIP, "ssh", 2)]))
-        keys = find_objectives(seqs)
-        # set-scan oracle over (victim, stage, service) triples
-        oracle = sorted(
-            {
-                ObjectiveKey(e.victim, ep.stage, ep.service)
-                for e in seqs
-                for ep, _ in e.entries
-                if ep.severity == Severity.HIGH
-            }
-        )
-        assert keys == oracle
+        keys = list(find_objectives(seqs))
+        assert keys == oracle_find_objectives(seqs)
         assert len(keys) == 6
+
+    def test_attempts_cut_after_the_previous_occurrence(self):
+        sequence = aseq(
+            "t1",
+            "v1",
+            [
+                (0.0, SCAN, "ssh", 1),
+                (10.0, EXFIL, "ssh", 2),
+                (20.0, MANIP, "ssh", 3),
+                (30.0, EXFIL, "ssh", 4),
+                (40.0, SCAN, "ssh", 5),  # after the last occurrence: dropped
+            ],
+        )
+        entries = sequence.entries
+        objectives = find_objectives([sequence])
+        assert objectives[ObjectiveKey("v1", EXFIL, "ssh")] == [
+            ("t1", 1, entries[0:2]),
+            ("t1", 2, entries[2:4]),
+        ]
+        # an occurrence of another objective does not cut this one's attempt
+        assert objectives[ObjectiveKey("v1", MANIP, "ssh")] == [("t1", 1, entries[0:3])]
 
     def test_low_stage_key_rejected(self):
         with pytest.raises(ValueError):
@@ -84,7 +157,7 @@ class TestExtractAg:
     def test_single_attempt_transcription(self):
         sequence = single_attempt_seq()
         key = ObjectiveKey("10.0.0.20", EXFIL, "remoteware-cl")
-        ag = extract_ag(key, [sequence])
+        ag = draw_ag(key, [sequence])
         assert len(ag.vertices) == 3
         assert len(ag.edges) == 2
         objective_vertices = [v for v in ag.vertices.values() if v.is_objective_variant]
@@ -95,11 +168,6 @@ class TestExtractAg:
         # edge timing: et of the source episode minus the team's first alert
         assert [e.seconds_since_first_alert for e in ag.edges] == [0, 300]
         assert [e.attempt_index for e in ag.edges] == [1, 1]
-
-    def test_missing_key_rejected(self):
-        key = ObjectiveKey("10.9.9.9", EXFIL, "remoteware-cl")
-        with pytest.raises(ValueError):
-            extract_ag(key, [single_attempt_seq()])
 
     def test_re_exploitation_second_attempt_shorter(self):
         sequence = aseq(
@@ -114,7 +182,7 @@ class TestExtractAg:
             ],
         )
         key = ObjectiveKey("v1", EXFIL, "remoteware-cl")
-        ag = extract_ag(key, [sequence])
+        ag = draw_ag(key, [sequence])
         # manual path enumeration: attempt 1 = scan->priv->exfil,
         # attempt 2 = info->exfil sharing the deduplicated exfil vertex
         assert [len(a.vertices) for a in ag.attempts] == [3, 2]
@@ -135,7 +203,7 @@ class TestExtractAg:
             ],
         )
         key = ObjectiveKey("v1", EXFIL, "remoteware-cl")
-        ag = extract_ag(key, [sequence])
+        ag = draw_ag(key, [sequence])
         variants = sorted(v.sid for v in ag.vertices.values() if v.is_objective_variant)
         assert variants == [3, 9]
 
@@ -146,7 +214,7 @@ class TestExtractAg:
             single_attempt_seq(attacker="t8"),
         ]
         key = ObjectiveKey("10.0.0.20", EXFIL, "remoteware-cl")
-        ag = extract_ag(key, sequences)
+        ag = draw_ag(key, sequences)
         assert ag.teams == ("t1", "t5", "t8")
         assert len(ag.vertices) == 3  # shared across teams
         assert len(ag.edges) == 6  # parallel edges stay distinct per team
@@ -162,7 +230,7 @@ class TestExtractAg:
                 (60.0, SCAN, "ssh", 2),  # begins an attempt that never completes
             ],
         )
-        ag = extract_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), [sequence])
+        ag = draw_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), [sequence])
         assert len(ag.vertices) == 1
         assert all(v.is_objective_variant for v in ag.vertices.values())
 
@@ -176,7 +244,7 @@ class TestExtractAg:
                 (60.0, EXFIL, "remoteware-cl", 3),
             ],
         )
-        ag = extract_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), [sequence])
+        ag = draw_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), [sequence])
         assert len(ag.vertices) == 2
         assert len(ag.edges) == 1
         # timing uses the last episode of the collapsed group
@@ -197,7 +265,7 @@ class TestExtractAg:
             ),
             aseq("t2", "v1", [(5.0, EXFIL, "remoteware-cl", 2)]),
         ]
-        ag = extract_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), sequences)
+        ag = draw_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), sequences)
         for attempt in ag.attempts:
             last = ag.vertices[attempt.vertices[-1]]
             assert last.is_objective_variant
@@ -214,8 +282,8 @@ class TestExtractAg:
             (720.0, MANIP, "remoteware-cl", 7),
         ]
         sequence = aseq("t1", "v1", rows)
-        exfil_ag = extract_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), [sequence])
-        manip_ag = extract_ag(ObjectiveKey("v1", MANIP, "remoteware-cl"), [sequence])
+        exfil_ag = draw_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), [sequence])
+        manip_ag = draw_ag(ObjectiveKey("v1", MANIP, "remoteware-cl"), [sequence])
         shared = {(SCAN, "ssh", 5), (PRIV, "remoteware-cl", 4)}
         assert shared <= set(exfil_ag.vertices)
         assert shared <= set(manip_ag.vertices)
@@ -258,32 +326,32 @@ def annotated_corpora(draw):
 @settings(max_examples=150, deadline=None)
 @given(annotated_corpora(), st.frozensets(st.integers(min_value=0, max_value=4)))
 def test_per_victim_extraction_matches_whole_corpus_scan(corpus, sinks):
-    """The graphs stage's per-victim index gives the graphs a scan of every sequence gives."""
+    """The one-pass cut of ``find_objectives`` gives the graphs a scan of
+    every sequence per objective gives."""
+    objectives = find_objectives(corpus)
+    assert list(objectives) == oracle_find_objectives(corpus)
     starts = team_start_times(corpus)
-    by_victim = {}
-    for seq in corpus:
-        by_victim.setdefault(seq.victim, []).append(seq)
-    for key in find_objectives(corpus):
-        indexed = extract_ag(key, by_victim[key.victim], sinks, starts=starts)
-        scanned = extract_ag(key, corpus, sinks)
-        assert emit_dot(indexed) == emit_dot(scanned)
-        assert indexed.attempts == scanned.attempts
-        assert indexed.teams == scanned.teams
+    for key, attempts in objectives.items():
+        drawn = extract_ag(key, attempts, sinks, starts)
+        scanned = oracle_extract_ag(key, corpus, sinks)
+        assert emit_dot(drawn) == emit_dot(scanned)
+        assert drawn.attempts == scanned.attempts
+        assert drawn.teams == scanned.teams
 
 
 def test_edge_labels_count_from_first_alert_at_another_victim():
     earlier = aseq("t1", "v2", [(0.0, SCAN, "ssh", 9)])  # v2 holds no objective
     sequence = aseq("t1", "v1", [(7200.0, SCAN, "ssh", 1), (7300.0, EXFIL, "ssh", 2)])
     key = ObjectiveKey("v1", EXFIL, "ssh")
-    assert find_objectives([earlier, sequence]) == [key]
-    ag = extract_ag(key, [sequence], starts=team_start_times([earlier, sequence]))
+    assert list(find_objectives([earlier, sequence])) == [key]
+    ag = draw_ag(key, [earlier, sequence])
     assert [e.seconds_since_first_alert for e in ag.edges] == [7200]
     assert 'label="2.0h"' in emit_dot(ag)
 
 
 class TestSimplicity:
     def test_two_vertices_one_edge(self):
-        ag = extract_ag(
+        ag = draw_ag(
             ObjectiveKey("v1", EXFIL, "ssh"),
             [aseq("t1", "v1", [(0.0, SCAN, "ssh", 1), (10.0, EXFIL, "ssh", 2)])],
         )
@@ -304,14 +372,14 @@ class TestSimplicity:
                 ],
             ),
         ]
-        ag = extract_ag(ObjectiveKey("v1", EXFIL, "ssh"), sequences)
+        ag = draw_ag(ObjectiveKey("v1", EXFIL, "ssh"), sequences)
         # vertices: scan, exfil, info; edges: 3 first-attempt + 1 re-attempt
         assert len(ag.vertices) == 3
         assert len(ag.edges) == 4
         assert simplicity(ag) == 0.75
 
     def test_zero_edges_absent(self):
-        ag = extract_ag(
+        ag = draw_ag(
             ObjectiveKey("v1", EXFIL, "ssh"),
             [aseq("t1", "v1", [(0.0, EXFIL, "ssh", 1)])],
         )
@@ -320,7 +388,7 @@ class TestSimplicity:
 
 class TestEmitDot:
     def test_single_vertex_graph(self):
-        ag = extract_ag(
+        ag = draw_ag(
             ObjectiveKey("v1", EXFIL, "ssh"),
             [aseq("t1", "v1", [(0.0, EXFIL, "ssh", 1)])],
         )
@@ -338,7 +406,7 @@ class TestEmitDot:
                 (20.0, EXFIL, "remoteware-cl", 3),
             ],
         )
-        dot = emit_dot(extract_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), [sequence]))
+        dot = emit_dot(draw_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), [sequence]))
         assert "shape=oval" in dot
         assert "shape=box" in dot
         assert "shape=hexagon" in dot
@@ -353,7 +421,7 @@ class TestEmitDot:
                 (7300.0, EXFIL, "remoteware-cl", -1),
             ],
         )
-        ag = extract_ag(
+        ag = draw_ag(
             ObjectiveKey("v1", EXFIL, "remoteware-cl"), [earlier, sequence], frozenset({1})
         )
         dot = emit_dot(ag)
@@ -363,7 +431,7 @@ class TestEmitDot:
         assert 'label="2.0h"' in dot  # hours since first alert, one decimal
 
     def test_objective_fill_beats_start_fill(self):
-        ag = extract_ag(
+        ag = draw_ag(
             ObjectiveKey("v1", EXFIL, "ssh"),
             [aseq("t1", "v1", [(0.0, EXFIL, "ssh", 1)])],
         )
@@ -377,7 +445,7 @@ class TestEmitDot:
             "v1",
             [(0.0, SCAN, "ssh", 1), (1800.0, EXFIL, "remoteware-cl", 2)],
         )
-        ag = extract_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), [sequence])
+        ag = draw_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), [sequence])
         expected = (
             'digraph "attack-graph-v1-DATA_EXFILTRATION-remoteware-cl" {\n'
             '    "DATA_EXFILTRATION|remoteware-cl|2" [shape=hexagon, style="filled", '
@@ -393,19 +461,28 @@ class TestEmitDot:
     def test_backslash_and_quote_escaped(self):
         svc = 'a"b\\'
         sequence = aseq("t1", "v1", [(0.0, SCAN, svc, 1), (1800.0, EXFIL, svc, 2)])
-        strings = dot_strings(emit_dot(extract_ag(ObjectiveKey("v1", EXFIL, svc), [sequence])))
+        strings = dot_strings(emit_dot(draw_ag(ObjectiveKey("v1", EXFIL, svc), [sequence])))
         assert f"attack-graph-v1-DATA_EXFILTRATION-{svc}" in strings
         assert f"SERVICE_DISC|{svc}|1" in strings
         assert f"SERVICE_DISC\\n{svc}\\n1" in strings
 
     def test_style_config_cycles(self):
-        style = StyleConfig()
-        styles = style.team_styles(["t5", "t1", "t8", "t9", "t2"])
-        assert styles["t1"] == "dashed"
-        assert styles["t2"] == "solid"
-        assert styles["t5"] == "dotted"
-        assert styles["t8"] == "bold"
-        assert styles["t9"] == "dashed"  # cycles back
+        teams = ["t5", "t1", "t8", "t9", "t2"]
+        # each team's one edge leaves a start vertex named after the team
+        sequences = [aseq(t, "v1", [(0.0, SCAN, t, 1), (10.0, EXFIL, "ssh", 2)]) for t in teams]
+        dot = emit_dot(draw_ag(ObjectiveKey("v1", EXFIL, "ssh"), sequences))
+        styles = {
+            line.split("|")[1]: line.rsplit("style=", 1)[1].rstrip("];")
+            for line in dot.splitlines()
+            if "->" in line
+        }
+        assert styles == {
+            "t1": "dashed",
+            "t2": "solid",
+            "t5": "dotted",
+            "t8": "bold",
+            "t9": "dashed",  # cycles back
+        }
 
 
 def test_ag_filename_replaces_address_dots():
@@ -437,7 +514,7 @@ def test_ag_filename_is_one_safe_component(victim, service):
 
 
 def test_render_index_lists_counts_and_simplicity():
-    ag = extract_ag(
+    ag = draw_ag(
         ObjectiveKey("v1", EXFIL, "ssh"),
         [aseq("t1", "v1", [(0.0, SCAN, "ssh", 1), (10.0, EXFIL, "ssh", 2)])],
     )

@@ -8,6 +8,7 @@ from datetime import datetime, timedelta, timezone
 
 from alertgraphs.alerts import Alert
 from alertgraphs.episodes import Episode
+from alertgraphs.graphs import AttackGraph, ObjectiveKey, extract_ag, find_objectives, team_start_times
 from alertgraphs.stages import AttackStage, Severity
 
 BASE = datetime(2018, 11, 3, 10, 0, 0, tzinfo=timezone.utc)
@@ -55,6 +56,12 @@ def mk_episode(
         attacker=attacker,
         victim=victim,
     )
+
+
+def draw_ag(key: ObjectiveKey, sequences, sink_ids: frozenset[int] = frozenset()) -> AttackGraph:
+    """The graph of ``key`` drawn as the graphs stage draws it: its attempts
+    cut by ``find_objectives`` and team start times taken over ``sequences``."""
+    return extract_ag(key, find_objectives(sequences)[key], sink_ids, team_start_times(sequences))
 
 
 def stage_of(letter: str) -> AttackStage:
