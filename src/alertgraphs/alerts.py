@@ -81,7 +81,8 @@ class MappingConfig:
     ``signature_rules`` is stored as a tuple whatever sequence is assigned,
     so an in-place edit such as ``append`` fails instead of going unseen.
     ``stage_for`` remembers its answer for each ``(signature, category)``
-    pair it has seen; assigning ``signature_rules`` forgets them all.
+    pair it has seen; assigning ``signature_rules`` forgets them all and
+    lowercases the patterns once.
     """
 
     signature_rules: tuple[tuple[str, AttackStage], ...] = ()
@@ -89,11 +90,18 @@ class MappingConfig:
     _stages: dict[tuple[str, str], AttackStage] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _lowered: tuple[tuple[str, AttackStage], ...] = field(init=False, repr=False, compare=False)
 
     def __setattr__(self, name: str, value) -> None:
         if name == "signature_rules":
             value = tuple(value)
             object.__setattr__(self, "_stages", {})
+            # the catch-all becomes the empty pattern, which every haystack contains
+            lowered = tuple(
+                ("" if pattern == CATCH_ALL_PATTERN else pattern.lower(), stage)
+                for pattern, stage in value
+            )
+            object.__setattr__(self, "_lowered", lowered)
         object.__setattr__(self, name, value)
 
     def stage_for(self, signature: str, category: str = "") -> AttackStage:
@@ -105,8 +113,8 @@ class MappingConfig:
 
     def _scan(self, signature: str, category: str) -> AttackStage:
         haystack = (signature + "\n" + category).lower()
-        for pattern, stage in self.signature_rules:
-            if pattern == CATCH_ALL_PATTERN or pattern.lower() in haystack:
+        for pattern, stage in self._lowered:
+            if pattern in haystack:
                 return stage
         raise ValueError("mapping config has no catch-all rule")
 
@@ -293,8 +301,11 @@ def parse_alerts(
     elif format == "csv":
         lines = _as_lines(source)
         if isinstance(lines.read(0), bytes):
-            # an undecodable byte becomes a lone surrogate, which skips its row
-            lines = io.TextIOWrapper(lines, encoding="utf-8", errors="surrogateescape")
+            # an undecodable byte becomes a lone surrogate, which skips its row;
+            # records split on "\n" only, as they do in text input
+            lines = io.TextIOWrapper(
+                lines, encoding="utf-8", errors="surrogateescape", newline="\n"
+            )
         rows = csv.DictReader(lines)
         header_checked = False
         while True:

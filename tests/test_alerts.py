@@ -267,6 +267,30 @@ class TestCsvRows:
         alerts, _ = parse_alerts(CSV_HEADER + CSV_ROW.replace(",Misc", ""), format="csv")
         assert alerts[0].category == ""
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            CSV_HEADER + CSV_ROW + CSV_ROW.replace("ET SCAN Nmap", "ET\rSCAN Nmap") + CSV_ROW,
+            CSV_HEADER + CSV_ROW.replace("Misc\n", "Mi\rsc\n") + CSV_ROW,
+            (CSV_HEADER + CSV_ROW + CSV_ROW).replace("\n", "\r\n"),
+        ],
+        ids=["bare-cr-in-signature", "bare-cr-in-category", "crlf"],
+    )
+    def test_bytes_and_text_split_records_alike(self, text):
+        from_text = parse_alerts(text, format="csv")
+        from_bytes = parse_alerts(io.BytesIO(text.encode()), format="csv")
+        assert from_bytes == from_text
+        assert all("\r" not in (a.signature + a.category) for a in from_bytes[0])
+
+    def test_crlf_log_parses(self):
+        data = (CSV_HEADER + CSV_ROW + CSV_ROW.replace("10:00:00", "10:00:05")).replace("\n", "\r\n")
+        alerts, stats = parse_alerts(io.BytesIO(data.encode()), format="csv")
+        assert (stats.total, stats.parsed, stats.skipped) == (2, 2, 0)
+        assert [(a.signature, a.category, a.timestamp.second) for a in alerts] == [
+            ("ET SCAN Nmap", "Misc", 0),
+            ("ET SCAN Nmap", "Misc", 5),
+        ]
+
 
 class TestRecordMemory:
     def test_records_have_no_instance_dict(self):

@@ -602,3 +602,50 @@ def test_learner_matches_str_keyed_oracle_when_merge_heavy(params):
     learned = learn_pdfa(tree, params)
     assert len(learned) * 2 < len(tree)
     assert learned.to_text() == oracle_learn_pdfa(tree, params).to_text()
+
+
+# Small merge-heavy cases where a stale cached score or count table changes
+# the learned automaton. Each id names the step of ``_merge`` or ``_evaluate``
+# whose removal the case was picked to catch: the stamp on the merged blue,
+# the reads of child pairs the ``state_count`` test did not push, and
+# dropping the tables of the redirected parent and of every merge target.
+@pytest.mark.parametrize(
+    "seed, n, params",
+    [
+        (15, 30, LearnParams(0, 0, 0, alpha=0.5)),
+        (4, 30, LearnParams(1, 2, 0, alpha=0.9)),
+        (34, 30, LearnParams(1, 2, 0, alpha=0.9)),
+        (21, 30, LearnParams(1, 4, 1, alpha=0.9)),
+    ],
+    ids=[
+        "stamp-on-merged-blue",
+        "reads-of-unpushed-child-totals",
+        "parent-table-dropped",
+        "target-table-dropped",
+    ],
+)
+def test_learner_caches_match_str_keyed_oracle(seed, n, params):
+    tree = build_suffix_tree(merge_heavy_corpus(seed, n))
+    assert learn_pdfa(tree, params).to_text() == oracle_learn_pdfa(tree, params).to_text()
+
+
+@pytest.mark.parametrize(
+    "params", [LearnParams(), LearnParams(1, 2, 0, alpha=0.9), LearnParams(0, 0, 0, alpha=0.5)]
+)
+def test_learner_trace_accounts_for_every_pair(params):
+    tree = build_suffix_tree(merge_heavy_corpus())
+    steps = []
+    model = learn_pdfa(tree, params, trace=steps.append)
+    assert learn_pdfa(tree, params).to_text() == model.to_text()
+    reds = 0  # non-root reds: one per promotion so far
+    for step in steps:
+        assert step["evaluated"] + step["reused"] == step["fringe"] * reds
+        assert ("merge" in step) != ("promote" in step)
+        if "promote" in step:
+            reds += 1
+        else:
+            red, blue, score = step["merge"]
+            assert isinstance(score, float) and red != blue
+    assert 1 + reds == len(model) - len(model.sink_ids())
+    if params.state_count == 0:
+        assert sum(step["reused"] for step in steps) > 0
