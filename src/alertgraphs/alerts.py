@@ -151,9 +151,12 @@ def load_port_services(lines: Iterable[str]) -> dict[int, str]:
 
     Port ranges (``6000-6063``) are expanded; rows without a port number or
     marked Unassigned are dropped. The first name registered for a port wins.
+    A port or range end outside 0-65535, or a range whose low end is above
+    its high end, raises ``ValueError``: no alert can carry such a port.
     """
     ports: dict[int, str] = {}
-    for row in csv.DictReader(lines):
+    reader = csv.DictReader(lines)
+    for row in reader:
         name = (row.get("Service Name") or "").strip()
         port_field = (row.get("Port Number") or "").strip()
         description = (row.get("Description") or "").strip()
@@ -163,6 +166,11 @@ def load_port_services(lines: Iterable[str]) -> dict[int, str]:
             low, high = (int(p) for p in port_field.split("-", 1))
         else:
             low = high = int(port_field)
+        if not 0 <= low <= high <= 65535:
+            raise ValueError(
+                f"port registry line {reader.line_num}: {port_field!r} is not a port"
+                " or a low-high range within 0-65535"
+            )
         for port in range(low, high + 1):
             ports.setdefault(port, name)
     return ports

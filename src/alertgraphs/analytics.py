@@ -76,39 +76,16 @@ def workload_stats(
 ) -> list[TeamStats]:
     """Per-team tallies of every pipeline stage; AGs count toward every team
     appearing in them, so AG counts may overlap across teams."""
-    counters: dict[str, dict[str, int]] = {}
-
-    def bucket(team: str) -> dict[str, int]:
-        return counters.setdefault(
-            team,
-            {"raw": 0, "filtered": 0, "episodes": 0, "es": 0, "ess": 0, "ags": 0},
-        )
-
-    for kind, alerts in (("raw", raw_alerts), ("filtered", filtered_alerts)):
-        for team, count in Counter(map(attrgetter("attacker"), alerts)).items():
-            bucket(team)[kind] += count
-    for episode in episodes:
-        bucket(episode.attacker)["episodes"] += 1
-    for es in sequences:
-        bucket(es.attacker)["es"] += 1
-    for ess in subsequences:
-        bucket(ess.parent[0])["ess"] += 1
-    for ag in ags:
-        for team in ag.teams:
-            bucket(team)["ags"] += 1
-
-    return [
-        TeamStats(
-            team=team,
-            raw_alerts=c["raw"],
-            filtered_alerts=c["filtered"],
-            episodes=c["episodes"],
-            sequence_count=c["es"],
-            subsequence_count=c["ess"],
-            ag_count=c["ags"],
-        )
-        for team, c in sorted(counters.items())
+    tallies = [  # in TeamStats field order
+        Counter(map(attrgetter("attacker"), raw_alerts)),
+        Counter(map(attrgetter("attacker"), filtered_alerts)),
+        Counter(map(attrgetter("attacker"), episodes)),
+        Counter(map(attrgetter("attacker"), sequences)),
+        Counter(ess.parent[0] for ess in subsequences),
+        Counter(team for ag in ags for team in ag.teams),
     ]
+    teams = sorted(set().union(*tallies))
+    return [TeamStats(team, *(tally[team] for tally in tallies)) for team in teams]
 
 
 def _discovery(ags: Sequence[AttackGraph]):
@@ -162,12 +139,9 @@ def shorter_repeat_ratio(ags: Sequence[AttackGraph]) -> float | None:
     pairs = 0
     shorter = 0
     for ag in ags:
-        by_team: dict[str, list] = {}
-        for attempt in ag.attempts:
-            by_team.setdefault(attempt.team, []).append(attempt)
-        for attempts in by_team.values():
-            attempts.sort(key=lambda a: a.index)
-            for first, second in zip(attempts, attempts[1:]):
+        attempts = sorted(ag.attempts, key=attrgetter("team", "index"))
+        for first, second in zip(attempts, attempts[1:]):
+            if first.team == second.team:
                 pairs += 1
                 if len(second.vertices) < len(first.vertices):
                     shorter += 1

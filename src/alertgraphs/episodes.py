@@ -176,24 +176,24 @@ def to_symbols(ess: EpisodeSubSequence) -> list[Symbol]:
     return [ep.symbol for ep in ess.episodes]
 
 
-def render_episode_dump(episodes: Iterable[Episode]) -> str:
-    """Tab-separated debug dump, one line per episode, sorted by
-    (attacker, victim, st)."""
+def render_episode_dump(sequences: Iterable[EpisodeSequence]) -> str:
+    """Tab-separated debug dump, one line per episode, in the order of
+    ``sequences`` and of the episodes within each."""
     lines = ["attacker\tvictim\tst\tet\tstage\tservice\talert_count"]
-    ordered = sorted(episodes, key=lambda e: ((e.attacker, e.victim), _episode_order(e)))
-    for ep in ordered:
-        lines.append(
-            "\t".join(
-                [
-                    ep.attacker,
-                    ep.victim,
-                    ep.st.isoformat(timespec="microseconds"),
-                    ep.et.isoformat(timespec="microseconds"),
-                    ep.stage.value,
-                    ep.service,
-                    str(ep.alert_count),
-                ]
+    for es in sequences:
+        for ep in es.episodes:
+            lines.append(
+                "\t".join(
+                    [
+                        ep.attacker,
+                        ep.victim,
+                        ep.st.isoformat(timespec="microseconds"),
+                        ep.et.isoformat(timespec="microseconds"),
+                        ep.stage.value,
+                        ep.service,
+                        str(ep.alert_count),
+                    ]
+                )
             )
-        )
     return "\n".join(lines) + "\n"
 

@@ -54,7 +54,6 @@ class AgEdge:
     dst: VertexKey
     team: str
     seconds_since_first_alert: int
-    attempt_index: int
 
 
 @dataclass
@@ -121,59 +120,39 @@ def extract_ag(
     while parallel edges stay distinct per (team, attempt, position).
     Adjacent episodes collapsing to the same vertex triple are drawn once.
     ``starts`` maps each team to its first-alert instant over *all*
-    sequences, as ``team_start_times`` gives it; edge labels are measured
-    from it.
+    sequences, as ``team_start_times`` gives it; an edge's label is the time
+    from it to the end of the latest episode drawn at the edge's source.
     """
     vertices: dict[VertexKey, AgVertex] = {}
     edges: list[AgEdge] = []
     paths: list[AttemptPath] = []
-
-    def vertex(triple: VertexKey) -> AgVertex:
-        if triple not in vertices:
-            stage, service, sid = triple
-            vertices[triple] = AgVertex(
-                stage=stage,
-                service=service,
-                sid=sid,
-                is_sink=sid == OUT_OF_MODEL or sid in sink_ids,
-            )
-        return vertices[triple]
-
     for team, number, entries in attempts:
-        _add_attempt(vertex, edges, paths, entries, team, number, starts[team])
+        start = starts[team]
+        path: list[VertexKey] = []
+        for episode, sid in entries:
+            triple: VertexKey = (episode.stage, episode.service, sid)
+            if path and path[-1] == triple:
+                latest = episode
+                continue
+            if triple not in vertices:
+                vertices[triple] = AgVertex(
+                    stage=episode.stage,
+                    service=episode.service,
+                    sid=sid,
+                    is_sink=sid == OUT_OF_MODEL or sid in sink_ids,
+                )
+            if path:
+                seconds = int((latest.et - start).total_seconds())
+                edges.append(AgEdge(path[-1], triple, team, seconds))
+            else:
+                vertices[triple].is_path_start = True
+            path.append(triple)
+            latest = episode
+        if path:
+            vertices[path[-1]].is_objective_variant = True
+        paths.append(AttemptPath(team=team, index=number, vertices=path))
     teams = tuple(sorted({p.team for p in paths}))
     return AttackGraph(key=key, vertices=vertices, edges=edges, attempts=paths, teams=teams)
-
-
-def _add_attempt(vertex, edges, paths, entries, team, number, start):
-    path: list[VertexKey] = []
-    last_episode: dict[int, Episode] = {}  # per path position, for edge timing
-    for episode, sid in entries:
-        triple: VertexKey = (episode.stage, episode.service, sid)
-        if path and path[-1] == triple:
-            last_episode[len(path) - 1] = episode
-            continue
-        path.append(triple)
-        last_episode[len(path) - 1] = episode
-    for pos, triple in enumerate(path):
-        v = vertex(triple)
-        if pos == 0:
-            v.is_path_start = True
-        if pos == len(path) - 1:
-            v.is_objective_variant = True
-        if pos > 0:
-            src_episode = last_episode[pos - 1]
-            seconds = int((src_episode.et - start).total_seconds())
-            edges.append(
-                AgEdge(
-                    src=path[pos - 1],
-                    dst=triple,
-                    team=team,
-                    seconds_since_first_alert=seconds,
-                    attempt_index=number,
-                )
-            )
-    paths.append(AttemptPath(team=team, index=number, vertices=path))
 
 
 def simplicity(ag: AttackGraph) -> float | None:

@@ -203,8 +203,7 @@ def _stage_episodes(cfg: PipelineConfig, result: PipelineResult, writer: _StageW
     ]
     result.corpus = [to_symbols(ess) for ess in result.subsequences]
 
-    all_episodes = [ep for eps in episodes_by_pair.values() for ep in eps]
-    writer.write(EPISODE_DUMP, render_episode_dump(all_episodes))
+    writer.write(EPISODE_DUMP, render_episode_dump(result.sequences))
     corpus_lines = ["attacker\tvictim\tindex\tsymbols"]
     for ess, symbols in zip(result.subsequences, result.corpus):
         corpus_lines.append(

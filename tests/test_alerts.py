@@ -550,6 +550,16 @@ class TestMapping:
         assert 1023 not in ports
         assert ports[80] == "http"
 
+    @pytest.mark.parametrize("port_field", ["65530-70000", "70000", "100-90"])
+    def test_load_port_services_rejects_ports_no_alert_can_carry(self, port_field):
+        lines = [
+            "Service Name,Port Number,Transport Protocol,Description",
+            "http,80,tcp,World Wide Web HTTP",
+            f"x,{port_field},tcp,demo",
+        ]
+        with pytest.raises(ValueError, match=f"line 3: '{port_field}'"):
+            load_port_services(lines)
+
 
 def oracle_stage_for(rules, signature, category):
     """Plain first-match scan over ``rules``, with no memo."""

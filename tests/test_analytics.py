@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alertgraphs.analytics import (
     TeamScore,
@@ -12,7 +14,7 @@ from alertgraphs.analytics import (
 )
 from alertgraphs.automaton import AnnotatedSequence
 from alertgraphs.episodes import EpisodeSequence, EpisodeSubSequence
-from alertgraphs.graphs import ObjectiveKey
+from alertgraphs.graphs import AttackGraph, AttemptPath, ObjectiveKey
 from alertgraphs.stages import AttackStage
 
 from util import draw_ag, mk_alert, mk_episode
@@ -194,6 +196,56 @@ class TestShorterRepeatRatio:
             draw_ag(ObjectiveKey("v2", EXFIL, "rw"), [seq_a, seq_b]),
         ]
         assert shorter_repeat_ratio(ags) == pytest.approx(50.0)
+
+
+def oracle_shorter_repeat_ratio(ags):
+    """The ratio by grouping each graph's attempts per team, then sorting
+    each group by attempt number."""
+    pairs = 0
+    shorter = 0
+    for ag in ags:
+        by_team = {}
+        for attempt in ag.attempts:
+            by_team.setdefault(attempt.team, []).append(attempt)
+        for attempts in by_team.values():
+            attempts.sort(key=lambda a: a.index)
+            for first, second in zip(attempts, attempts[1:]):
+                pairs += 1
+                if len(second.vertices) < len(first.vertices):
+                    shorter += 1
+    if pairs == 0:
+        return None
+    return 100.0 * shorter / pairs
+
+
+# (team, attempt number, path length): few teams, so they interleave; numbers
+# with gaps; lengths down to a single vertex; lists in any order
+attempt_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["t0", "t1", "t2"]),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=1, max_value=4),
+    ),
+    max_size=10,
+)
+
+
+@given(st.lists(attempt_rows, max_size=4))
+def test_shorter_repeat_ratio_matches_group_then_sort(graphs):
+    ags = [
+        AttackGraph(
+            key=ObjectiveKey(f"v{i}", EXFIL, "rw"),
+            vertices={},
+            edges=[],
+            attempts=[
+                AttemptPath(team, index, [(SCAN, "ssh", sid) for sid in range(length)])
+                for team, index, length in rows
+            ],
+            teams=tuple(sorted({team for team, _, _ in rows})),
+        )
+        for i, rows in enumerate(graphs)
+    ]
+    assert shorter_repeat_ratio(ags) == oracle_shorter_repeat_ratio(ags)
 
 
 class TestWorkloadStats:

@@ -103,7 +103,7 @@ def oracle_extract_ag(key, annotated, sink_ids):
                     v.is_objective_variant = True
                 if pos > 0:
                     seconds = int((last_episode[pos - 1].et - starts[team]).total_seconds())
-                    edges.append(AgEdge(path[pos - 1], triple, team, seconds, attempt_no))
+                    edges.append(AgEdge(path[pos - 1], triple, team, seconds))
             attempts.append(AttemptPath(team=team, index=attempt_no, vertices=path))
             attempt = []
     teams = tuple(sorted({a.team for a in attempts}))
@@ -167,7 +167,6 @@ class TestExtractAg:
         assert [v.stage for v in starts] == [SCAN]
         # edge timing: et of the source episode minus the team's first alert
         assert [e.seconds_since_first_alert for e in ag.edges] == [0, 300]
-        assert [e.attempt_index for e in ag.edges] == [1, 1]
 
     def test_re_exploitation_second_attempt_shorter(self):
         sequence = aseq(

@@ -205,6 +205,17 @@ class TestErrors:
         assert "service='a/b'" in str(excinfo.value) and "service='a b'" in str(excinfo.value)
         assert not any(p.name.startswith("attack-graph-") for p in out.iterdir())
 
+    def test_port_map_range_beyond_65535_fails_ingest(self, tmp_path):
+        ports = tmp_path / "ports.csv"
+        ports.write_text(
+            "Service Name,Port Number,Transport Protocol,Description\n"
+            "x,65530-70000,tcp,demo\n"
+        )
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(config(tmp_path, port_map=ports))
+        assert excinfo.value.stage == "ingest"
+        assert "'65530-70000'" in str(excinfo.value)
+
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             config(tmp_path, t=0.0).validate()
