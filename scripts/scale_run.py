@@ -6,7 +6,9 @@ Takes a workload shape from ``bench/workloads.py`` (imported from the
 writes its log under a temporary directory and runs ``run_pipeline`` on that
 log in a fresh process, so the peak RSS is the pipeline's own and not the
 generator's. Prints one JSON line: the seconds of each stage, the record
-count and the peak RSS (``VmHWM``, Linux only) in MB. Run from anywhere:
+count and the peak RSS (``VmHWM``, Linux only) in MB. Exits 1 when the
+record or skip count differs from the generator's ground truth. Run from
+anywhere:
 
     python3 scripts/scale_run.py --workload flood                           # ~70k records
     python3 scripts/scale_run.py --workload flood --victims 24              # ~210k records
@@ -83,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     with tempfile.TemporaryDirectory(prefix="alertgraphs-scale-") as tmp:
         log = Path(tmp) / ("alerts.csv" if spec.format == "csv" else "alerts.jsonl")
-        text, _ = workloads.generate(args.workload, args.seed, ROOT, spec)
+        text, truth = workloads.generate(args.workload, args.seed, ROOT, spec)
         log.write_text(text, encoding="utf-8")
         del text
         log_size = log.stat().st_size
@@ -98,6 +100,10 @@ def main(argv: list[str] | None = None) -> int:
         "log_mb": round(log_size / 1e6, 1),
         **record,
     }))
+    wrong = [key for key in ("records", "skipped") if record[key] != truth[key]]
+    if wrong:
+        print(f"ingest counts differ from the generator's: {wrong}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -40,8 +40,9 @@ def parse_timestamp(value: str) -> datetime:
         text = text[:-2] + ":" + text[-2:]
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+        return dt.replace(tzinfo=timezone.utc)
+    # astimezone would return an already-UTC result unchanged
+    return dt if dt.tzinfo is timezone.utc else dt.astimezone(timezone.utc)
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,10 +163,11 @@ def load_port_services(lines: Iterable[str]) -> dict[int, str]:
         description = (row.get("Description") or "").strip()
         if not name or not port_field or "unassigned" in description.lower():
             continue
-        if "-" in port_field:
-            low, high = (int(p) for p in port_field.split("-", 1))
-        else:
-            low = high = int(port_field)
+        bounds = port_field.split("-", 1)
+        try:
+            low, high = int(bounds[0]), int(bounds[-1])
+        except ValueError:
+            low = high = -1  # not a number: reported below with its line
         if not 0 <= low <= high <= 65535:
             raise ValueError(
                 f"port registry line {reader.line_num}: {port_field!r} is not a port"
@@ -197,27 +199,39 @@ def _as_lines(source: Union[IO[bytes], IO[str], str, bytes]) -> Iterable[Union[s
     return source
 
 
-class _Shared(dict):
-    """One object per distinct value: ``shared[v]`` is the first ``v`` seen.
+class _Checked(dict):
+    """``checked[check, type(value), value]`` is ``check(value)``, run once per key.
 
     A log repeats a few addresses, signatures, categories and ports across
-    millions of records; sharing them keeps one copy of each per parse.
-    A string that is not UTF-8 text (a lone surrogate from a JSON escape or
-    an undecodable CSV byte) raises ``UnicodeEncodeError``, which skips the
-    record; each distinct value is checked once.
+    millions of records: each distinct value is checked once per parse, and
+    every record holding it shares the object its check returned. Only values
+    that pass are stored. The type in the key keeps apart values that compare
+    equal but check differently: ``True`` is no port though ``1`` is.
     """
 
-    def __missing__(self, value):
-        if isinstance(value, str):
-            value.encode("utf-8")
-        self[value] = value
-        return value
+    def __missing__(self, key):
+        check, _, value = key
+        checked = self[key] = check(value)
+        return checked
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("signature and category must be strings")
+    # a lone surrogate, from a JSON escape or an undecodable CSV byte, is not
+    # UTF-8 text: UnicodeEncodeError skips the record
+    value.encode("utf-8")
+    return value
+
+
+def _category(value) -> str:
+    return "" if value is None else _text(value)
 
 
 def _address(value) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError("an address must be a non-empty string")
-    return value
+    return _text(value)
 
 
 def _port(value) -> int:
@@ -230,22 +244,18 @@ def _port(value) -> int:
     return port
 
 
-def _raw_alert(timestamp, src_ip, dst_ip, port, signature, category, shared: _Shared) -> RawAlert:
-    if category is None:
-        category = ""
-    if not isinstance(signature, str) or not isinstance(category, str):
-        raise ValueError("signature and category must be strings")
+def _raw_alert(timestamp, src_ip, dst_ip, port, signature, category, checked: _Checked) -> RawAlert:
     return RawAlert(
-        timestamp=parse_timestamp(timestamp),
-        src_ip=shared[_address(src_ip)],
-        dst_ip=shared[_address(dst_ip)],
-        dst_port=shared[_port(port)],
-        signature=shared[signature],
-        category=shared[category],
+        parse_timestamp(timestamp),
+        checked[_address, type(src_ip), src_ip],
+        checked[_address, type(dst_ip), dst_ip],
+        checked[_port, type(port), port],
+        checked[_text, type(signature), signature],
+        checked[_category, type(category), category],
     )
 
 
-def _raw_from_eve(record: dict, shared: _Shared) -> RawAlert | None:
+def _raw_from_eve(record: dict, checked: _Checked) -> RawAlert | None:
     if record.get("event_type") != "alert":
         return None
     alert = record["alert"]
@@ -256,11 +266,11 @@ def _raw_from_eve(record: dict, shared: _Shared) -> RawAlert | None:
         record.get("dest_port", 0),  # port-less protocols (ICMP) map to 0
         alert["signature"],
         alert.get("category"),
-        shared,
+        checked,
     )
 
 
-def _raw_from_csv_row(row: dict, shared: _Shared) -> RawAlert:
+def _raw_from_csv_row(row: dict, checked: _Checked) -> RawAlert:
     # a short row holds None in its missing fields
     return _raw_alert(
         row["timestamp"],
@@ -269,13 +279,17 @@ def _raw_from_csv_row(row: dict, shared: _Shared) -> RawAlert:
         row["dst_port"],
         row["signature"],
         row.get("category"),
-        shared,
+        checked,
     )
 
 
 # What one malformed record can raise: OverflowError from an offset that moves
 # a timestamp outside years 1-9999, RecursionError from deeply nested JSON.
 _RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
+
+# the decoder and whitespace of json.loads, without its Python wrapper
+_decode_json = json.JSONDecoder().raw_decode
+_JSON_WHITESPACE = " \t\n\r"
 
 
 def parse_alerts(
@@ -286,10 +300,17 @@ def parse_alerts(
     Returns alerts in input order plus counters. Malformed records are
     skipped and counted, never silently dropped; non-alert EVE events count
     as skipped as well. Blank lines are ignored entirely.
+
+    An EVE line is accepted exactly when ``json.loads`` accepts it: that call
+    skips JSON whitespace (space, tab, LF, CR) around one value and rejects
+    anything else there, a BOM included. No value begins or ends with such
+    whitespace, so stripping it and requiring the value to reach the end of
+    the stripped line accepts the same lines; other whitespace, such as a
+    form feed or U+0085, stays in the line and rejects it either way.
     """
     stats = ParseStats()
     alerts: list[RawAlert] = []
-    shared = _Shared()
+    checked = _Checked()
     if format == "eve-json":
         for line in _as_lines(source):
             if not line.strip():
@@ -298,7 +319,11 @@ def parse_alerts(
             try:
                 if isinstance(line, bytes):
                     line = line.decode("utf-8")  # a bad byte skips this record only
-                raw = _raw_from_eve(json.loads(line), shared)
+                text = line.strip(_JSON_WHITESPACE)
+                record, end = _decode_json(text)
+                if end != len(text):
+                    raise ValueError("extra data after the JSON value")
+                raw = _raw_from_eve(record, checked)
             except _RECORD_ERRORS:
                 raw = None
             if raw is None:
@@ -315,7 +340,13 @@ def parse_alerts(
                 lines, encoding="utf-8", errors="surrogateescape", newline="\n"
             )
         rows = csv.DictReader(lines)
-        header_checked = False
+        try:
+            # the first line is the header whatever it holds; one the reader
+            # cannot read, or with a name that is not UTF-8 text, names no
+            # column, so every row is skipped, as a garbled required column is
+            "".join(rows.fieldnames or ()).encode("utf-8")
+        except (csv.Error, UnicodeEncodeError):
+            rows.fieldnames = ()
         while True:
             try:
                 row = next(rows)
@@ -330,12 +361,7 @@ def parse_alerts(
                 continue
             stats.total += 1
             try:
-                if not header_checked:
-                    # a header name that is not UTF-8 text skips every row, as
-                    # a garbled required column does
-                    "".join(rows.fieldnames).encode("utf-8")
-                    header_checked = True
-                raw = _raw_from_csv_row(row, shared)
+                raw = _raw_from_csv_row(row, checked)
             except _RECORD_ERRORS:
                 stats.skipped += 1
             else:
@@ -348,13 +374,11 @@ def parse_alerts(
 
 def map_alert(raw: RawAlert, cfg: MappingConfig) -> Alert:
     """Assign the attack stage and targeted service to one raw alert."""
-    return Alert(
-        timestamp=raw.timestamp,
-        attacker=raw.src_ip,
-        victim=raw.dst_ip,
-        stage=cfg.stage_for(raw.signature, raw.category),
-        service=cfg.service_for(raw.dst_port),
-    )
+    stage = cfg._stages.get((raw.signature, raw.category))
+    if stage is None:
+        stage = cfg.stage_for(raw.signature, raw.category)
+    service = cfg.port_service.get(raw.dst_port, UNKNOWN_SERVICE)
+    return Alert(raw.timestamp, raw.src_ip, raw.dst_ip, stage, service)
 
 
 def filter_duplicates(alerts: list[Alert], t: float) -> list[Alert]:

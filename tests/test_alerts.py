@@ -6,7 +6,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alertgraphs.alerts import (
@@ -18,6 +18,7 @@ from alertgraphs.alerts import (
     map_alert,
     parse_alerts,
     parse_timestamp,
+    ParseStats,
     RawAlert,
 )
 from alertgraphs.stages import AttackStage, Severity
@@ -242,6 +243,17 @@ class TestCsvRows:
         assert (stats.total, stats.parsed, stats.skipped) == (1, 0, 1)
         assert alerts == []
 
+    @pytest.mark.parametrize(
+        "wrap", [str, lambda text: io.BytesIO(text.encode())], ids=["text", "bytes"]
+    )
+    def test_unreadable_header_skips_every_row(self, wrap):
+        # the reader rejects the first line, so the well-formed header after it
+        # is a data line, not the header
+        text = CSV_HEADER.replace("category\n", "category\r,x\n") + CSV_HEADER + CSV_ROW + CSV_ROW
+        alerts, stats = parse_alerts(wrap(text), format="csv")
+        assert (stats.total, stats.parsed, stats.skipped) == (3, 0, 3)
+        assert alerts == []
+
     def test_unreadable_row_skipped_from_bytes(self):
         data = CSV_HEADER + CSV_ROW + CSV_ROW.replace("ET SCAN Nmap", "x" * 200_000) + CSV_ROW
         alerts, stats = parse_alerts(io.BytesIO(data.encode()), format="csv")
@@ -459,7 +471,105 @@ offset_like_text = st.tuples(
 
 @given(st.one_of(valid_timestamps, offset_like_text, st.text()))
 def test_parse_timestamp_matches_regex_oracle(value):
-    assert outcome(parse_timestamp, value) == outcome(oracle_parse_timestamp, value)
+    result = outcome(parse_timestamp, value)
+    assert result == outcome(oracle_parse_timestamp, value)
+    if isinstance(result, datetime):
+        assert result.tzinfo is timezone.utc
+
+
+def oracle_text(value, name):
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string")
+    value.encode("utf-8")  # a lone surrogate is not UTF-8 text
+    return value
+
+
+def oracle_port(value):
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("a port must be an integer")
+    port = int(value)
+    if not 0 <= port <= 65535:
+        raise ValueError(f"dst_port out of range: {port}")
+    return port
+
+
+def oracle_parse_eve(source):
+    """The EVE path ``parse_alerts`` replaced: ``json.loads`` on each line, then
+    every field checked on its own, with nothing shared between records."""
+    alerts, stats = [], ParseStats()
+    for line in io.BytesIO(source) if isinstance(source, bytes) else io.StringIO(source):
+        if not line.strip():
+            continue
+        stats.total += 1
+        try:
+            record = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+            if record.get("event_type") != "alert":
+                raise ValueError("not an alert")
+            alert = record["alert"]
+            addresses = [oracle_text(record[key], "an address") for key in ("src_ip", "dest_ip")]
+            if not all(addresses):
+                raise ValueError("an address must be non-empty")
+            category = alert.get("category")
+            raw = RawAlert(
+                timestamp=oracle_parse_timestamp(record["timestamp"]),
+                src_ip=addresses[0],
+                dst_ip=addresses[1],
+                dst_port=oracle_port(record.get("dest_port", 0)),
+                signature=oracle_text(alert["signature"], "signature"),
+                category="" if category is None else oracle_text(category, "category"),
+            )
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError):
+            stats.skipped += 1
+        else:
+            alerts.append(raw)
+            stats.parsed += 1
+    return alerts, stats
+
+
+EDGE_RECORD = (
+    '{{"event_type": "alert", "timestamp": "2018-11-03T10:00:00.000000+0000", "src_ip": {src_ip},'
+    ' "dest_ip": {dest_ip}, "dest_port": {port}, "alert": {{"signature": {signature},'
+    ' "category": {category}}}}}'
+)
+
+
+def edge_record(port, twist):
+    fields = {
+        "src_ip": '"10.0.254.1"',
+        "dest_ip": '"10.0.0.1"',
+        "signature": '"ET SCAN"',
+        "category": '"Misc"',
+        **dict([twist] if twist else []),
+    }
+    return EDGE_RECORD.format(port=port, **fields)
+
+
+# a well-formed record whose port is one that a memo must keep apart from an
+# equal value that checks differently, with at most one other field made
+# empty, mistyped or an escaped lone surrogate
+edge_records = st.builds(
+    edge_record,
+    st.sampled_from(["1", "true", "1.0", '"1"', "-0.0", "0", "false", "1e3"]),
+    st.none() | st.tuples(
+        st.sampled_from(["src_ip", "dest_ip", "signature", "category"]),
+        st.sampled_from(['""', '"\\ud800"', '"a\\udcff"', "null", "1", "true"]),
+    ),
+)
+# JSON whitespace around a value is allowed; other whitespace, a BOM and
+# trailing data are not
+line_edges = st.sampled_from(["", " \t\r", "\x0b", "\x0c", "\x85", "\u00a0", "\ufeff"])
+trailing_data = st.sampled_from([" x", "}", ",", " {}", "\x00", "\\"])
+eve_texts = eve_records.map(bytes.decode) | edge_records
+eve_texts = eve_texts | st.tuples(line_edges, eve_texts, line_edges | trailing_data).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.lists(eve_texts, max_size=8))
+@example([edge_record("1", None), edge_record("true", None)])
+def test_eve_parse_matches_oracle(lines):
+    text = "\n".join(lines)
+    for source in (text, text.encode("utf-8")):
+        assert parse_alerts(source) == oracle_parse_eve(source)
 
 
 @given(valid_timestamps)
@@ -550,7 +660,7 @@ class TestMapping:
         assert 1023 not in ports
         assert ports[80] == "http"
 
-    @pytest.mark.parametrize("port_field", ["65530-70000", "70000", "100-90"])
+    @pytest.mark.parametrize("port_field", ["65530-70000", "70000", "100-90", "abc", "80-", "-1"])
     def test_load_port_services_rejects_ports_no_alert_can_carry(self, port_field):
         lines = [
             "Service Name,Port Number,Transport Protocol,Description",

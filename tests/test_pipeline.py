@@ -216,6 +216,18 @@ class TestErrors:
         assert excinfo.value.stage == "ingest"
         assert "'65530-70000'" in str(excinfo.value)
 
+    def test_port_map_malformed_port_fails_ingest(self, tmp_path):
+        # not a number: the message names the line, as for a port out of range
+        ports = tmp_path / "ports.csv"
+        ports.write_text(
+            "Service Name,Port Number,Transport Protocol,Description\n"
+            "x,80-,tcp,demo\n"
+        )
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(config(tmp_path, port_map=ports))
+        assert excinfo.value.stage == "ingest"
+        assert "line 2: '80-'" in str(excinfo.value)
+
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             config(tmp_path, t=0.0).validate()
