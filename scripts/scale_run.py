@@ -4,14 +4,15 @@
 Takes a workload shape from ``bench/workloads.py`` (imported from the
 ``bench`` directory, never edited), enlarges it with ``dataclasses.replace``,
 writes its log under a temporary directory and runs ``run_pipeline`` on that
-log in a fresh process, so the peak RSS is the pipeline's own and not the
-generator's. Prints one JSON line: the seconds of each stage, the record
-count and the peak RSS (``VmHWM``, Linux only) in MB. Exits 1 when the
-record or skip count differs from the generator's ground truth. Run from
-anywhere:
+log ``--runs`` times, each in a fresh process, so the peak RSS is the
+pipeline's own and not the generator's. Prints one JSON line: the median,
+min and max over the runs of the wall seconds, of the seconds of each stage
+and of the peak RSS (``VmHWM``, Linux only) in MB, plus the record count.
+Exits 1 when the record or skip count of any run differs from the
+generator's ground truth. Run from anywhere:
 
     python3 scripts/scale_run.py --workload flood                           # ~70k records
-    python3 scripts/scale_run.py --workload flood --victims 24              # ~210k records
+    python3 scripts/scale_run.py --workload flood --victims 24 --runs 3     # ~210k records
     python3 scripts/scale_run.py --workload flood --teams 40 --victims 24   # ~2.08M records
 
 Generating the largest log takes about 2.4 GB in this script's own process.
@@ -23,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import multiprocessing
+import statistics
 import sys
 import tempfile
 import time
@@ -63,9 +65,17 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
         "records": stats.total,
         "parsed": stats.parsed,
         "skipped": stats.skipped,
-        "wall_s": round(wall_s, 3),
-        "stage_s": {stage: round(s, 3) for stage, s in stage_s.items()},
-        "vmhwm_mb": round(peak_rss_mb(), 1),
+        "wall_s": wall_s,
+        "stage_s": stage_s,
+        "vmhwm_mb": peak_rss_mb(),
+    }
+
+
+def _spread(values: list[float]) -> dict:
+    return {
+        "median": round(statistics.median(values), 3),
+        "min": round(min(values), 3),
+        "max": round(max(values), 3),
     }
 
 
@@ -75,7 +85,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--teams", type=int, help="attacker teams (default: the workload's)")
     parser.add_argument("--victims", type=int, help="victims per team (default: the workload's)")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--runs", type=int, default=1, help="pipeline runs, each in a fresh process")
     args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
 
     spec = workloads.WORKLOADS[args.workload]
     spec = dataclasses.replace(
@@ -83,6 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         teams=spec.teams if args.teams is None else args.teams,
         victims=spec.victims if args.victims is None else args.victims,
     )
+    records = []
     with tempfile.TemporaryDirectory(prefix="alertgraphs-scale-") as tmp:
         log = Path(tmp) / ("alerts.csv" if spec.format == "csv" else "alerts.jsonl")
         text, truth = workloads.generate(args.workload, args.seed, ROOT, spec)
@@ -90,17 +104,29 @@ def main(argv: list[str] | None = None) -> int:
         del text
         log_size = log.stat().st_size
         context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            record = pool.submit(_run, str(log), spec.format, str(Path(tmp) / "out")).result()
+        for _ in range(args.runs):
+            # a new pool per run: a worker process is never reused
+            with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+                records.append(pool.submit(_run, str(log), spec.format, str(Path(tmp) / "out")).result())
+    first = records[0]
     print(json.dumps({
         "workload": args.workload,
         "seed": args.seed,
         "teams": spec.teams,
         "victims": spec.victims,
         "log_mb": round(log_size / 1e6, 1),
-        **record,
+        "runs": args.runs,
+        **{key: first[key] for key in ("records", "parsed", "skipped")},
+        "wall_s": _spread([r["wall_s"] for r in records]),
+        "stage_s": {stage: _spread([r["stage_s"][stage] for r in records]) for stage in first["stage_s"]},
+        "vmhwm_mb": _spread([r["vmhwm_mb"] for r in records]),
     }))
-    wrong = [key for key in ("records", "skipped") if record[key] != truth[key]]
+    wrong = [
+        f"run {i + 1}: {key}"
+        for i, record in enumerate(records)
+        for key in ("records", "skipped")
+        if record[key] != truth[key]
+    ]
     if wrong:
         print(f"ingest counts differ from the generator's: {wrong}", file=sys.stderr)
         return 1

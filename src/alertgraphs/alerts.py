@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, NamedTuple, Union
 
 from .stages import AttackStage
 
@@ -45,8 +45,14 @@ def parse_timestamp(value: str) -> datetime:
     return dt if dt.tzinfo is timezone.utc else dt.astimezone(timezone.utc)
 
 
-@dataclass(frozen=True, slots=True)
-class RawAlert:
+class RawAlert(NamedTuple):
+    """One parsed alert record, before stage and service mapping.
+
+    Both alert records are named tuples: immutable, hashable, compared by
+    value, without a ``__dict__``, and built by ``tuple.__new__`` in C. Like
+    any tuple, a record also equals a plain tuple of the same values.
+    """
+
     timestamp: datetime
     src_ip: str
     dst_ip: str
@@ -55,13 +61,19 @@ class RawAlert:
     category: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class Alert:
+class Alert(NamedTuple):
+    """One mapped alert: who attacked whom, at which stage, on which service."""
+
     timestamp: datetime
     attacker: str
     victim: str
     stage: AttackStage
     service: str
+
+
+# builds a record from a tuple of all its fields without the Python-level
+# __new__ of a named tuple, in the per-record loops
+_new_record = tuple.__new__
 
 
 @dataclass
@@ -245,14 +257,14 @@ def _port(value) -> int:
 
 
 def _raw_alert(timestamp, src_ip, dst_ip, port, signature, category, checked: _Checked) -> RawAlert:
-    return RawAlert(
+    return _new_record(RawAlert, (
         parse_timestamp(timestamp),
         checked[_address, type(src_ip), src_ip],
         checked[_address, type(dst_ip), dst_ip],
         checked[_port, type(port), port],
         checked[_text, type(signature), signature],
         checked[_category, type(category), category],
-    )
+    ))
 
 
 def _raw_from_eve(record: dict, checked: _Checked) -> RawAlert | None:
@@ -374,32 +386,35 @@ def parse_alerts(
 
 def map_alert(raw: RawAlert, cfg: MappingConfig) -> Alert:
     """Assign the attack stage and targeted service to one raw alert."""
-    stage = cfg._stages.get((raw.signature, raw.category))
+    timestamp, src_ip, dst_ip, dst_port, signature, category = raw
+    stage = cfg._stages.get((signature, category))
     if stage is None:
-        stage = cfg.stage_for(raw.signature, raw.category)
-    service = cfg.port_service.get(raw.dst_port, UNKNOWN_SERVICE)
-    return Alert(raw.timestamp, raw.src_ip, raw.dst_ip, stage, service)
+        stage = cfg.stage_for(signature, category)
+    service = cfg.port_service.get(dst_port, UNKNOWN_SERVICE)
+    return _new_record(Alert, (timestamp, src_ip, dst_ip, stage, service))
 
 
 def filter_duplicates(alerts: list[Alert], t: float) -> list[Alert]:
     """Drop alerts repeating an identical (attacker, victim, stage, service)
     less than ``t`` seconds after the last *retained* alert of that key.
 
-    Input must be sorted by timestamp ascending; order is preserved.
+    Input must be sorted by timestamp ascending; order is preserved. ``t``
+    must be a positive number; NaN is rejected, since no gap is below it.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     last_kept: dict[tuple[str, str, AttackStage, str], datetime] = {}
     kept: list[Alert] = []
     prev_ts = None
     for alert in alerts:
-        if prev_ts is not None and alert.timestamp < prev_ts:
+        timestamp = alert[0]
+        if prev_ts is not None and timestamp < prev_ts:
             raise ValueError("alerts must be sorted by timestamp ascending")
-        prev_ts = alert.timestamp
-        key = (alert.attacker, alert.victim, alert.stage, alert.service)
+        prev_ts = timestamp
+        key = alert[1:]  # (attacker, victim, stage, service)
         last = last_kept.get(key)
-        if last is not None and (alert.timestamp - last).total_seconds() < t:
+        if last is not None and (timestamp - last).total_seconds() < t:
             continue
-        last_kept[key] = alert.timestamp
+        last_kept[key] = timestamp
         kept.append(alert)
     return kept

@@ -20,11 +20,19 @@ and the S-PDFA, whose walks fall off the automaton on a miss.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .episodes import Episode, EpisodeSubSequence, Symbol, parse_symbol, render_symbol, to_symbols
+from .episodes import (
+    TSV_ESCAPES,
+    Episode,
+    EpisodeSubSequence,
+    Symbol,
+    parse_symbol,
+    render_symbol,
+    to_symbols,
+    unescape_field,
+)
 from .stages import Severity
 
 OUT_OF_MODEL = -1  # state id assigned when replay falls off the automaton
@@ -130,7 +138,7 @@ class SuffixPdfa:
         Symbols are rendered with backslash, tab, LF and CR escaped, so any
         service name keeps its line and field.
         """
-        names = [render(sym).translate(_ESCAPES) for sym in self.symbols]
+        names = [render(sym).translate(TSV_ESCAPES) for sym in self.symbols]
         lines = ["alphabet\t" + "\t".join(names[self.ids[sym]] for sym in self.alphabet)]
         lines.append(f"root\t{self.root}")
         for q, trans in enumerate(self.trans):
@@ -206,13 +214,9 @@ class SuffixPdfa:
         return "\n".join(lines) + "\n"
 
 
-_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
-_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
-
-
 def _parse_field(field: str, parse: Callable[[str], SymbolT]) -> SymbolT:
     """Inverse of the escaped rendering in ``SuffixPdfa.to_text``."""
-    return parse(re.sub(r"\\([\\tnr])", lambda m: _UNESCAPES[m[1]], field))
+    return parse(unescape_field(field))
 
 
 def dot_quote(*lines: str) -> str:

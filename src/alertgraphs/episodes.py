@@ -9,10 +9,13 @@ high-severity one, marking the start of a new attack attempt.
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Mapping, NamedTuple
+from itertools import islice
+from operator import gt, itemgetter, sub
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .alerts import Alert
 from .stages import AttackStage, Severity
@@ -36,7 +39,35 @@ def parse_symbol(text: str) -> Symbol:
     return Symbol(AttackStage(acronym), service)
 
 
-@dataclass(frozen=True)
+# Backslash, tab, LF and CR in a name are written as two-character escapes, so
+# any address or service keeps its field and its line in a tab-separated file.
+TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+# a space-separated list of symbols escapes the space as well
+SYMBOL_ESCAPES = {**TSV_ESCAPES, ord(" "): "\\s"}
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "s": " "}
+_ESCAPED = re.compile(r"\\([\\tnrs])")
+
+
+class Escaped(dict):
+    """``escaped[value]`` is ``render(value)`` with ``table``'s escapes, worked
+    out once per distinct value: addresses and services repeat on many rows."""
+
+    def __init__(self, render: Callable[[Any], str] = str, table: dict = TSV_ESCAPES):
+        super().__init__()
+        self.render = render
+        self.table = table
+
+    def __missing__(self, value) -> str:
+        text = self[value] = self.render(value).translate(self.table)
+        return text
+
+
+def unescape_field(field: str) -> str:
+    """Inverse of the escapes in ``TSV_ESCAPES`` and ``SYMBOL_ESCAPES``."""
+    return _ESCAPED.sub(lambda m: _UNESCAPES[m[1]], field)
+
+
+@dataclass(frozen=True, slots=True)
 class Episode:
     st: datetime
     et: datetime
@@ -79,40 +110,45 @@ def _mode_service(services: Iterable[str]) -> str:
     return min(counts, key=lambda s: (-counts[s], s))
 
 
+_TIMESTAMP, _PAIR, _SERVICE = itemgetter(0), itemgetter(1, 2), itemgetter(4)  # of an Alert
+
+
 def aggregate_episodes(alerts: list[Alert], w: float = 150.0) -> list[Episode]:
     """Group one (attacker, victim) pair's alerts into episodes.
 
     Per attack stage independently, alerts are split into maximal runs whose
     consecutive gaps are <= ``w`` seconds. Each run yields one episode with
     st/et the first/last timestamp and the run's most frequent service.
-    ``w`` may be ``math.inf`` to force a single episode per stage.
+    ``w`` may be ``math.inf`` to force a single episode per stage; NaN is
+    rejected, since no gap exceeds it.
     """
-    if w <= 0:
+    if not w > 0:
         raise ValueError("w must be positive")
     if not alerts:
         return []
-    pairs = {(a.attacker, a.victim) for a in alerts}
+    # Columns are read in C where the loop allows: in a Python loop, a named
+    # tuple's field costs more to read than a slotted attribute.
+    pairs = set(map(_PAIR, alerts))
     if len(pairs) != 1:
         raise ValueError(f"alerts span multiple (attacker, victim) pairs: {sorted(pairs)}")
     attacker, victim = pairs.pop()
+    times = list(map(_TIMESTAMP, alerts))
+    if any(map(gt, times, islice(times, 1, None))):
+        raise ValueError("alerts must be sorted by timestamp ascending")
 
     by_stage: dict[AttackStage, list[Alert]] = defaultdict(list)
-    prev_ts = None
     for alert in alerts:
-        if prev_ts is not None and alert.timestamp < prev_ts:
-            raise ValueError("alerts must be sorted by timestamp ascending")
-        prev_ts = alert.timestamp
-        by_stage[alert.stage].append(alert)
+        by_stage[alert[3]].append(alert)  # by stage
 
     episodes = []
     for stage, group in by_stage.items():
-        run: list[Alert] = []
-        for alert in group:
-            if run and (alert.timestamp - run[-1].timestamp).total_seconds() > w:
-                episodes.append(_make_episode(run, stage, attacker, victim))
-                run = []
-            run.append(alert)
-        episodes.append(_make_episode(run, stage, attacker, victim))
+        times = list(map(_TIMESTAMP, group))
+        start = 0  # of the current run
+        for end, gap in enumerate(map(sub, islice(times, 1, None), times), 1):
+            if gap.total_seconds() > w:
+                episodes.append(_make_episode(group[start:end], stage, attacker, victim))
+                start = end
+        episodes.append(_make_episode(group[start:], stage, attacker, victim))
     episodes.sort(key=_episode_order)
     return episodes
 
@@ -122,7 +158,7 @@ def _make_episode(run: list[Alert], stage: AttackStage, attacker: str, victim: s
         st=run[0].timestamp,
         et=run[-1].timestamp,
         stage=stage,
-        service=_mode_service(a.service for a in run),
+        service=_mode_service(map(_SERVICE, run)),
         alert_count=len(run),
         attacker=attacker,
         victim=victim,
@@ -178,22 +214,22 @@ def to_symbols(ess: EpisodeSubSequence) -> list[Symbol]:
 
 def render_episode_dump(sequences: Iterable[EpisodeSequence]) -> str:
     """Tab-separated debug dump, one line per episode, in the order of
-    ``sequences`` and of the episodes within each."""
+    ``sequences`` and of the episodes within each; names are escaped."""
+    names = Escaped()
     lines = ["attacker\tvictim\tst\tet\tstage\tservice\talert_count"]
     for es in sequences:
         for ep in es.episodes:
             lines.append(
                 "\t".join(
                     [
-                        ep.attacker,
-                        ep.victim,
+                        names[ep.attacker],
+                        names[ep.victim],
                         ep.st.isoformat(timespec="microseconds"),
                         ep.et.isoformat(timespec="microseconds"),
                         ep.stage.value,
-                        ep.service,
+                        names[ep.service],
                         str(ep.alert_count),
                     ]
                 )
             )
     return "\n".join(lines) + "\n"
-

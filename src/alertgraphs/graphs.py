@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .automaton import OUT_OF_MODEL, AnnotatedSequence, dot_quote
-from .episodes import Episode
+from .episodes import Episode, Escaped
 from .stages import AttackStage, Severity
 
 VertexKey = tuple[AttackStage, str, int]  # (stage, service, state id)
@@ -231,7 +231,9 @@ def emit_dot(ag: AttackGraph) -> str:
 
 
 def render_index(entries: Sequence[tuple[str, AttackGraph]]) -> str:
-    """Tab-separated index of all emitted graphs with counts and simplicity."""
+    """Tab-separated index of all emitted graphs with counts and simplicity;
+    names are escaped."""
+    names = Escaped()
     lines = [
         "# attack graph index; adjacent episodes mapping to an identical",
         "# (stage, service, state) triple are collapsed into one vertex",
@@ -242,14 +244,14 @@ def render_index(entries: Sequence[tuple[str, AttackGraph]]) -> str:
         lines.append(
             "\t".join(
                 [
-                    filename,
-                    ag.key.victim,
+                    names[filename],
+                    names[ag.key.victim],
                     ag.key.stage.value,
-                    ag.key.service,
+                    names[ag.key.service],
                     str(len(ag.vertices)),
                     str(len(ag.edges)),
                     "NA" if simp is None else f"{simp:.4f}",
-                    ",".join(ag.teams),
+                    ",".join([names[team] for team in ag.teams]),
                 ]
             )
         )

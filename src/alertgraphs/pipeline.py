@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -26,8 +27,10 @@ from .automaton import (
     learn_pdfa,
 )
 from .episodes import (
+    SYMBOL_ESCAPES,
     EpisodeSequence,
     EpisodeSubSequence,
+    Escaped,
     aggregate_episodes,
     build_sequences,
     partition_subsequences,
@@ -92,9 +95,10 @@ class PipelineConfig:
     stop_after: str | None = None
 
     def validate(self) -> None:
-        if self.t <= 0:
+        # written so that NaN, which compares false with everything, is rejected
+        if not self.t > 0:
             raise ValueError("t must be > 0")
-        if self.w <= 0:
+        if not self.w > 0:
             raise ValueError("w must be > 0")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split must be in (0, 1)")
@@ -183,9 +187,11 @@ def _stage_ingest(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
         result.parse_stats.total += stats.total
         result.parse_stats.parsed += stats.parsed
         result.parse_stats.skipped += stats.skipped
-        mapped.extend(alerts_mod.map_alert(raw, mapping) for raw in raws)
-        del raws  # free this file's raw records before the next file is parsed
-    mapped.sort(key=lambda a: a.timestamp)  # stable: ties keep input order
+        # map in input order, letting each raw record go as it is mapped
+        raws.reverse()
+        pop, map_alert = raws.pop, alerts_mod.map_alert
+        mapped.extend(map_alert(pop(), mapping) for _ in range(len(raws)))
+    mapped.sort(key=itemgetter(0))  # by timestamp; stable: ties keep input order
     result.mapped_alerts = mapped
     result.filtered_alerts = alerts_mod.filter_duplicates(mapped, cfg.t)
 
@@ -193,7 +199,7 @@ def _stage_ingest(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
 def _stage_episodes(cfg: PipelineConfig, result: PipelineResult, writer: _StageWriter) -> None:
     by_pair: dict[tuple[str, str], list[Alert]] = {}
     for alert in result.filtered_alerts:
-        by_pair.setdefault((alert.attacker, alert.victim), []).append(alert)
+        by_pair.setdefault(alert[1:3], []).append(alert)  # by (attacker, victim)
     episodes_by_pair = {
         pair: aggregate_episodes(pair_alerts, cfg.w) for pair, pair_alerts in sorted(by_pair.items())
     }
@@ -204,15 +210,17 @@ def _stage_episodes(cfg: PipelineConfig, result: PipelineResult, writer: _StageW
     result.corpus = [to_symbols(ess) for ess in result.subsequences]
 
     writer.write(EPISODE_DUMP, render_episode_dump(result.sequences))
+    names, symbol_text = Escaped(), Escaped(render_symbol, SYMBOL_ESCAPES)
     corpus_lines = ["attacker\tvictim\tindex\tsymbols"]
     for ess, symbols in zip(result.subsequences, result.corpus):
+        attacker, victim = ess.parent
         corpus_lines.append(
             "\t".join(
                 [
-                    ess.parent[0],
-                    ess.parent[1],
+                    names[attacker],
+                    names[victim],
                     str(ess.index),
-                    " ".join(render_symbol(s) for s in symbols),
+                    " ".join([symbol_text[s] for s in symbols]),
                 ]
             )
         )
@@ -289,13 +297,14 @@ def _fmt(value, spec: str = ".4f") -> str:
 
 
 def _render_stats(team_stats, scores, ranking_note, repeat, summary) -> str:
+    names = Escaped()
     lines = [
         "# per-team volume funnel (teams are attacker identifiers)",
         "team\traw_alerts\tfiltered_alerts\tepisodes\tsequences\tattempts\tgraphs",
     ]
     for ts in team_stats:
         lines.append(
-            f"{ts.team}\t{ts.raw_alerts}\t{ts.filtered_alerts}\t{ts.episodes}"
+            f"{names[ts.team]}\t{ts.raw_alerts}\t{ts.filtered_alerts}\t{ts.episodes}"
             f"\t{ts.sequence_count}\t{ts.subsequence_count}\t{ts.ag_count}"
         )
     lines.append("# attacker ranking: score = (2*sev% + 1*med%) / 3, percentages rounded half-up")
@@ -307,7 +316,7 @@ def _render_stats(team_stats, scores, ranking_note, repeat, summary) -> str:
     )
     for sc in scores:
         lines.append(
-            f"{sc.team}\t{sc.severe_vertices}\t{sc.severe_total}\t{sc.severe_pct}"
+            f"{names[sc.team]}\t{sc.severe_vertices}\t{sc.severe_total}\t{sc.severe_pct}"
             f"\t{sc.medium_vertices}\t{sc.medium_total}\t{sc.medium_pct}\t{sc.score:.2f}"
         )
     lines.append("# repeat attempts: consecutive same-team attempt pairs at one objective;")

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 import re
 from datetime import datetime, timezone
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alertgraphs.alerts import (
+    Alert,
     MappingConfig,
     default_mapping_config,
     filter_duplicates,
@@ -302,6 +304,52 @@ class TestCsvRows:
             ("ET SCAN Nmap", "Misc", 0),
             ("ET SCAN Nmap", "Misc", 5),
         ]
+
+
+RECORDS = [
+    (RawAlert, (ts(0), "10.0.254.1", "10.0.0.1", 22, "ET SCAN Nmap", "Misc")),
+    (Alert, (ts(0), "10.0.254.1", "10.0.0.1", AttackStage.SERVICE_DISC, "ssh")),
+]
+RECORD_IDS = ["RawAlert", "Alert"]
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
+class TestRecordContract:
+    """What ``@dataclass(frozen=True)`` gave both records, kept as named tuples;
+    ``TestRecordMemory`` checks that neither has a ``__dict__``."""
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, values):
+        record = cls(*values)
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, values[0])
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert tuple(record) == values
+
+    def test_equal_fields_equal_records_and_hashes(self, cls, values):
+        # b is built from equal strings that are other objects
+        a = cls(*values)
+        b = cls(*(v.encode().decode() if isinstance(v, str) else v for v in values))
+        assert a[1] is not b[1]
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != cls(*values[:-1], values[-1] + "x")
+
+    def test_keyword_construction(self, cls, values):
+        assert cls(**dict(zip(cls._fields, values))) == cls(*values)
+
+    def test_repr_names_every_field(self, cls, values):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, values))
+        assert repr(cls(*values)) == f"{cls.__name__}({fields})"
+
+
+def test_raw_alert_category_defaults_to_empty():
+    raw = RawAlert(timestamp=ts(0), src_ip="a", dst_ip="v", dst_port=22, signature="sig")
+    assert raw.category == ""
+    assert raw == RawAlert(ts(0), "a", "v", 22, "sig", "")
 
 
 class TestRecordMemory:
@@ -746,6 +794,16 @@ class TestFilterDuplicates:
     def test_nonpositive_t_raises(self):
         with pytest.raises(ValueError):
             filter_duplicates([], 0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, -math.inf, -1.0])
+    def test_nan_or_negative_t_raises(self, t):
+        # every comparison with NaN is false, so a NaN window would keep all
+        with pytest.raises(ValueError):
+            filter_duplicates([mk_alert(0.0), mk_alert(0.5)], t)
+
+    def test_infinite_t_keeps_one_alert_per_key(self):
+        alerts = [mk_alert(0.0), mk_alert(10_000.0), mk_alert(20_000.0, service="http")]
+        assert filter_duplicates(alerts, math.inf) == [alerts[0], alerts[2]]
 
     def test_mixed_keys_match_oracle(self):
         rng = random.Random(42)

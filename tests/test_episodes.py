@@ -101,6 +101,12 @@ class TestAggregateEpisodes:
             AttackStage.PRIV_ESC: 1,
         }
 
+    @pytest.mark.parametrize("w", [math.nan, 0.0, -math.inf])
+    def test_nan_or_nonpositive_window_rejected(self, w):
+        # every comparison with NaN is false, so a NaN window would never split
+        with pytest.raises(ValueError):
+            aggregate_episodes([mk_alert(0.0), mk_alert(10_000.0)], w)
+
     def test_mixed_pairs_rejected(self):
         alerts = [mk_alert(0.0, attacker="a1"), mk_alert(1.0, attacker="a2")]
         with pytest.raises(ValueError):

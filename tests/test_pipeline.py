@@ -1,13 +1,26 @@
+import csv
 import json
+import math
 import random
+import tempfile
+from dataclasses import dataclass
+from datetime import datetime
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alertgraphs import pipeline
+from alertgraphs.alerts import Alert, ParseStats, parse_alerts
 from alertgraphs.automaton import LearnParams
 from alertgraphs.cli import main
-from alertgraphs.pipeline import PipelineConfig, StageError, run_pipeline
+from alertgraphs.episodes import parse_symbol, unescape_field
+from alertgraphs.pipeline import PipelineConfig, PipelineResult, StageError, run_pipeline
+from alertgraphs.stages import AttackStage
+
+from test_alerts import CSV_HEADER, CSV_ROW, csv_text, dedup_oracle, eve_texts
+from util import mk_alert
 
 FIXTURE = Path(__file__).parent / "fixtures/synthetic_alerts.jsonl"
 GOLDEN = Path(__file__).parent / "golden"
@@ -231,6 +244,10 @@ class TestErrors:
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             config(tmp_path, t=0.0).validate()
+        for window in ("t", "w"):
+            with pytest.raises(ValueError):
+                config(tmp_path, **{window: math.nan}).validate()
+            config(tmp_path, **{window: math.inf}).validate()
         with pytest.raises(ValueError):
             config(tmp_path, split=1.5).validate()
         with pytest.raises(ValueError):
@@ -348,8 +365,238 @@ class TestCli:
             main(["--alerts", str(FIXTURE), "--out", str(tmp_path), "--t", "-1"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--t", "nan"], ["--w", "nan"], ["--t", "nan", "--w", "nan"]])
+    def test_nan_window_exits_two(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--alerts", str(FIXTURE), "--out", str(tmp_path / "out"), *flags])
+        assert excinfo.value.code == 2
+        assert "must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_learn_params(self):
         with pytest.raises(ValueError):
             LearnParams(alpha=0.0)
         with pytest.raises(ValueError):
             LearnParams(symbol_count=-1)
+
+
+# The ingest stage as it was with frozen dataclass records, kept as an oracle:
+# each file's raw list is mapped whole and then deleted.
+@dataclass(frozen=True, slots=True)
+class OracleRawAlert:
+    timestamp: datetime
+    src_ip: str
+    dst_ip: str
+    dst_port: int
+    signature: str
+    category: str = ""
+
+
+@dataclass(frozen=True, slots=True)
+class OracleAlert:
+    timestamp: datetime
+    attacker: str
+    victim: str
+    stage: AttackStage
+    service: str
+
+
+ALERT_FIELDS = ("timestamp", "attacker", "victim", "stage", "service")
+
+
+def oracle_ingest(cfg: PipelineConfig) -> tuple[ParseStats, list[OracleAlert], list[OracleAlert]]:
+    mapping = pipeline._load_mapping(cfg)
+    stats, mapped = ParseStats(), []
+    for path in cfg.alerts:
+        with open(path, "rb") as fh:
+            parsed, file_stats = parse_alerts(fh, format=cfg.format)
+        stats.total += file_stats.total
+        stats.parsed += file_stats.parsed
+        stats.skipped += file_stats.skipped
+        raws = [
+            OracleRawAlert(r.timestamp, r.src_ip, r.dst_ip, r.dst_port, r.signature, r.category)
+            for r in parsed
+        ]
+        mapped.extend(
+            OracleAlert(
+                raw.timestamp,
+                raw.src_ip,
+                raw.dst_ip,
+                mapping.stage_for(raw.signature, raw.category),
+                mapping.service_for(raw.dst_port),
+            )
+            for raw in raws
+        )
+        del raws
+    mapped.sort(key=lambda a: a.timestamp)
+    return stats, mapped, dedup_oracle(mapped, cfg.t)
+
+
+def assert_ingest_matches_oracle(cfg: PipelineConfig) -> PipelineResult:
+    result = PipelineResult(parse_stats=ParseStats())
+    pipeline._stage_ingest(cfg, result, pipeline._StageWriter(cfg.out_dir))
+    stats, mapped, filtered = oracle_ingest(cfg)
+    assert result.parse_stats == stats
+    for got, expected in ((result.mapped_alerts, mapped), (result.filtered_alerts, filtered)):
+        assert all(type(alert) is Alert for alert in got)
+        assert [[getattr(a, name) for name in ALERT_FIELDS] for a in got] == [
+            [getattr(a, name) for name in ALERT_FIELDS] for a in expected
+        ]
+    return result
+
+
+def ingest_files(chunks: list[str], fmt: str) -> None:
+    """Check the ingest stage against the oracle on one log file per chunk."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(chunks):
+            paths.append(Path(tmp) / f"log{i}")
+            paths[-1].write_bytes(text.encode("utf-8", "surrogatepass"))
+        assert_ingest_matches_oracle(
+            PipelineConfig(alerts=paths, out_dir=Path(tmp), format=fmt, t=1.0)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(eve_texts, max_size=8), st.integers(min_value=0, max_value=8))
+def test_eve_ingest_matches_frozen_record_oracle(lines, cut):
+    ingest_files(["\n".join(lines[:cut]), "\n".join(lines[cut:])], "eve-json")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(csv_text | st.just(CSV_ROW), max_size=10))
+def test_csv_ingest_matches_frozen_record_oracle(chunks):
+    ingest_files([CSV_HEADER + "".join(chunks)], "csv")
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_fixture_ingest_matches_frozen_record_oracle(tmp_path, seed):
+    # the shuffles are those of TestInputOrder
+    lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+    if seed is not None:
+        random.Random(seed).shuffle(lines)
+    log = tmp_path / "alerts.jsonl"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = assert_ingest_matches_oracle(PipelineConfig(alerts=[log], out_dir=tmp_path))
+    assert len(result.filtered_alerts) > 100
+
+
+def read_tsv(path: Path) -> list[list[str]]:
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    return [line.split("\t") for line in text[:-1].split("\n")]
+
+
+# any text but a lone surrogate, which is no UTF-8, and NUL, which the csv
+# module rejects before Python 3.11
+names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=6)
+STAGES_DRAWN = [AttackStage.SERVICE_DISC, AttackStage.PRIV_ESC, AttackStage.DATA_EXFILTRATION]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(names, min_size=1, max_size=3),
+    st.lists(names, min_size=1, max_size=3),
+    st.lists(names, min_size=1, max_size=3),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2_000),
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=2),
+            st.sampled_from(STAGES_DRAWN),
+            st.integers(min_value=0, max_value=2),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+@example(["a b", "\\t"], ["v\tx", "\ny"], ["s\r", "x\\s y"], [(0, 0, 0, STAGES_DRAWN[0], 0)])
+def test_names_round_trip_through_episode_files(attackers, victims, services, rows):
+    def pick(options, i):
+        return options[i % len(options)]
+
+    alerts = [
+        mk_alert(seconds, pick(attackers, a), pick(victims, v), stage, pick(services, s))
+        for seconds, a, v, stage, s in sorted(rows, key=lambda row: row[0])
+    ]
+    result = PipelineResult(parse_stats=ParseStats(), filtered_alerts=alerts)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = PipelineConfig(alerts=[], out_dir=Path(tmp), w=60.0)
+        pipeline._stage_episodes(cfg, result, pipeline._StageWriter(Path(tmp)))
+        episode_rows = read_tsv(Path(tmp) / pipeline.EPISODE_DUMP)
+        corpus_rows = read_tsv(Path(tmp) / pipeline.ATTEMPT_CORPUS)
+
+    assert all(len(row) == 7 for row in episode_rows)
+    assert [
+        (unescape_field(r[0]), unescape_field(r[1]), r[4], unescape_field(r[5]), int(r[6]))
+        for r in episode_rows[1:]
+    ] == [
+        (ep.attacker, ep.victim, ep.stage.value, ep.service, ep.alert_count)
+        for es in result.sequences
+        for ep in es.episodes
+    ]
+    assert {(unescape_field(r[0]), unescape_field(r[1])) for r in episode_rows[1:]} == {
+        (a.attacker, a.victim) for a in alerts
+    }
+    assert all(len(row) == 4 for row in corpus_rows)
+    assert [
+        (
+            unescape_field(r[0]),
+            unescape_field(r[1]),
+            int(r[2]),
+            [parse_symbol(unescape_field(token)) for token in r[3].split(" ")],
+        )
+        for r in corpus_rows[1:]
+    ] == [
+        (*ess.parent, ess.index, symbols)
+        for ess, symbols in zip(result.subsequences, result.corpus)
+    ]
+
+
+def assert_rows_match_headers(text: str) -> None:
+    """Each line after a comment block is a header (or a key-value line), and
+    every line up to the next comment has as many tab-separated columns."""
+    assert text.endswith("\n")
+    columns = None
+    for line in text[:-1].split("\n"):
+        if line.startswith("#"):
+            columns = None
+        elif columns is None:
+            columns = line.count("\t")
+        else:
+            assert line.count("\t") == columns, line
+
+
+FIXTURE_PORTS = (22, 80, 445, 5653, 6667)
+
+
+@settings(max_examples=40, deadline=None)
+@given(names, names, st.lists(names, min_size=len(FIXTURE_PORTS), max_size=len(FIXTURE_PORTS)))
+@example("\tx", "\ny", ["a b", "\\", "c\td", "\r\n", "x"])
+def test_every_tsv_row_has_its_headers_columns(attacker_suffix, victim_suffix, services):
+    lines = []
+    for line in FIXTURE.read_text(encoding="utf-8").splitlines():
+        try:
+            record = json.loads(line)
+            record["src_ip"] += attacker_suffix
+            record["dest_ip"] += victim_suffix
+            line = json.dumps(record)
+        except (ValueError, KeyError, TypeError):
+            pass  # the fixture's malformed lines stay as they are
+        lines.append(line)
+    with tempfile.TemporaryDirectory() as tmp:
+        log, ports, out = Path(tmp) / "alerts.jsonl", Path(tmp) / "ports.csv", Path(tmp) / "out"
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(ports, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["Service Name", "Port Number", "Transport Protocol", "Description"])
+            # a distinct last character keeps names apart once stripped and
+            # made file-name safe, so no two graphs share a file name
+            for i, (port, service) in enumerate(zip(FIXTURE_PORTS, services)):
+                writer.writerow([f"x{service}{i}", port, "tcp", "custom"])
+        result = run_pipeline(PipelineConfig(alerts=[log], out_dir=out, port_map=ports))
+        assert len(result.ags) == 2
+        tsv_files = sorted(out.glob("*.tsv"))
+        assert len(tsv_files) == 5
+        for path in tsv_files:
+            assert_rows_match_headers(path.read_text(encoding="utf-8"))
