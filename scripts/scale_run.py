@@ -8,6 +8,10 @@ log ``--runs`` times, each in a fresh process, so the peak RSS is the
 pipeline's own and not the generator's. Prints one JSON line: the median,
 min and max over the runs of the wall seconds, of the seconds of each stage
 and of the peak RSS (``VmHWM``, Linux only) in MB, plus the record count.
+``learn_pdfa`` holds each learner call by the stage that made it (``learn``,
+and ``stats`` for the perplexity report's model): its seconds, and the
+rounds and the evaluated, reused and pruned pair scores summed from the
+learner's ``trace`` callback.
 Exits 1 when the record or skip count of any run differs from the
 generator's ground truth. Run from anywhere:
 
@@ -38,14 +42,21 @@ import workloads  # noqa: E402  bench/workloads.py
 from tracing import peak_rss_mb  # noqa: E402  bench/tracing.py, VmHWM in MB
 
 
+LEARNER_COUNTS = ("rounds", "evaluated", "reused", "pruned")
+
+
 def _run(alerts: str, fmt: str, out_dir: str) -> dict:
     """One timed ``run_pipeline`` call; runs in the worker process."""
     from alertgraphs import pipeline
 
     stage_s: dict[str, float] = {}
+    learner: dict[str, dict] = {}
+    running = None  # the stage being run
 
     def timed(stage, fn):
         def run(*args):
+            nonlocal running
+            running = stage
             start = time.perf_counter()
             try:
                 return fn(*args)
@@ -54,8 +65,23 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
 
         return run
 
+    def learn_pdfa(tree, params):
+        call = learner[running] = dict.fromkeys(LEARNER_COUNTS, 0)
+
+        def count(step):
+            call["rounds"] += 1
+            for key in LEARNER_COUNTS[1:]:
+                call[key] += step[key]
+
+        start = time.perf_counter()
+        try:
+            return learn(tree, params, trace=count)
+        finally:
+            call["s"] = time.perf_counter() - start
+
     for stage, fn in list(pipeline._STAGE_FUNCS.items()):
         pipeline._STAGE_FUNCS[stage] = timed(stage, fn)
+    learn, pipeline.learn_pdfa = pipeline.learn_pdfa, learn_pdfa
     cfg = pipeline.PipelineConfig(alerts=[Path(alerts)], out_dir=Path(out_dir), format=fmt)
     start = time.perf_counter()
     result = pipeline.run_pipeline(cfg)
@@ -67,6 +93,7 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
         "skipped": stats.skipped,
         "wall_s": wall_s,
         "stage_s": stage_s,
+        "learn_pdfa": learner,
         "vmhwm_mb": peak_rss_mb(),
     }
 
@@ -119,6 +146,13 @@ def main(argv: list[str] | None = None) -> int:
         **{key: first[key] for key in ("records", "parsed", "skipped")},
         "wall_s": _spread([r["wall_s"] for r in records]),
         "stage_s": {stage: _spread([r["stage_s"][stage] for r in records]) for stage in first["stage_s"]},
+        "learn_pdfa": {
+            stage: {
+                "s": _spread([r["learn_pdfa"][stage]["s"] for r in records]),
+                **{key: call[key] for key in LEARNER_COUNTS},
+            }
+            for stage, call in first["learn_pdfa"].items()
+        },
         "vmhwm_mb": _spread([r["vmhwm_mb"] for r in records]),
     }))
     wrong = [

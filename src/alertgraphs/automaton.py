@@ -33,6 +33,7 @@ from .episodes import (
     to_symbols,
     unescape_field,
 )
+from .merger import _Merger
 from .stages import Severity
 
 OUT_OF_MODEL = -1  # state id assigned when replay falls off the automaton
@@ -277,225 +278,6 @@ def build_suffix_tree(sequences: Iterable[Sequence[SymbolT]]) -> SuffixPdfa:
     return count_sequences(trie, sequences)
 
 
-class _Merger:
-    """Red-blue state-merging search over a copy of the trie's counts.
-
-    Red states form the consolidated automaton core; blue states are the
-    non-sink children of red states. Each round either performs the highest
-    scoring compatible (red, blue) merge or, when none passes, promotes the
-    lowest-id blue to red. Sinks never merge or get promoted but stay in the
-    final automaton. The root is kept out of merge candidacy so the
-    empty-suffix context (sequence endings) survives as a distinct state.
-
-    The merger works on the trie's symbol ids: each id is the symbol's
-    position in ``str`` order, so plain int order is ``str`` order, not
-    tuple or rendered order. The visiting order, ``sorted(freq1 | t2)``,
-    fixes the float summation order of merge scores, which decides ties
-    between candidates, and the breadth-first state ids of the result.
-
-    ``_evaluate`` visits only the red-side state's frequent symbols (count at
-    least ``symbol_count``) plus all of the blue-side state's symbols. A
-    red-only symbol below the threshold is never tested, adds nothing to the
-    score and has no child pair to recurse into, so skipping it leaves every
-    score bit-identical: the terms that are added keep their order.
-
-    Work no merge has touched is reused, with two caches:
-
-    - a count table per state, built the first time the state is read:
-      ``{symbol id: (target, c, c/n, c*log2(c/n))}`` and the set of its
-      frequent symbols. ``_merge`` drops the table of every state it changes.
-      Each score term runs the IEEE operations of the expressions it stands
-      for, ``abs(c1/n1 - c2/n2)`` and ``c*log2(c/n) - (b1 + b2)``, where
-      ``b = c*log2(c/n_side)`` or 0.0 for an absent symbol. A symbol of the
-      red-side state only tests ``r1 >= bound`` and adds
-      ``c1*log2(c1/n) - b1``; one of the blue-side state only tests
-      ``r2 >= bound`` and adds ``c2*log2(c2/n) - b2``. These are exact:
-      ``r - 0.0 == r``, ``abs(0.0 - r) == r`` and ``b + 0.0 == 0.0 + b == b``,
-      as ``b`` is never ``-0.0`` (every count is at least 1);
-    - the score (or None) of each (red, blue) pair of the current round,
-      with the merge count when it ran and the state pairs it read: the
-      pairs it visited and the child pairs whose ``total`` the
-      ``state_count`` test looked at. ``stamp[q]`` is the count of the last
-      merge that stamped ``q`` (``_merge`` says which states it stamps and
-      why that is enough), and an entry is reused while every state it read
-      is older. The (red, blue) pair comes first, so a stale entry fails at
-      its first check.
-    """
-
-    def __init__(self, tree: SuffixPdfa, params: LearnParams):
-        self.p = params
-        self.total = list(tree.total)
-        self.final = list(tree.final)
-        # the trie's own dicts until a merge changes them; see _merge
-        self.trans = list(tree.trans)
-        self.tables: list[tuple[dict[int, tuple], set[int]] | None] = [None] * len(tree)
-        self.stamp = [0] * len(tree)
-        self.merges = 0
-        self.root = tree.root
-        self.red: set[int] = {self.root}
-        self.threshold = math.sqrt(0.5 * math.log(2.0 / params.alpha))
-
-    def _blue_fringe(self) -> dict[int, tuple[int, int]]:
-        fringe: dict[int, tuple[int, int]] = {}
-        for r in sorted(self.red):
-            trans = self.trans[r]
-            for sym in sorted(trans):
-                tgt = trans[sym][0]
-                if tgt in self.red or tgt in fringe:
-                    continue
-                if self.total[tgt] < self.p.sink_count:
-                    continue  # sink: retained but never a merge candidate
-                fringe[tgt] = (r, sym)
-        return fringe
-
-    def _table(self, q: int) -> tuple[dict[int, tuple], set[int]]:
-        n, trans, log2 = self.total[q], self.trans[q], math.log2
-        rows = {s: (t, c, c / n, c * log2(c / n)) for s, (t, c) in trans.items()}
-        frequent = {s for s, (_, c) in trans.items() if c >= self.p.symbol_count}
-        table = self.tables[q] = (rows, frequent)
-        return table
-
-    def _evaluate(self, red_id: int, blue_id: int) -> tuple[float | None, list[tuple[int, int]]]:
-        """Merge score when the pair passes the Hoeffding test, else None,
-        and the state pairs the evaluation read.
-
-        The test covers every symbol (and the ending) frequent enough in
-        either state and recurses into child pairs that both carry at least
-        ``state_count`` occurrences. The score is the summed log-likelihood
-        gain of pooling the tested counts versus keeping them separate.
-        """
-        total, final, tables = self.total, self.final, self.tables
-        symbol_count, state_count = self.p.symbol_count, self.p.state_count
-        log2, sqrt, threshold = math.log2, math.sqrt, self.threshold
-        score = 0.0
-        first = (red_id, blue_id)
-        stack, reads = [first], [first]
-        while stack:
-            q1, q2 = stack.pop()
-            n1, n2 = total[q1], total[q2]
-            n = n1 + n2
-            bound = threshold * (1.0 / sqrt(n1) + 1.0 / sqrt(n2))
-            f1, f2 = final[q1], final[q2]
-            if f1 >= symbol_count or f2 >= symbol_count:
-                if abs(f1 / n1 - f2 / n2) >= bound:
-                    return None, reads
-                c = f1 + f2
-                score += (c * log2(c / n) if c else 0.0) - (
-                    (f1 * log2(f1 / n1) if f1 else 0.0) + (f2 * log2(f2 / n2) if f2 else 0.0)
-                )
-            rows1, freq1 = tables[q1] or self._table(q1)
-            rows2 = (tables[q2] or self._table(q2))[0]
-            for sym in sorted(freq1.union(rows2)):
-                e2 = rows2.get(sym)
-                if e2 is None:  # frequent in the red-side state, absent from the other
-                    _, c1, r1, b1 = rows1[sym]
-                    if r1 >= bound:
-                        return None, reads
-                    score += c1 * log2(c1 / n) - b1
-                    continue
-                ch2, c2, r2, b2 = e2
-                e1 = rows1.get(sym)
-                if e1 is None:
-                    if c2 >= symbol_count:
-                        if r2 >= bound:
-                            return None, reads
-                        score += c2 * log2(c2 / n) - b2
-                    continue
-                ch1, c1, r1, b1 = e1
-                if c1 >= symbol_count or c2 >= symbol_count:
-                    if abs(r1 - r2) >= bound:
-                        return None, reads
-                    c = c1 + c2
-                    score += c * log2(c / n) - (b1 + b2)
-                if ch1 != ch2:
-                    pair = (ch1, ch2)
-                    reads.append(pair)
-                    if total[ch1] >= state_count and total[ch2] >= state_count:
-                        stack.append(pair)
-        return score, reads
-
-    def _merge(self, red_id: int, blue_id: int, parent: int, via: int) -> None:
-        """Fold ``blue_id``'s subtree into ``red_id``, determinizing as we go.
-
-        Every target and ``blue_id`` get a new stamp, and every state whose
-        counts or transitions change loses its table. No other stamp is
-        needed. ``parent`` keeps its counts, and an evaluation reads its
-        redirected target only through a symbol shared with the other side,
-        which put the child pair holding ``blue_id`` in its reads. A source
-        below the blue is reachable only through the blue, and the pair of
-        ``blue_id`` itself is never asked for again, as it leaves the fringe.
-
-        The trie's dicts are never written: ``parent``'s is replaced, and a
-        target's is copied the first time it changes.
-        """
-        total, final, trans, tables, stamp = (
-            self.total, self.final, self.trans, self.tables, self.stamp
-        )
-        self.merges += 1
-        trans[parent] = {**trans[parent], via: (red_id, trans[parent][via][1])}
-        tables[parent] = None
-        stamp[blue_id] = self.merges
-        stack = [(red_id, blue_id)]
-        while stack:
-            target, source = stack.pop()
-            total[target] += total[source]
-            final[target] += final[source]
-            tables[target] = tables[source] = None
-            if not stamp[target]:  # first change: stop sharing the trie's dict
-                trans[target] = dict(trans[target])
-            stamp[target] = self.merges
-            ttrans, strans = trans[target], trans[source]
-            for sym in sorted(strans):
-                s_tgt, s_cnt = strans[sym]
-                entry = ttrans.get(sym)
-                if entry is None:
-                    ttrans[sym] = (s_tgt, s_cnt)
-                else:
-                    ttrans[sym] = (entry[0], entry[1] + s_cnt)
-                    if entry[0] != s_tgt:
-                        stack.append((entry[0], s_tgt))
-            trans[source] = {}  # unreachable from now on
-
-    def run(self, trace: Callable[[dict], None] | None = None) -> None:
-        stamp = self.stamp
-        scores: dict[tuple[int, int], tuple] = {}
-        while True:
-            fringe = self._blue_fringe()
-            if not fringe:
-                return
-            reds = sorted(self.red - {self.root})
-            last, scores = scores, {}
-            reused = 0
-            best = None
-            for blue in sorted(fringe):
-                for red in reds:
-                    entry = last.get((red, blue))
-                    if entry is not None and all(
-                        max(stamp[q1], stamp[q2]) <= entry[0] for q1, q2 in entry[2]
-                    ):
-                        reused += 1
-                    else:
-                        entry = (self.merges, *self._evaluate(red, blue))
-                    scores[red, blue] = entry
-                    score = entry[1]
-                    if score is not None:
-                        key = (-score, red, blue)
-                        if best is None or key < best[0]:
-                            best = (key, red, blue, score)
-            if best is None:
-                blue = min(fringe)
-                self.red.add(blue)
-                step = {"promote": blue}
-            else:
-                _, red, blue, score = best
-                step = {"merge": (red, blue, score)}
-                parent, via = fringe[blue]
-                self._merge(red, blue, parent, via)
-            if trace is not None:
-                pairs = len(fringe) * len(reds)
-                trace({"fringe": len(fringe), "evaluated": pairs - reused, "reused": reused, **step})
-
-
 def learn_pdfa(
     tree: SuffixPdfa,
     params: LearnParams = LearnParams(),
@@ -508,8 +290,9 @@ def learn_pdfa(
     from a breadth-first renumbering from the root.
 
     ``trace``, when given, is called once per round with a dict: ``fringe``
-    (blue states), ``evaluated`` and ``reused`` (pair scores computed and
-    taken from the cache; together, fringe times non-root reds), and either
+    (blue states), ``evaluated``, ``reused`` and ``pruned`` (pair scores
+    computed, taken from the cache, and given up below the floor; together,
+    fringe times non-root reds), and either
     ``merge: (red, blue, score)`` or ``promote: blue``. State ids there are
     the merger's own, trie ids before the final renumbering.
     """

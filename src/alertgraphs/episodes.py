@@ -44,13 +44,16 @@ def parse_symbol(text: str) -> Symbol:
 TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 # a space-separated list of symbols escapes the space as well
 SYMBOL_ESCAPES = {**TSV_ESCAPES, ord(" "): "\\s"}
-_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "s": " "}
-_ESCAPED = re.compile(r"\\([\\tnrs])")
+# a team name escapes the comma, which joins teams into one column
+TEAM_ESCAPES = {**TSV_ESCAPES, ord(","): "\\c"}
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "s": " ", "c": ",", "#": "#"}
+_ESCAPED = re.compile(r"\\([\\tnrsc#])")
 
 
 class Escaped(dict):
     """``escaped[value]`` is ``render(value)`` with ``table``'s escapes, worked
-    out once per distinct value: addresses and services repeat on many rows."""
+    out once per distinct value: addresses and services repeat on many rows.
+    A leading ``#`` is written ``\\#``, so no field starts a comment line."""
 
     def __init__(self, render: Callable[[Any], str] = str, table: dict = TSV_ESCAPES):
         super().__init__()
@@ -58,12 +61,13 @@ class Escaped(dict):
         self.table = table
 
     def __missing__(self, value) -> str:
-        text = self[value] = self.render(value).translate(self.table)
+        text = self.render(value).translate(self.table)
+        text = self[value] = "\\" + text if text.startswith("#") else text
         return text
 
 
 def unescape_field(field: str) -> str:
-    """Inverse of the escapes in ``TSV_ESCAPES`` and ``SYMBOL_ESCAPES``."""
+    """Inverse of ``Escaped`` with any of the escape tables above."""
     return _ESCAPED.sub(lambda m: _UNESCAPES[m[1]], field)
 
 

@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .automaton import OUT_OF_MODEL, AnnotatedSequence, dot_quote
-from .episodes import Episode, Escaped
+from .episodes import TEAM_ESCAPES, Episode, Escaped
 from .stages import AttackStage, Severity
 
 VertexKey = tuple[AttackStage, str, int]  # (stage, service, state id)
@@ -232,8 +232,8 @@ def emit_dot(ag: AttackGraph) -> str:
 
 def render_index(entries: Sequence[tuple[str, AttackGraph]]) -> str:
     """Tab-separated index of all emitted graphs with counts and simplicity;
-    names are escaped."""
-    names = Escaped()
+    names are escaped, and a comma in a team name too."""
+    names, teams = Escaped(), Escaped(table=TEAM_ESCAPES)
     lines = [
         "# attack graph index; adjacent episodes mapping to an identical",
         "# (stage, service, state) triple are collapsed into one vertex",
@@ -251,7 +251,7 @@ def render_index(entries: Sequence[tuple[str, AttackGraph]]) -> str:
                     str(len(ag.vertices)),
                     str(len(ag.edges)),
                     "NA" if simp is None else f"{simp:.4f}",
-                    ",".join([names[team] for team in ag.teams]),
+                    ",".join([teams[team] for team in ag.teams]),
                 ]
             )
         )

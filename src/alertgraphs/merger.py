@@ -1,0 +1,278 @@
+"""Red-blue state merging: the search ``automaton.learn_pdfa`` runs.
+
+``_Merger`` folds a copy of a suffix trie's counts into a compact
+deterministic automaton. It reuses work no merge has touched and stops
+scoring a (red, blue) pair as soon as the pair cannot win; its docstring
+argues why both leave every merge, and so every learned automaton, as
+scoring each pair in full would.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from .automaton import LearnParams, SuffixPdfa
+
+END = -1  # symbol id of the ending in the count tables
+# a pair scored in no earlier round: stale, as every stamp is at least 0, and
+# evaluated first, as a new blue state often makes the best pair
+_UNSCORED = (-1, math.inf, (0,), False)
+# a state's count table: rows, frequent symbols, their summed count
+_Table = tuple[dict[int, tuple], set[int], int]
+
+
+class _Merger:
+    """Red-blue state-merging search over a copy of the trie's counts.
+
+    Red states form the consolidated automaton core; blue states are the
+    non-sink children of red states. Each round either performs the highest
+    scoring compatible (red, blue) merge or, when none passes, promotes the
+    lowest-id blue to red. Sinks never merge or get promoted but stay in the
+    final automaton. The root is kept out of merge candidacy so the
+    empty-suffix context (sequence endings) survives as a distinct state.
+
+    The merger works on the trie's symbol ids: each id is the symbol's
+    position in ``str`` order, so plain int order is ``str`` order, not
+    tuple or rendered order. The visiting order, ``sorted(freq1 | t2)``,
+    fixes the float summation order of merge scores, which decides ties
+    between candidates, and the breadth-first state ids of the result.
+
+    ``_evaluate`` visits only the red-side state's frequent symbols (count at
+    least ``symbol_count``) plus all of the blue-side state's symbols. A
+    red-only symbol below the threshold is never tested, adds nothing to the
+    score and has no child pair to recurse into, so skipping it leaves every
+    score bit-identical: the terms that are added keep their order. The
+    ending is the row of symbol id ``END``, which sorts first.
+
+    Work no merge has touched is reused, with two caches:
+
+    - a count table per state, built the first time the state is read:
+      ``{symbol id: (target, c, c/n, c*log2(c/n))}``, the set of its
+      frequent symbols and their summed count. ``_merge`` drops the table of
+      every state it changes.
+      Each score term runs the IEEE operations of the expressions it stands
+      for, ``abs(c1/n1 - c2/n2)`` and ``c*log2(c/n) - (b1 + b2)``, where
+      ``b = c*log2(c/n_side)`` or 0.0 for an absent symbol. A symbol of the
+      red-side state only tests ``r1 >= bound`` and adds
+      ``c1*log2(c1/n) - b1``; one of the blue-side state only tests
+      ``r2 >= bound`` and adds ``c2*log2(c2/n) - b2``. These are exact:
+      ``r - 0.0 == r``, ``abs(0.0 - r) == r`` and ``b + 0.0 == 0.0 + b == b``,
+      as ``b`` is never ``-0.0`` (every count is at least 1). An ending
+      counted in neither state adds 0.0 and is left out;
+    - the result of each (red, blue) pair of the current round, with the
+      merge count when it ran and the states of the state pairs it read: the
+      pairs it visited and the child pairs whose ``total`` the
+      ``state_count`` test looked at (a shared symbol's test comes first, so
+      a pair that fails there has not read that child pair). ``stamp[q]`` is
+      the count of the last merge that stamped ``q`` (``_merge`` says which
+      states it stamps and why that is enough), and an entry is reused while
+      every state it read is older. A pruned entry holds its partial score
+      and stays pruned, unscored, while that is below the round's floor.
+
+    Pruning is exact. By the log-sum inequality no term of a score is
+    positive in exact arithmetic. With ``u = 2**-53``, pooled count ``c`` and
+    ``n = n1 + n2``, a computed term exceeds its exact value by at most
+    ``16*u*c*(1 + log2(n))``: each ``c*log2(c/n)`` takes a correctly rounded
+    division, a ``log2`` within two ulps and a rounded product, and the term
+    one rounded sum and difference. Adding a term raises the running score
+    by at most twice its excess, and a term that is not positive never
+    raises it. The tested counts of a state pair sum to at most ``n``, and
+    ``n`` to at most ``W``, the trie's summed totals, as merges only move
+    counts. An evaluation visits fewer than ``len(trie)`` state pairs, as
+    the states outside the red core form trees. So the terms still to come
+    raise a partial score by at most ``2**-48 * len(trie) * W * (1 +
+    log2(W))``, a quarter of ``margin`` or less; the rest of ``margin``
+    covers rounding the floor, the round's best score minus ``margin``. A
+    pair whose partial score falls below the floor cannot reach the best,
+    and a pair that ties the best never falls below it. Before a state
+    pair's terms, the terms of the red side's frequent symbols that the
+    other state lacks sum, exactly, to ``-M * log2(n/n1)`` with ``M`` their
+    summed count, so the running score minus ``M * log2(n/n1)`` bounds the
+    final score as the running score does, and a pair stops as soon as it
+    falls below the floor; rounding it takes less than a sixteenth of
+    ``margin``. Reusable results come first, then pairs never scored, then
+    the rest by their last score, best first, so the floor rises early.
+    """
+
+    def __init__(self, tree: SuffixPdfa, params: LearnParams):
+        self.p = params
+        self.total = list(tree.total)
+        self.final = list(tree.final)
+        # the trie's own dicts until a merge changes them; see _merge
+        self.trans = list(tree.trans)
+        self.tables: list[_Table | None] = [None] * len(tree)
+        self.stamp = [0] * len(tree)
+        self.merges = 0
+        self.root = tree.root
+        self.red: set[int] = {self.root}
+        self.threshold = math.sqrt(0.5 * math.log(2.0 / params.alpha))
+        # four times the rounding bound in the docstring, or more, as
+        # 2 * bit_length(W) >= 1 + log2(W)
+        weight = sum(tree.total)
+        self.margin = len(tree) * weight * weight.bit_length() * 2**-45
+
+    def _blue_fringe(self) -> dict[int, tuple[int, int]]:
+        fringe: dict[int, tuple[int, int]] = {}
+        for r in sorted(self.red):
+            trans = self.trans[r]
+            for sym in sorted(trans):
+                tgt = trans[sym][0]
+                if tgt in self.red or tgt in fringe:
+                    continue
+                if self.total[tgt] < self.p.sink_count:
+                    continue  # sink: retained but never a merge candidate
+                fringe[tgt] = (r, sym)
+        return fringe
+
+    def _table(self, q: int) -> _Table:
+        n, log2 = self.total[q], math.log2
+        rows = {
+            s: (t, c, c / n, c * log2(c / n))
+            for s, (t, c) in [*self.trans[q].items(), (END, (END, self.final[q]))]
+            if c
+        }
+        frequent = {s for s, row in rows.items() if row[1] >= self.p.symbol_count}
+        table = self.tables[q] = (rows, frequent, sum([rows[s][1] for s in frequent]))
+        return table
+
+    def _evaluate(self, red_id: int, blue_id: int, floor: float) -> tuple[float, list[int], bool]:
+        """Merge score when the pair passes the Hoeffding test, else -inf;
+        the states of the state pairs the evaluation read; and whether the
+        score is complete. It is not when the pair was pruned: the running
+        score, or the bound checked before a state pair's terms, fell below
+        ``floor``, and that value is returned.
+
+        The test covers every symbol (and the ending) frequent enough in
+        either state and recurses into child pairs that both carry at least
+        ``state_count`` occurrences. The score is the summed log-likelihood
+        gain of pooling the tested counts versus keeping them separate.
+        """
+        total, tables = self.total, self.tables
+        symbol_count, state_count = self.p.symbol_count, self.p.state_count
+        log2, sqrt, threshold = math.log2, math.sqrt, self.threshold
+        score = 0.0
+        stack, reads = [(red_id, blue_id)], [red_id, blue_id]
+        while stack:
+            q1, q2 = stack.pop()
+            n1, n2 = total[q1], total[q2]
+            n = n1 + n2
+            bound = threshold * (1.0 / sqrt(n1) + 1.0 / sqrt(n2))
+            rows1, freq1, mass1 = tables[q1] or self._table(q1)
+            rows2 = (tables[q2] or self._table(q2))[0]
+            # a bound on the final score: see the class docstring
+            cap = score - (mass1 - sum([rows1[s][1] for s in rows2 if s in freq1])) * log2(n / n1)
+            if cap < floor:
+                return cap, reads, False
+            for sym in sorted(freq1.union(rows2)):
+                e1, e2 = rows1.get(sym), rows2.get(sym)
+                if e2 is None:  # frequent in the red-side state, absent from the other
+                    _, c, diff, b = e1
+                elif e1 is None:
+                    _, c, diff, b = e2
+                    if c < symbol_count:
+                        continue
+                else:
+                    ch1, c1, r1, b1 = e1
+                    ch2, c2, r2, b2 = e2
+                    c, diff, b = c1 + c2, abs(r1 - r2), b1 + b2
+                    tested = c1 >= symbol_count or c2 >= symbol_count
+                    # tested before the child pair is read: a failed pair's
+                    # reads, and so what can make it stale, stay few
+                    if tested and diff >= bound:
+                        return -math.inf, reads, True
+                    if ch1 != ch2:
+                        pair = (ch1, ch2)
+                        reads += pair
+                        if total[ch1] >= state_count and total[ch2] >= state_count:
+                            stack.append(pair)
+                    if not tested:
+                        continue
+                if diff >= bound:
+                    return -math.inf, reads, True
+                score += c * log2(c / n) - b
+                if score < floor:
+                    return score, reads, False
+        return score, reads, True
+
+    def _merge(self, red_id: int, blue_id: int, parent: int, via: int) -> None:
+        """Fold ``blue_id``'s subtree into ``red_id``, determinizing as we go.
+
+        Every target and ``blue_id`` get a new stamp, and every state whose
+        counts or transitions change loses its table. No other stamp is
+        needed. ``parent`` keeps its counts, and an evaluation reads its
+        redirected target only through a symbol shared with the other side,
+        which put the child pair holding ``blue_id`` in its reads. A source
+        below the blue is reachable only through the blue, and the pair of
+        ``blue_id`` itself is never asked for again, as it leaves the fringe.
+
+        The trie's dicts are never written: ``parent``'s is replaced, and a
+        target's is copied the first time it changes.
+        """
+        total, final, trans, tables, stamp = (
+            self.total, self.final, self.trans, self.tables, self.stamp
+        )
+        self.merges += 1
+        trans[parent] = {**trans[parent], via: (red_id, trans[parent][via][1])}
+        tables[parent] = None
+        stamp[blue_id] = self.merges
+        stack = [(red_id, blue_id)]
+        while stack:
+            target, source = stack.pop()
+            total[target] += total[source]
+            final[target] += final[source]
+            tables[target] = tables[source] = None
+            if not stamp[target]:  # first change: stop sharing the trie's dict
+                trans[target] = dict(trans[target])
+            stamp[target] = self.merges
+            ttrans, strans = trans[target], trans[source]
+            for sym in sorted(strans):
+                s_tgt, s_cnt = strans[sym]
+                entry = ttrans.get(sym)
+                if entry is None:
+                    ttrans[sym] = (s_tgt, s_cnt)
+                else:
+                    ttrans[sym] = (entry[0], entry[1] + s_cnt)
+                    if entry[0] != s_tgt:
+                        stack.append((entry[0], s_tgt))
+            trans[source] = {}  # unreachable from now on
+
+    def run(self, trace: Callable[[dict], None] | None = None) -> None:
+        stamp = self.stamp
+        scores: dict[tuple[int, int], tuple] = {}
+        while True:
+            fringe = self._blue_fringe()
+            if not fringe:
+                return
+            reds = sorted(self.red - {self.root})
+            last, scores = scores, {}
+            ready, rest = [], []
+            for blue in sorted(fringe):
+                for red in reds:
+                    # a stale entry still orders the pair, by its last score
+                    entry = last.get((red, blue), _UNSCORED)
+                    valid = max(map(stamp.__getitem__, entry[2])) <= entry[0]
+                    (ready if valid and entry[3] else rest).append(
+                        (-entry[1], red, blue, valid and entry)
+                    )
+            best, floor = (math.inf,), -math.inf
+            for _, red, blue, entry in ready + sorted(rest):
+                if not entry or not entry[3] and entry[1] >= floor:
+                    entry = (self.merges, *self._evaluate(red, blue, floor))
+                scores[red, blue] = entry
+                if (-entry[1], red, blue) < best:
+                    best, floor = (-entry[1], red, blue), entry[1] - self.margin
+            if best[0] == math.inf:
+                blue = min(fringe)
+                self.red.add(blue)
+                step = {"promote": blue}
+            else:
+                key, red, blue = best
+                step = {"merge": (red, blue, -key)}
+                parent, via = fringe[blue]
+                self._merge(red, blue, parent, via)
+            if trace is not None:
+                done = sum(entry[3] for entry in scores.values())
+                trace({"fringe": len(fringe), "evaluated": done - len(ready), "reused": len(ready),
+                       "pruned": len(scores) - done, **step})

@@ -28,6 +28,7 @@ from .automaton import (
 )
 from .episodes import (
     SYMBOL_ESCAPES,
+    TEAM_ESCAPES,
     EpisodeSequence,
     EpisodeSubSequence,
     Escaped,
@@ -297,7 +298,7 @@ def _fmt(value, spec: str = ".4f") -> str:
 
 
 def _render_stats(team_stats, scores, ranking_note, repeat, summary) -> str:
-    names = Escaped()
+    names = Escaped(table=TEAM_ESCAPES)
     lines = [
         "# per-team volume funnel (teams are attacker identifiers)",
         "team\traw_alerts\tfiltered_alerts\tepisodes\tsequences\tattempts\tgraphs",

@@ -18,6 +18,7 @@ from alertgraphs.automaton import (
     learn_pdfa,
 )
 from alertgraphs.episodes import EpisodeSequence, Symbol, partition_subsequences, to_symbols
+from alertgraphs.merger import _Merger
 from alertgraphs.pipeline import PipelineConfig, run_pipeline
 from alertgraphs.stages import AttackStage
 
@@ -639,7 +640,7 @@ def test_learner_trace_accounts_for_every_pair(params):
     assert learn_pdfa(tree, params).to_text() == model.to_text()
     reds = 0  # non-root reds: one per promotion so far
     for step in steps:
-        assert step["evaluated"] + step["reused"] == step["fringe"] * reds
+        assert step["evaluated"] + step["reused"] + step["pruned"] == step["fringe"] * reds
         assert ("merge" in step) != ("promote" in step)
         if "promote" in step:
             reds += 1
@@ -649,3 +650,53 @@ def test_learner_trace_accounts_for_every_pair(params):
     assert 1 + reds == len(model) - len(model.sink_ids())
     if params.state_count == 0:
         assert sum(step["reused"] for step in steps) > 0
+    if params == LearnParams():
+        assert sum(step["pruned"] for step in steps) > 0
+
+
+# Many corpora drawn from few distinct sequences: equal count ratios, where a
+# score term that is zero in exact arithmetic rounds slightly positive and a
+# pruned pair would tie the best, are common there.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(oracle_symbols, min_size=1, max_size=4), st.integers(1, 6)),
+        min_size=1,
+        max_size=10,
+    ),
+    st.one_of(
+        st.sampled_from([LearnParams(1, 1, 1, 0.2), LearnParams(0, 0, 0, 0.5)]),
+        st.builds(
+            LearnParams,
+            symbol_count=st.integers(min_value=0, max_value=2),
+            state_count=st.integers(min_value=0, max_value=2),
+            sink_count=st.integers(min_value=0, max_value=2),
+            alpha=st.sampled_from([0.2, 0.5, 0.9]),
+        ),
+    ),
+)
+def test_pruned_learner_matches_str_keyed_oracle_at_low_thresholds(draws, params):
+    tree = build_suffix_tree([seq for seq, copies in draws for _ in range(copies)])
+    assert learn_pdfa(tree, params).to_text() == oracle_learn_pdfa(tree, params).to_text()
+
+
+def test_pair_within_margin_of_the_best_is_never_pruned():
+    # after the seventh merge, a score term of pair (3, 54) rounds up by
+    # 3.6e-15, so its partial score dips below its final score
+    merger = _Merger(build_suffix_tree(merge_heavy_corpus(13, 120)), LearnParams(2, 3, 2, 0.2))
+
+    class Stop(Exception):
+        pass
+
+    def stop_after_seventh_merge(step):
+        if merger.merges == 7:
+            raise Stop
+
+    with pytest.raises(Stop):
+        merger.run(stop_after_seventh_merge)
+    score, reads, done = merger._evaluate(3, 54, -math.inf)
+    assert done
+    # pruned below a floor that equals its score: a tie needs the margin
+    partial, _, done = merger._evaluate(3, 54, score)
+    assert partial < score and not done
+    assert merger._evaluate(3, 54, score - merger.margin) == (score, reads, True)

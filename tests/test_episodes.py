@@ -3,11 +3,15 @@ import random
 from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alertgraphs.episodes import (
+    SYMBOL_ESCAPES,
+    TEAM_ESCAPES,
+    TSV_ESCAPES,
     EpisodeSequence,
+    Escaped,
     Symbol,
     aggregate_episodes,
     build_sequences,
@@ -15,6 +19,7 @@ from alertgraphs.episodes import (
     partition_subsequences,
     render_symbol,
     to_symbols,
+    unescape_field,
 )
 from alertgraphs.stages import AttackStage, Severity
 
@@ -275,3 +280,20 @@ class TestToSymbols:
 def test_symbol_text_round_trip():
     sym = Symbol(AttackStage.DATA_EXFILTRATION, "remoteware-cl")
     assert parse_symbol(render_symbol(sym)) == sym
+
+
+@given(st.text(max_size=8))
+@example("#t1")
+@example("a,b")
+@example("\\#x,\\c")
+@example("##\t,")
+def test_escaped_names_round_trip(name):
+    for table, kept_out in (
+        (TSV_ESCAPES, "\t\n\r"),
+        (SYMBOL_ESCAPES, "\t\n\r "),
+        (TEAM_ESCAPES, "\t\n\r,"),
+    ):
+        text = Escaped(table=table)[name]
+        assert unescape_field(text) == name
+        assert not text.startswith("#")
+        assert not set(text) & set(kept_out)

@@ -567,6 +567,30 @@ def assert_rows_match_headers(text: str) -> None:
             assert line.count("\t") == columns, line
 
 
+def test_team_names_keep_their_rows_and_the_teams_column(tmp_path):
+    # a leading "#" would read as a comment line, a comma would split a team
+    teams = ["#t1", "a,b", "\\c", "x"]
+    csv_file = tmp_path / "alerts.csv"
+    with open(csv_file, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "src_ip", "dst_ip", "dst_port", "signature", "category"])
+        for i, team in enumerate(teams):
+            privilege = "Attempted Administrator Privilege Gain"
+            writer.writerow([f"2018-11-03T10:0{i}:00+00:00", team, "v1", 22, "ET EXPLOIT x", privilege])
+            writer.writerow([f"2018-11-03T11:0{i}:00+00:00", team, "v1", 22, "Exfiltration", "x"])
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(alerts=[csv_file], out_dir=out, format="csv"))
+    stats = (out / "stats_report.tsv").read_text(encoding="utf-8")
+    assert_rows_match_headers(stats)
+    rows = [line.split("\t") for line in stats.splitlines() if not line.startswith("#")]
+    funnel = [unescape_field(row[0]) for row in rows if len(row) == 7 and row[0] != "team"]
+    ranking = [unescape_field(row[0]) for row in rows if len(row) == 8 and row[0] != "team"]
+    assert sorted(funnel) == sorted(ranking) == sorted(teams)
+    index = read_tsv(out / "attack_graph_index.tsv")
+    assert len(index) == 4
+    assert sorted(unescape_field(team) for team in index[3][7].split(",")) == sorted(teams)
+
+
 FIXTURE_PORTS = (22, 80, 445, 5653, 6667)
 
 
