@@ -11,7 +11,10 @@ and of the peak RSS (``VmHWM``, Linux only) in MB, plus the record count.
 ``learn_pdfa`` holds each learner call by the stage that made it (``learn``,
 and ``stats`` for the perplexity report's model): its seconds, and the
 rounds and the evaluated, reused and pruned pair scores summed from the
-learner's ``trace`` callback.
+learner's ``trace`` callback. ``gc_collections`` holds, per stage, the most
+cyclic garbage collections any run made while that stage ran, counted
+through ``gc.callbacks``; ``run_pipeline`` pauses the collector, so each
+should be 0.
 Exits 1 when the record or skip count of any run differs from the
 generator's ground truth. Run from anywhere:
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import multiprocessing
 import statistics
@@ -51,19 +55,26 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
 
     stage_s: dict[str, float] = {}
     learner: dict[str, dict] = {}
+    collections: dict[str, int] = {}
     running = None  # the stage being run
 
     def timed(stage, fn):
         def run(*args):
             nonlocal running
             running = stage
+            collections.setdefault(stage, 0)
             start = time.perf_counter()
             try:
                 return fn(*args)
             finally:
                 stage_s[stage] = time.perf_counter() - start
+                running = None
 
         return run
+
+    def collected(phase, info):
+        if phase == "start" and running is not None:
+            collections[running] += 1
 
     def learn_pdfa(tree, params):
         call = learner[running] = dict.fromkeys(LEARNER_COUNTS, 0)
@@ -83,9 +94,11 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
         pipeline._STAGE_FUNCS[stage] = timed(stage, fn)
     learn, pipeline.learn_pdfa = pipeline.learn_pdfa, learn_pdfa
     cfg = pipeline.PipelineConfig(alerts=[Path(alerts)], out_dir=Path(out_dir), format=fmt)
+    gc.callbacks.append(collected)
     start = time.perf_counter()
     result = pipeline.run_pipeline(cfg)
     wall_s = time.perf_counter() - start
+    gc.callbacks.remove(collected)
     stats = result.parse_stats
     return {
         "records": stats.total,
@@ -94,6 +107,7 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
         "wall_s": wall_s,
         "stage_s": stage_s,
         "learn_pdfa": learner,
+        "gc_collections": collections,
         "vmhwm_mb": peak_rss_mb(),
     }
 
@@ -153,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             for stage, call in first["learn_pdfa"].items()
         },
+        "gc_collections": {stage: max(r["gc_collections"][stage] for r in records) for stage in first["stage_s"]},
         "vmhwm_mb": _spread([r["vmhwm_mb"] for r in records]),
     }))
     wrong = [

@@ -26,13 +26,9 @@ CATCH_ALL_PATTERN = "*"
 UNKNOWN_SERVICE = "unknown"
 
 
-def parse_timestamp(value: str) -> datetime:
-    """Parse an alert timestamp into a UTC-normalized datetime.
-
-    Accepts ISO-8601 with microseconds, a ``Z`` suffix, or a ``+0000``-style
-    offset without a colon (Suricata's default). Naive timestamps are assumed
-    to be UTC.
-    """
+def _parse_normalized(value: str) -> datetime:
+    """``parse_timestamp`` by rewriting a ``Z`` or ``+0000`` offset, which
+    ``fromisoformat`` reads only from Python 3.11, as ``+00:00``."""
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -43,6 +39,40 @@ def parse_timestamp(value: str) -> datetime:
         return dt.replace(tzinfo=timezone.utc)
     # astimezone would return an already-UTC result unchanged
     return dt if dt.tzinfo is timezone.utc else dt.astimezone(timezone.utc)
+
+
+def _reads_offsets(fromisoformat) -> bool:
+    """Whether ``fromisoformat`` itself reads Suricata's ``+0000`` and a ``Z``."""
+    try:
+        fromisoformat("2000-01-01T00:00:00.000001+0000")
+        fromisoformat("2000-01-01T00:00:00Z")
+    except ValueError:
+        return False
+    return True
+
+
+def parse_timestamp(value: str) -> datetime:
+    """Parse an alert timestamp into a UTC-normalized datetime.
+
+    Accepts ISO-8601 with microseconds, a ``Z`` suffix, or a ``+0000``-style
+    offset without a colon (Suricata's default). Naive timestamps are assumed
+    to be UTC.
+
+    From Python 3.11 ``fromisoformat`` reads these forms in one C call. What
+    it rejects (surrounding whitespace, a lowercase ``z``, a non-string) goes
+    to ``_parse_normalized``, which gives the same result wherever both parse.
+    """
+    try:
+        dt = datetime.fromisoformat(value)
+    except (ValueError, TypeError):
+        return _parse_normalized(value)
+    if dt.tzinfo is None:
+        return dt.replace(tzinfo=timezone.utc)
+    return dt if dt.tzinfo is timezone.utc else dt.astimezone(timezone.utc)
+
+
+if not _reads_offsets(datetime.fromisoformat):  # before Python 3.11
+    parse_timestamp = _parse_normalized
 
 
 class RawAlert(NamedTuple):

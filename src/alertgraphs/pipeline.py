@@ -8,6 +8,7 @@ produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -162,20 +163,40 @@ def _remove_owned_outputs(out_dir: Path) -> None:
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
+    """Run the configured stages in order and return what they produced.
+
+    An ``out_dir`` that cannot be made or cleared, such as a path naming a
+    file, fails as the first stage, before anything is read.
+
+    The stages run with the cyclic garbage collector paused, and its state
+    is restored after. Every alert stays tracked (its ``AttackStage`` is),
+    so each collection would walk them all, yet records, episodes, tries
+    and graphs form no cycles: a run leaves as many cyclic objects behind
+    whatever the size of its input.
+    """
     cfg.validate()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _remove_owned_outputs(cfg.out_dir)
+    stages = STAGES[: STAGES.index(cfg.stop_after) + 1] if cfg.stop_after else STAGES
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        _remove_owned_outputs(cfg.out_dir)
+    except OSError as exc:
+        raise StageError(stages[0], exc) from exc
     result = PipelineResult(parse_stats=ParseStats())
 
-    stages = STAGES[: STAGES.index(cfg.stop_after) + 1] if cfg.stop_after else STAGES
-    for stage in stages:
-        writer = _StageWriter(cfg.out_dir)
-        try:
-            _STAGE_FUNCS[stage](cfg, result, writer)
-        except Exception as exc:
-            writer.rollback()
-            raise StageError(stage, exc) from exc
-        result.artifacts.extend(writer.written)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for stage in stages:
+            writer = _StageWriter(cfg.out_dir)
+            try:
+                _STAGE_FUNCS[stage](cfg, result, writer)
+            except Exception as exc:
+                writer.rollback()
+                raise StageError(stage, exc) from exc
+            result.artifacts.extend(writer.written)
+    finally:
+        if collecting:
+            gc.enable()
     return result
 
 

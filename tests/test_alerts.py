@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alertgraphs import alerts
 from alertgraphs.alerts import (
+    _RECORD_ERRORS,
     Alert,
     MappingConfig,
     default_mapping_config,
@@ -523,6 +526,69 @@ def test_parse_timestamp_matches_regex_oracle(value):
     assert result == outcome(oracle_parse_timestamp, value)
     if isinstance(result, datetime):
         assert result.tzinfo is timezone.utc
+
+
+def record_outcome(fn, value):
+    """``fn(value)`` with its ``tzinfo``, or ``"error"`` if it raised one of the
+    errors that skip a record."""
+    try:
+        dt = fn(value)
+    except _RECORD_ERRORS:
+        return "error"
+    return dt, dt.tzinfo
+
+
+iso_offsets = st.one_of(
+    st.sampled_from(["", "Z", "z"]),
+    st.tuples(
+        st.sampled_from("+-"),
+        st.integers(min_value=0, max_value=24),
+        st.integers(min_value=0, max_value=60),
+        st.sampled_from(["", ":", None]),  # +HHMM, +HH:MM, +HH
+    ).map(lambda t: f"{t[0]}{t[1]:02d}" + ("" if t[3] is None else f"{t[3]}{t[2]:02d}")),
+)
+
+# surrounding whitespace on about half of them, which only the normalizing
+# parser strips
+iso_spaces = st.just("") | st.sampled_from([" ", "\t", "\n"])
+iso_timestamps = st.tuples(
+    iso_spaces,
+    st.one_of(
+        st.datetimes(),
+        st.sampled_from([datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999999)]),
+    ),
+    st.sampled_from("T "),
+    st.integers(min_value=0, max_value=6),  # fractional digits
+    iso_offsets,
+    iso_spaces,
+).map(
+    lambda t: t[0]
+    + t[1].isoformat(t[2], timespec="seconds")
+    + ("." + f"{t[1].microsecond:06d}"[: t[3]] if t[3] else "")
+    + t[4]
+    + t[5]
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(iso_timestamps, offset_like_text, st.text(), st.none(), st.integers()))
+@example("0001-01-01T00:00:00+0100")  # before year 1 in UTC
+@example("9999-12-31T23:59:59-01:00")  # after year 9999 in UTC
+@example("2018-11-03T23:16:09.148520z")
+def test_parse_timestamp_matches_normalizing_parser(value):
+    assert record_outcome(parse_timestamp, value) == record_outcome(alerts._parse_normalized, value)
+
+
+def test_fast_timestamp_path_needs_offsets_read_in_c():
+    def fromisoformat_310(text):
+        if text.endswith(("Z", "+0000")):
+            raise ValueError(f"Invalid isoformat string: {text!r}")
+        return datetime.fromisoformat(text)
+
+    assert not alerts._reads_offsets(fromisoformat_310)
+    assert alerts._reads_offsets(datetime.fromisoformat) == (sys.version_info >= (3, 11))
+    if sys.version_info < (3, 11):
+        assert parse_timestamp is alerts._parse_normalized
 
 
 def oracle_text(value, name):

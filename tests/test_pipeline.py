@@ -1,9 +1,11 @@
 import csv
+import gc
 import json
 import math
 import random
+import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from util import mk_alert
 
 FIXTURE = Path(__file__).parent / "fixtures/synthetic_alerts.jsonl"
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def config(tmp_path, **kwargs):
@@ -241,6 +244,17 @@ class TestErrors:
         assert excinfo.value.stage == "ingest"
         assert "line 2: '80-'" in str(excinfo.value)
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_naming_a_file_fails_cleanly(self, tmp_path, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "out" if under else blocker
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(PipelineConfig(alerts=[FIXTURE], out_dir=out))
+        assert excinfo.value.stage == "ingest"
+        assert isinstance(excinfo.value.cause, OSError)
+        assert blocker.read_text() == "not a directory\n"
+
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             config(tmp_path, t=0.0).validate()
@@ -360,6 +374,14 @@ class TestCli:
         assert code == 1
         assert "stage 'ingest' failed" in capsys.readouterr().err
 
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        code = main(["--alerts", str(FIXTURE), "--out", str(blocker)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'ingest' failed:") and "Traceback" not in err
+
     def test_bad_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["--alerts", str(FIXTURE), "--out", str(tmp_path), "--t", "-1"])
@@ -378,6 +400,64 @@ class TestCli:
             LearnParams(alpha=0.0)
         with pytest.raises(ValueError):
             LearnParams(symbol_count=-1)
+
+
+class TestCollector:
+    @pytest.mark.parametrize("fails", [False, True])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_pauses_and_restores_the_collector(self, tmp_path, monkeypatch, enabled, fails):
+        seen = []
+
+        def learn(cfg, result, writer):
+            seen.append(gc.isenabled())
+            if fails:
+                raise RuntimeError("boom")
+            learn_stage(cfg, result, writer)
+
+        learn_stage = pipeline._STAGE_FUNCS["learn"]
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "learn", learn)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if fails:
+                with pytest.raises(StageError):
+                    run_pipeline(config(tmp_path, stop_after="learn"))
+            else:
+                run_pipeline(config(tmp_path, stop_after="learn"))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+
+    def test_cyclic_garbage_does_not_grow_with_input(self, tmp_path):
+        """With the collector off for whole runs, a run on a log three times
+        larger leaves exactly as many cyclic objects for it to free."""
+        sys.path.insert(0, str(ROOT / "bench"))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(ROOT / "bench"))
+        spec = workloads.WORKLOADS["flood"]
+        found = []
+        for victims in (spec.victims, 24):
+            text, _ = workloads.generate("flood", 0, ROOT, replace(spec, victims=victims))
+            log = tmp_path / "alerts.jsonl"
+            log.write_text(text, encoding="utf-8")
+            del text
+            was = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                result = run_pipeline(PipelineConfig(alerts=[log], out_dir=tmp_path / "out"))
+                records = result.parse_stats.total
+                del result
+                found.append((records, gc.collect()))
+            finally:
+                if was:
+                    gc.enable()
+        (small, small_cyclic), (large, large_cyclic) = found
+        assert large > 3 * small
+        assert large_cyclic == small_cyclic
 
 
 # The ingest stage as it was with frozen dataclass records, kept as an oracle:
