@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -71,8 +72,13 @@ def parse_timestamp(value: str) -> datetime:
     return dt if dt.tzinfo is timezone.utc else dt.astimezone(timezone.utc)
 
 
-if not _reads_offsets(datetime.fromisoformat):  # before Python 3.11
-    parse_timestamp = _parse_normalized
+# Before Python 3.11 the normalizing parser stands in for fromisoformat in
+# _raw_alert too: its result is UTC already, and what it rejects the fallback
+# rejects again.
+if _reads_offsets(datetime.fromisoformat):
+    _fromisoformat = datetime.fromisoformat
+else:
+    parse_timestamp = _fromisoformat = _parse_normalized
 
 
 class RawAlert(NamedTuple):
@@ -241,19 +247,27 @@ def _as_lines(source: Union[IO[bytes], IO[str], str, bytes]) -> Iterable[Union[s
     return source
 
 
-class _Checked(dict):
-    """``checked[check, type(value), value]`` is ``check(value)``, run once per key.
+class _Memo(dict):
+    """``memo[value]`` is ``check(value)``, run once per distinct value.
 
     A log repeats a few addresses, signatures, categories and ports across
-    millions of records: each distinct value is checked once per parse, and
-    every record holding it shares the object its check returned. Only values
-    that pass are stored. The type in the key keeps apart values that compare
-    equal but check differently: ``True`` is no port though ``1`` is.
+    millions of records: each distinct value of a field is checked once per
+    parse, and every record holding it shares the object its check returned.
+    Only values that pass are stored. A key is the value alone, so two values
+    that compare equal must check alike. Among JSON and CSV values, a string
+    equals only a string and ``None`` only ``None``, and equal numbers, such
+    as ``1`` and ``1.0`` or ``0`` and ``-0.0``, give one port. Only a ``bool``
+    port breaks the rule (``True == 1``, yet ``True`` is no port), so
+    ``_raw_alert`` checks a ``bool`` port without its memo.
     """
 
-    def __missing__(self, key):
-        check, _, value = key
-        checked = self[key] = check(value)
+    __slots__ = ("check",)
+
+    def __init__(self, check):
+        self.check = check
+
+    def __missing__(self, value):
+        checked = self[value] = self.check(value)
         return checked
 
 
@@ -286,51 +300,40 @@ def _port(value) -> int:
     return port
 
 
-def _raw_alert(timestamp, src_ip, dst_ip, port, signature, category, checked: _Checked) -> RawAlert:
+def _raw_alert(timestamp, src_ip, dst_ip, port, signature, category, memo) -> RawAlert:
+    """One checked record from its six field values, as ``parse_timestamp``
+    and the field checks would give it; ``memo`` holds the ``_Memo`` of the
+    addresses, ports, signatures and categories of one parse."""
+    addresses, ports, signatures, categories = memo
+    try:
+        timestamp = _fromisoformat(timestamp)
+    except (ValueError, TypeError):
+        timestamp = _parse_normalized(timestamp)
+    else:
+        tzinfo = timestamp.tzinfo
+        if tzinfo is None:
+            timestamp = timestamp.replace(tzinfo=timezone.utc)
+        elif tzinfo is not timezone.utc:
+            timestamp = timestamp.astimezone(timezone.utc)
     return _new_record(RawAlert, (
-        parse_timestamp(timestamp),
-        checked[_address, type(src_ip), src_ip],
-        checked[_address, type(dst_ip), dst_ip],
-        checked[_port, type(port), port],
-        checked[_text, type(signature), signature],
-        checked[_category, type(category), category],
+        timestamp,
+        addresses[src_ip],
+        addresses[dst_ip],
+        _port(port) if type(port) is bool else ports[port],
+        signatures[signature],
+        categories[category],
     ))
 
 
-def _raw_from_eve(record: dict, checked: _Checked) -> RawAlert | None:
-    if record.get("event_type") != "alert":
-        return None
-    alert = record["alert"]
-    return _raw_alert(
-        record["timestamp"],
-        record["src_ip"],
-        record["dest_ip"],
-        record.get("dest_port", 0),  # port-less protocols (ICMP) map to 0
-        alert["signature"],
-        alert.get("category"),
-        checked,
-    )
-
-
-def _raw_from_csv_row(row: dict, checked: _Checked) -> RawAlert:
-    # a short row holds None in its missing fields
-    return _raw_alert(
-        row["timestamp"],
-        (row["src_ip"] or "").strip(),
-        (row["dst_ip"] or "").strip(),
-        row["dst_port"],
-        row["signature"],
-        row.get("category"),
-        checked,
-    )
-
-
 # What one malformed record can raise: OverflowError from an offset that moves
-# a timestamp outside years 1-9999, RecursionError from deeply nested JSON.
-_RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
+# a timestamp outside years 1-9999, RecursionError from deeply nested JSON,
+# StopIteration from a line where no JSON value starts.
+_RECORD_ERRORS = (
+    ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError, StopIteration
+)
 
-# the decoder and whitespace of json.loads, without its Python wrapper
-_decode_json = json.JSONDecoder().raw_decode
+# the C scanner that json.loads runs, called without its Python wrappers
+_scan_json = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = " \t\n\r"
 
 
@@ -348,31 +351,42 @@ def parse_alerts(
     anything else there, a BOM included. No value begins or ends with such
     whitespace, so stripping it and requiring the value to reach the end of
     the stripped line accepts the same lines; other whitespace, such as a
-    form feed or U+0085, stays in the line and rejects it either way.
+    form feed or U+0085, stays in the line and rejects it either way. The
+    scanner raises ``StopIteration`` where no value starts, which skips the
+    record; this function is no generator, so that exception stays itself.
+
+    A CSV log drops one BOM (U+FEFF) before its header, from text or bytes.
     """
-    stats = ParseStats()
     alerts: list[RawAlert] = []
-    checked = _Checked()
+    total = skipped = 0
+    memo = _Memo(_address), _Memo(_port), _Memo(_text), _Memo(_category)
     if format == "eve-json":
         for line in _as_lines(source):
             if not line.strip():
                 continue
-            stats.total += 1
+            total += 1
             try:
                 if isinstance(line, bytes):
                     line = line.decode("utf-8")  # a bad byte skips this record only
                 text = line.strip(_JSON_WHITESPACE)
-                record, end = _decode_json(text)
+                record, end = _scan_json(text, 0)
                 if end != len(text):
                     raise ValueError("extra data after the JSON value")
-                raw = _raw_from_eve(record, checked)
+                if record.get("event_type") == "alert":
+                    alert = record["alert"]
+                    alerts.append(_raw_alert(
+                        record["timestamp"],
+                        record["src_ip"],
+                        record["dest_ip"],
+                        record.get("dest_port", 0),  # port-less protocols (ICMP) map to 0
+                        alert["signature"],
+                        alert.get("category"),
+                        memo,
+                    ))
+                    continue
             except _RECORD_ERRORS:
-                raw = None
-            if raw is None:
-                stats.skipped += 1
-            else:
-                alerts.append(raw)
-                stats.parsed += 1
+                pass
+            skipped += 1  # a malformed record or another event type
     elif format == "csv":
         lines = _as_lines(source)
         if isinstance(lines.read(0), bytes):
@@ -381,7 +395,8 @@ def parse_alerts(
             lines = io.TextIOWrapper(
                 lines, encoding="utf-8", errors="surrogateescape", newline="\n"
             )
-        rows = csv.DictReader(lines)
+        header = next(lines, "").removeprefix("\ufeff")
+        rows = csv.DictReader(itertools.chain((header,), lines))
         try:
             # the first line is the header whatever it holds; one the reader
             # cannot read, or with a name that is not UTF-8 text, names no
@@ -398,20 +413,26 @@ def parse_alerts(
                 # an oversized field, a carriage return in an unquoted field, or
                 # a NUL byte before Python 3.11: the reader drops this row and
                 # resumes at the next line
-                stats.total += 1
-                stats.skipped += 1
+                total += 1
+                skipped += 1
                 continue
-            stats.total += 1
+            total += 1
             try:
-                raw = _raw_from_csv_row(row, checked)
+                # a short row holds None in its missing fields
+                alerts.append(_raw_alert(
+                    row["timestamp"],
+                    (row["src_ip"] or "").strip(),
+                    (row["dst_ip"] or "").strip(),
+                    row["dst_port"],
+                    row["signature"],
+                    row.get("category"),
+                    memo,
+                ))
             except _RECORD_ERRORS:
-                stats.skipped += 1
-            else:
-                alerts.append(raw)
-                stats.parsed += 1
+                skipped += 1
     else:
         raise ValueError(f"unknown alert format: {format!r}")
-    return alerts, stats
+    return alerts, ParseStats(total, total - skipped, skipped)
 
 
 def map_alert(raw: RawAlert, cfg: MappingConfig) -> Alert:

@@ -144,12 +144,14 @@ class _StageWriter:
 
 
 def _load_mapping(cfg: PipelineConfig) -> MappingConfig:
+    # "utf-8-sig" drops a leading BOM, which would otherwise stay in the first
+    # rule's pattern or the registry's first column name
     mapping = alerts_mod.default_mapping_config()
     if cfg.sig_map is not None:
-        with open(cfg.sig_map, encoding="utf-8") as fh:
+        with open(cfg.sig_map, encoding="utf-8-sig") as fh:
             mapping.signature_rules = alerts_mod.load_signature_rules(fh)
     if cfg.port_map is not None:
-        with open(cfg.port_map, encoding="utf-8") as fh:
+        with open(cfg.port_map, encoding="utf-8-sig") as fh:
             mapping.port_service = alerts_mod.load_port_services(fh)
     return mapping
 

@@ -28,6 +28,7 @@ from alertgraphs.alerts import (
 )
 from alertgraphs.stages import AttackStage, Severity
 
+from alerts_oracle import oracle_parse_alerts
 from util import mk_alert, ts
 
 
@@ -680,10 +681,114 @@ eve_texts = eve_texts | st.tuples(line_edges, eve_texts, line_edges | trailing_d
 @settings(max_examples=300)
 @given(st.lists(eve_texts, max_size=8))
 @example([edge_record("1", None), edge_record("true", None)])
+@example(["\ufeff" + edge_record("1", None), edge_record("1", None)])  # a BOM, as json.loads rejects it
 def test_eve_parse_matches_oracle(lines):
     text = "\n".join(lines)
     for source in (text, text.encode("utf-8")):
         assert parse_alerts(source) == oracle_parse_eve(source)
+
+
+# every kind of line the parser meets: arbitrary bytes, EVE records with any
+# field mistyped, and the edge records above with their surroundings
+eve_byte_lines = st.binary(max_size=120) | eve_records | eve_texts.map(str.encode)
+
+
+@settings(max_examples=300)
+@given(st.lists(eve_byte_lines, max_size=10))
+def test_eve_parse_matches_record_path_oracle(lines):
+    data = b"\n".join(lines)
+    sources = [data]
+    try:
+        sources.append(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        pass
+    for source in sources:
+        assert parse_alerts(source) == oracle_parse_alerts(source)
+
+
+# rows whose port or category another row's equals in a different form
+csv_edge_rows = st.sampled_from(["1", "1.0", "01", " 1", "true", "0", "-0", ""]).map(
+    lambda port: CSV_ROW.replace(",22,", f",{port},")
+) | st.sampled_from([CSV_ROW.replace(",Misc", ""), CSV_ROW.replace(",Misc", ",")])
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(["", "\ufeff", "\ufeff\ufeff"]),
+    st.sampled_from(["", CSV_HEADER, CSV_HEADER.replace("timestamp", '"timestamp"')]),
+    st.lists(csv_text | st.just(CSV_ROW) | csv_edge_rows, max_size=10),
+)
+def test_csv_parse_matches_record_path_oracle(bom, header, chunks):
+    text = bom + header + "".join(chunks)
+    # a lone surrogate drawn as a character becomes bytes that are not UTF-8
+    for source in (text, text.encode("utf-8", "surrogatepass")):
+        assert parse_alerts(source, format="csv") == oracle_parse_alerts(source, format="csv")
+
+
+def without_category():
+    record = json.loads(eve_line())
+    del record["alert"]["category"]
+    return json.dumps(record)
+
+
+# Values one field takes that compare equal, paired with the port or category
+# each gives, or None where the record is skipped. A bool is equal to 1 or 0
+# yet no port, so it must not find their memo entry.
+MEMO_COLLISIONS = [
+    (eve_with("dest_port", 1), 1),
+    (eve_with("dest_port", 1.0), 1),
+    (eve_with("dest_port", "1"), 1),
+    (eve_with("dest_port", True), None),
+    (eve_with("dest_port", 0), 0),
+    (eve_with("dest_port", False), None),
+    (eve_with("dest_port", -0.0), 0),
+    (eve_with("category", None), ""),
+    (without_category(), ""),
+    (eve_with("category", ""), ""),
+    (eve_with("src_ip", ""), None),
+]
+
+
+def assert_collisions_parse(collisions):
+    """One log of ``collisions``, each line stamped with its position."""
+    lines = []
+    for second, (line, _) in enumerate(collisions):
+        record = json.loads(line)
+        record["timestamp"] = f"2018-11-03T10:00:{second:02d}.000000+0000"
+        lines.append(json.dumps(record))
+    text = "\n".join(lines)
+    parsed, stats = parse_alerts(text)
+    assert (parsed, stats) == oracle_parse_alerts(text)
+    kept = [(second, expected) for second, (_, expected) in enumerate(collisions) if expected is not None]
+    assert [a.timestamp.second for a in parsed] == [second for second, _ in kept]
+    for alert, (_, expected) in zip(parsed, kept):
+        field = alert.category if isinstance(expected, str) else alert.dst_port
+        assert field == expected and type(field) is type(expected)
+    assert (stats.total, stats.parsed) == (len(collisions), len(kept))
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_memo_keeps_colliding_values_apart(order):
+    assert_collisions_parse(MEMO_COLLISIONS[::order])
+
+
+@given(st.permutations(MEMO_COLLISIONS))
+def test_bool_port_skipped_wherever_it_appears(collisions):
+    assert_collisions_parse(collisions)
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize(
+        "wrap",
+        [str, str.encode, io.StringIO, lambda text: io.BytesIO(text.encode())],
+        ids=["text", "bytes", "text-stream", "byte-stream"],
+    )
+    def test_csv_log_drops_one_bom(self, wrap):
+        alerts, stats = parse_alerts(wrap("\ufeff" + CSV_HEADER + CSV_ROW), format="csv")
+        assert (stats.total, stats.parsed, stats.skipped) == (1, 1, 0)
+        assert alerts[0].timestamp == parse_timestamp("2018-11-03T10:00:00+00:00")
+        alerts, stats = parse_alerts(wrap("\ufeff\ufeff" + CSV_HEADER + CSV_ROW), format="csv")
+        assert (stats.total, stats.parsed, stats.skipped) == (1, 0, 1)
 
 
 @given(valid_timestamps)

@@ -349,6 +349,35 @@ class TestCustomMappings:
         assert alert.stage.value == "VULN_DISC"
         assert alert.service == "myssh"
 
+    def test_bom_before_rules_ports_and_csv_log_is_dropped(self, tmp_path):
+        # each file starts with a BOM, as a spreadsheet export may write it
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("\ufeffET SCAN\tVULN_DISC\n*\tSURFING\n", encoding="utf-8")
+        ports = tmp_path / "ports.csv"
+        ports.write_text(
+            "\ufeffService Name,Port Number,Transport Protocol,Description\n"
+            "myssh,22,tcp,custom\n",
+            encoding="utf-8",
+        )
+        csv_file = tmp_path / "alerts.csv"
+        csv_file.write_text(
+            "\ufefftimestamp,src_ip,dst_ip,dst_port,signature,category\n"
+            "2018-11-03T10:00:00+00:00,t1,v1,22,ET SCAN Nmap,x\n",
+            encoding="utf-8",
+        )
+        cfg = PipelineConfig(
+            alerts=[csv_file],
+            out_dir=tmp_path / "out",
+            format="csv",
+            sig_map=rules,
+            port_map=ports,
+        )
+        result = run_pipeline(cfg)
+        assert result.parse_stats.parsed == 1
+        alert = result.mapped_alerts[0]
+        assert alert.stage.value == "VULN_DISC"
+        assert alert.service == "myssh"
+
 
 class TestCli:
     def test_success_exit_zero(self, tmp_path, capsys):
