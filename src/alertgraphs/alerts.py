@@ -119,7 +119,7 @@ class ParseStats:
     skipped: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class MappingConfig:
     """Ordered signature rules plus a port->service registry.
 
@@ -127,45 +127,34 @@ class MappingConfig:
     (case-insensitively) in the alert signature or category wins. The
     pattern ``*`` matches everything and acts as the mandatory catch-all.
 
-    ``signature_rules`` is stored as a tuple whatever sequence is assigned,
-    so an in-place edit such as ``append`` fails instead of going unseen.
-    ``stage_for`` remembers its answer for each ``(signature, category)``
-    pair it has seen; assigning ``signature_rules`` forgets them all and
-    lowercases the patterns once.
+    A config is frozen, and ``signature_rules`` is stored as a tuple, so the
+    rules cannot change under the memo of ``stage_for``, which keeps the
+    stage of each ``(signature, category)`` pair it has seen;
+    ``dataclasses.replace`` makes a changed copy with a memo of its own.
     """
 
     signature_rules: tuple[tuple[str, AttackStage], ...] = ()
     port_service: dict[int, str] = field(default_factory=dict)
-    _stages: dict[tuple[str, str], AttackStage] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _lowered: tuple[tuple[str, AttackStage], ...] = field(init=False, repr=False, compare=False)
+    _stages: _Memo = field(init=False, repr=False, compare=False)
 
-    def __setattr__(self, name: str, value) -> None:
-        if name == "signature_rules":
-            value = tuple(value)
-            object.__setattr__(self, "_stages", {})
-            # the catch-all becomes the empty pattern, which every haystack contains
-            lowered = tuple(
-                ("" if pattern == CATCH_ALL_PATTERN else pattern.lower(), stage)
-                for pattern, stage in value
-            )
-            object.__setattr__(self, "_lowered", lowered)
-        object.__setattr__(self, name, value)
+    def __post_init__(self) -> None:
+        rules = tuple(self.signature_rules)
+        # the catch-all becomes the empty pattern, which every haystack contains
+        lowered = [("" if pattern == CATCH_ALL_PATTERN else pattern.lower(), stage)
+                   for pattern, stage in rules]
+
+        def scan(key: tuple[str, str]) -> AttackStage:
+            haystack = "\n".join(key).lower()
+            for pattern, stage in lowered:
+                if pattern in haystack:
+                    return stage
+            raise ValueError("mapping config has no catch-all rule")
+
+        object.__setattr__(self, "signature_rules", rules)
+        object.__setattr__(self, "_stages", _Memo(scan))
 
     def stage_for(self, signature: str, category: str = "") -> AttackStage:
-        key = (signature, category)
-        stage = self._stages.get(key)
-        if stage is None:
-            stage = self._stages[key] = self._scan(signature, category)
-        return stage
-
-    def _scan(self, signature: str, category: str) -> AttackStage:
-        haystack = (signature + "\n" + category).lower()
-        for pattern, stage in self._lowered:
-            if pattern in haystack:
-                return stage
-        raise ValueError("mapping config has no catch-all rule")
+        return self._stages[signature, category]
 
     def service_for(self, port: int) -> str:
         return self.port_service.get(port, UNKNOWN_SERVICE)
@@ -258,7 +247,9 @@ class _Memo(dict):
     equals only a string and ``None`` only ``None``, and equal numbers, such
     as ``1`` and ``1.0`` or ``0`` and ``-0.0``, give one port. Only a ``bool``
     port breaks the rule (``True == 1``, yet ``True`` is no port), so
-    ``_raw_alert`` checks a ``bool`` port without its memo.
+    ``_raw_alert`` checks a ``bool`` port without its memo. A
+    ``MappingConfig`` keeps one more, of the stage of each ``(signature,
+    category)`` pair.
     """
 
     __slots__ = ("check",)
@@ -391,10 +382,10 @@ def parse_alerts(
         lines = _as_lines(source)
         if isinstance(lines.read(0), bytes):
             # an undecodable byte becomes a lone surrogate, which skips its row;
-            # records split on "\n" only, as they do in text input
-            lines = io.TextIOWrapper(
-                lines, encoding="utf-8", errors="surrogateescape", newline="\n"
-            )
+            # records split on "\n" only, as they do in text input. No UTF-8
+            # sequence holds that byte, so each line decodes alone, and no
+            # wrapper is left to close the caller's stream when it is freed
+            lines = (line.decode("utf-8", "surrogateescape") for line in lines)
         header = next(lines, "").removeprefix("\ufeff")
         rows = csv.DictReader(itertools.chain((header,), lines))
         try:
@@ -438,9 +429,7 @@ def parse_alerts(
 def map_alert(raw: RawAlert, cfg: MappingConfig) -> Alert:
     """Assign the attack stage and targeted service to one raw alert."""
     timestamp, src_ip, dst_ip, dst_port, signature, category = raw
-    stage = cfg._stages.get((signature, category))
-    if stage is None:
-        stage = cfg.stage_for(signature, category)
+    stage = cfg._stages[signature, category]
     service = cfg.port_service.get(dst_port, UNKNOWN_SERVICE)
     return _new_record(Alert, (timestamp, src_ip, dst_ip, stage, service))
 

@@ -11,32 +11,34 @@ from .pipeline import STAGES, PipelineConfig, StageError, run_pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every default is read from PipelineConfig or LearnParams (None where none is set)
     parser = argparse.ArgumentParser(
         prog="alertgraphs",
         description="Transform raw IDS alerts into per-victim, per-objective attack graphs.",
     )
     parser.add_argument("--alerts", nargs="+", required=True, type=Path, metavar="PATH",
                         help="alert log file(s)")
-    parser.add_argument("--format", choices=("eve-json", "csv"), default="eve-json")
-    parser.add_argument("--sig-map", type=Path, default=None, metavar="PATH",
+    parser.add_argument("--format", choices=("eve-json", "csv"), default=PipelineConfig.format)
+    parser.add_argument("--sig-map", type=Path, metavar="PATH",
                         help="signature rule file (PATTERN<TAB>STAGE per line)")
-    parser.add_argument("--port-map", type=Path, default=None, metavar="PATH",
+    parser.add_argument("--port-map", type=Path, metavar="PATH",
                         help="IANA-format service-names CSV")
-    parser.add_argument("--t", type=float, default=1.0, metavar="SECS",
-                        help="duplicate-suppression window (default 1.0)")
-    parser.add_argument("--w", type=float, default=150.0, metavar="SECS",
-                        help="episode aggregation window (default 150)")
-    parser.add_argument("--symbol-count", type=int, default=5, metavar="N")
-    parser.add_argument("--state-count", type=int, default=5, metavar="N")
-    parser.add_argument("--sink-count", type=int, default=5, metavar="N")
-    parser.add_argument("--alpha", type=float, default=0.05, metavar="F",
-                        help="significance level of the merge test (default 0.05)")
-    parser.add_argument("--split", type=float, default=0.8, metavar="F",
-                        help="train fraction for the perplexity report (default 0.8)")
-    parser.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for the train/test shuffle (default 0)")
+    parser.add_argument("--t", type=float, default=PipelineConfig.t, metavar="SECS",
+                        help="duplicate-suppression window (default %(default)s)")
+    parser.add_argument("--w", type=float, default=PipelineConfig.w, metavar="SECS",
+                        help="episode aggregation window (default %(default)s)")
+    for name in ("symbol_count", "state_count", "sink_count"):
+        parser.add_argument("--" + name.replace("_", "-"), type=int, metavar="N",
+                            default=getattr(LearnParams, name),
+                            help="merge-test threshold (default %(default)s)")
+    parser.add_argument("--alpha", type=float, default=LearnParams.alpha, metavar="F",
+                        help="significance level of the merge test (default %(default)s)")
+    parser.add_argument("--split", type=float, default=PipelineConfig.split, metavar="F",
+                        help="train fraction for the perplexity report (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=PipelineConfig.seed, metavar="N",
+                        help="seed for the train/test shuffle (default %(default)s)")
     parser.add_argument("--out", required=True, type=Path, metavar="DIR")
-    parser.add_argument("--stop-after", choices=STAGES, default=None)
+    parser.add_argument("--stop-after", choices=STAGES)
     return parser
 
 
@@ -66,7 +68,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        cfg.validate()
     except ValueError as exc:
         parser.error(str(exc))
     try:

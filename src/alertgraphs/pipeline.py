@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -82,7 +82,7 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     alerts: list[Path]
     out_dir: Path
@@ -91,12 +91,13 @@ class PipelineConfig:
     port_map: Path | None = None
     t: float = 1.0
     w: float = 150.0
-    learn: LearnParams = field(default_factory=LearnParams)
+    learn: LearnParams = LearnParams()
     split: float = 0.8
     seed: int = 0
     stop_after: str | None = None
 
-    def validate(self) -> None:
+    # checked when built, so every config that exists is valid
+    def __post_init__(self) -> None:
         # written so that NaN, which compares false with everything, is rejected
         if not self.t > 0:
             raise ValueError("t must be > 0")
@@ -146,14 +147,14 @@ class _StageWriter:
 def _load_mapping(cfg: PipelineConfig) -> MappingConfig:
     # "utf-8-sig" drops a leading BOM, which would otherwise stay in the first
     # rule's pattern or the registry's first column name
-    mapping = alerts_mod.default_mapping_config()
+    changes = {}
     if cfg.sig_map is not None:
         with open(cfg.sig_map, encoding="utf-8-sig") as fh:
-            mapping.signature_rules = alerts_mod.load_signature_rules(fh)
+            changes["signature_rules"] = alerts_mod.load_signature_rules(fh)
     if cfg.port_map is not None:
         with open(cfg.port_map, encoding="utf-8-sig") as fh:
-            mapping.port_service = alerts_mod.load_port_services(fh)
-    return mapping
+            changes["port_service"] = alerts_mod.load_port_services(fh)
+    return replace(alerts_mod.default_mapping_config(), **changes)
 
 
 def _remove_owned_outputs(out_dir: Path) -> None:
@@ -176,7 +177,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     and graphs form no cycles: a run leaves as many cyclic objects behind
     whatever the size of its input.
     """
-    cfg.validate()
     stages = STAGES[: STAGES.index(cfg.stop_after) + 1] if cfg.stop_after else STAGES
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -225,7 +225,7 @@ def _stage_episodes(cfg: PipelineConfig, result: PipelineResult, writer: _StageW
     for alert in result.filtered_alerts:
         by_pair.setdefault(alert[1:3], []).append(alert)  # by (attacker, victim)
     episodes_by_pair = {
-        pair: aggregate_episodes(pair_alerts, cfg.w) for pair, pair_alerts in sorted(by_pair.items())
+        pair: aggregate_episodes(pair_alerts, cfg.w) for pair, pair_alerts in by_pair.items()
     }
     result.sequences = build_sequences(episodes_by_pair)
     result.subsequences = [
@@ -284,11 +284,10 @@ def _stage_graphs(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
 
 def _stage_stats(cfg: PipelineConfig, result: PipelineResult, writer: _StageWriter) -> None:
     ags = [ag for _, ag in result.ags]
-    all_episodes = [ep for es in result.sequences for ep in es.episodes]
     team_stats = analytics.workload_stats(
         result.mapped_alerts,
         result.filtered_alerts,
-        all_episodes,
+        (ep for es in result.sequences for ep in es.episodes),
         result.sequences,
         result.subsequences,
         ags,

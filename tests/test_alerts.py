@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -259,6 +260,22 @@ class TestCsvRows:
         alerts, stats = parse_alerts(wrap(text), format="csv")
         assert (stats.total, stats.parsed, stats.skipped) == (3, 0, 3)
         assert alerts == []
+
+    @pytest.mark.parametrize(
+        "format, text",
+        [
+            ("eve-json", eve_line() + "\n"),
+            ("csv", CSV_HEADER + CSV_ROW),
+            ("csv", "timestamp\r,x\n" + CSV_ROW),  # a header the reader cannot read
+        ],
+        ids=["eve-json", "csv", "csv-unreadable-header"],
+    )
+    def test_byte_stream_left_open(self, format, text):
+        fh = io.BytesIO(text.encode())
+        parse_alerts(fh, format=format)
+        assert not fh.closed
+        fh.seek(0)
+        assert fh.read() == text.encode()
 
     def test_unreadable_row_skipped_from_bytes(self):
         data = CSV_HEADER + CSV_ROW + CSV_ROW.replace("ET SCAN Nmap", "x" * 200_000) + CSV_ROW
@@ -859,8 +876,17 @@ class TestMapping:
             cfg.signature_rules.append(("exploit", AttackStage.PRIV_ESC))
         with pytest.raises(TypeError):
             cfg.signature_rules[0] = ("exploit", AttackStage.PRIV_ESC)
-        cfg.signature_rules = rules
-        assert cfg.stage_for("Exploit attempt") == AttackStage.PRIV_ESC
+        with pytest.raises(FrozenInstanceError):
+            cfg.signature_rules = rules
+        changed = replace(cfg, signature_rules=rules)
+        assert changed.stage_for("Exploit attempt") == AttackStage.PRIV_ESC
+        assert cfg.stage_for("Exploit attempt") == AttackStage.SURFING
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(MappingConfig)])
+    def test_fields_cannot_be_assigned(self, name):
+        cfg = default_mapping_config()
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
 
     def test_load_signature_rules_appends_catch_all(self):
         rules = load_signature_rules(["# comment", "scan\tSERVICE_DISC", ""])
@@ -919,7 +945,7 @@ lookups = st.lists(
 def test_memoized_stage_for_matches_scan(first_rules, second_rules, before, after):
     cfg = MappingConfig(signature_rules=first_rules)
     for rules, pairs in ((first_rules, before), (second_rules, before + after)):
-        cfg.signature_rules = rules
+        cfg = replace(cfg, signature_rules=rules)  # a fresh memo: no answer carries over
         for signature, category in pairs + pairs:  # every pair is looked up again
             expected = outcome(oracle_stage_for, rules, signature, category)
             assert outcome(cfg.stage_for, signature, category) == expected

@@ -5,7 +5,7 @@ import math
 import random
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from alertgraphs import pipeline
 from alertgraphs.alerts import Alert, ParseStats, parse_alerts
 from alertgraphs.automaton import LearnParams
-from alertgraphs.cli import main
+from alertgraphs.cli import build_parser, config_from_args, main
 from alertgraphs.episodes import parse_symbol, unescape_field
 from alertgraphs.pipeline import PipelineConfig, PipelineResult, StageError, run_pipeline
 from alertgraphs.stages import AttackStage
@@ -256,16 +256,25 @@ class TestErrors:
         assert blocker.read_text() == "not a directory\n"
 
     def test_config_validation(self, tmp_path):
+        # checked when built: a config that exists is valid
         with pytest.raises(ValueError):
-            config(tmp_path, t=0.0).validate()
+            config(tmp_path, t=0.0)
         for window in ("t", "w"):
             with pytest.raises(ValueError):
-                config(tmp_path, **{window: math.nan}).validate()
-            config(tmp_path, **{window: math.inf}).validate()
+                config(tmp_path, **{window: math.nan})
+            config(tmp_path, **{window: math.inf})
         with pytest.raises(ValueError):
-            config(tmp_path, split=1.5).validate()
+            config(tmp_path, split=1.5)
         with pytest.raises(ValueError):
-            config(tmp_path, stop_after="nonsense").validate()
+            config(tmp_path, stop_after="nonsense")
+        with pytest.raises(ValueError):
+            config(tmp_path, format="xml")
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
+    def test_config_fields_cannot_be_assigned(self, tmp_path, name):
+        cfg = config(tmp_path)
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
 
 
 class TestEmptyInput:
@@ -423,6 +432,10 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_defaults_are_the_configs(self):
+        args = build_parser().parse_args(["--alerts", "X", "--out", "Y"])
+        assert config_from_args(args) == PipelineConfig(alerts=[Path("X")], out_dir=Path("Y"))
 
     def test_config_learn_params(self):
         with pytest.raises(ValueError):
