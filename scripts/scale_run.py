@@ -15,12 +15,16 @@ learner's ``trace`` callback. ``gc_collections`` holds, per stage, the most
 cyclic garbage collections any run made while that stage ran, counted
 through ``gc.callbacks``; ``run_pipeline`` pauses the collector, so each
 should be 0.
+``--json PATH`` also writes that record to ``PATH``, with the commit of the
+checkout, the Python version, ``nproc`` and ``PYTHONDONTWRITEBYTECODE``
+(null when unset), which change what a run costs.
 Exits 1 when the record or skip count of any run differs from the
 generator's ground truth. Run from anywhere:
 
     python3 scripts/scale_run.py --workload flood                           # ~70k records
     python3 scripts/scale_run.py --workload flood --victims 24 --runs 3     # ~210k records
     python3 scripts/scale_run.py --workload flood --teams 40 --victims 24   # ~2.08M records
+    python3 scripts/scale_run.py --workload campaign --json BENCH_campaign.json
 
 Generating the largest log takes about 2.4 GB in this script's own process.
 """
@@ -32,7 +36,10 @@ import dataclasses
 import gc
 import json
 import multiprocessing
+import os
+import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -120,6 +127,17 @@ def _spread(values: list[float]) -> dict:
     }
 
 
+def _commit() -> str | None:
+    """HEAD of the checkout this script is in, or None outside a git checkout."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(ROOT.parent))
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), default="flood")
@@ -127,6 +145,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--victims", type=int, help="victims per team (default: the workload's)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--runs", type=int, default=1, help="pipeline runs, each in a fresh process")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write the record, with the commit and host facts, to PATH")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
@@ -150,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
             with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
                 records.append(pool.submit(_run, str(log), spec.format, str(Path(tmp) / "out")).result())
     first = records[0]
-    print(json.dumps({
+    record = {
         "workload": args.workload,
         "seed": args.seed,
         "teams": spec.teams,
@@ -169,7 +189,16 @@ def main(argv: list[str] | None = None) -> int:
         },
         "gc_collections": {stage: max(r["gc_collections"][stage] for r in records) for stage in first["stage_s"]},
         "vmhwm_mb": _spread([r["vmhwm_mb"] for r in records]),
-    }))
+    }
+    print(json.dumps(record))
+    if args.json is not None:
+        args.json.write_text(json.dumps({
+            **record,
+            "commit": _commit(),
+            "python": platform.python_version(),
+            "nproc": len(os.sched_getaffinity(0)),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        }, indent=2) + "\n", encoding="utf-8")
     wrong = [
         f"run {i + 1}: {key}"
         for i, record in enumerate(records)

@@ -13,11 +13,12 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import islice
+from functools import partial
+from itertools import accumulate, chain, compress, count, islice
 from operator import gt, itemgetter, sub
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .alerts import Alert
+from .alerts import Alert, _new_record, least_gap
 from .stages import AttackStage, Severity
 
 Pair = tuple[str, str]  # (attacker, victim)
@@ -71,8 +72,13 @@ def unescape_field(field: str) -> str:
     return _ESCAPED.sub(lambda m: _UNESCAPES[m[1]], field)
 
 
-@dataclass(frozen=True, slots=True)
-class Episode:
+class Episode(NamedTuple):
+    """One burst of same-stage alerts of one (attacker, victim) pair.
+
+    A named tuple, as an alert record is: built by ``tuple.__new__`` in C,
+    indexable, and equal to a plain tuple of its fields.
+    """
+
     st: datetime
     et: datetime
     stage: AttackStage
@@ -104,17 +110,29 @@ class EpisodeSubSequence:
     episodes: list[Episode]
 
 
+# per stage, what the episode order reads of it: its severity and acronym
+_STAGE_ORDER = {stage: (stage.severity, stage.value) for stage in AttackStage}
+
+
 def _episode_order(episode: Episode):
-    return (episode.st, episode.severity, episode.service, episode.stage.value)
+    """(start, severity, service, stage acronym): a total order, as one
+    stage's episodes of one pair never start at the same instant."""
+    severity, acronym = _STAGE_ORDER[episode[2]]
+    return (episode[0], severity, episode[3], acronym)
 
 
-def _mode_service(services: Iterable[str]) -> str:
-    # ties broken by lexicographically smallest service
+def _mode_service(services: list[str]) -> str:
+    """The most frequent service, ties broken by the lexicographically smallest."""
+    first = services[0]
+    if services.count(first) == len(services):
+        return first
     counts = Counter(services)
     return min(counts, key=lambda s: (-counts[s], s))
 
 
 _TIMESTAMP, _PAIR, _SERVICE = itemgetter(0), itemgetter(1, 2), itemgetter(4)  # of an Alert
+_STAGE, _STAGE_SERVICE = itemgetter(2), itemgetter(2, 3)  # of an Episode
+_new_symbol = partial(_new_record, Symbol)  # from a (stage, service) tuple
 
 
 def aggregate_episodes(alerts: list[Alert], w: float = 150.0) -> list[Episode]:
@@ -136,37 +154,39 @@ def aggregate_episodes(alerts: list[Alert], w: float = 150.0) -> list[Episode]:
     if len(pairs) != 1:
         raise ValueError(f"alerts span multiple (attacker, victim) pairs: {sorted(pairs)}")
     attacker, victim = pairs.pop()
-    times = list(map(_TIMESTAMP, alerts))
-    if any(map(gt, times, islice(times, 1, None))):
+    if any(map(gt, map(_TIMESTAMP, alerts), map(_TIMESTAMP, islice(alerts, 1, None)))):
         raise ValueError("alerts must be sorted by timestamp ascending")
+    # a gap splits a run exactly when it reaches limit: see least_gap
+    limit = least_gap(gt, w)
 
     by_stage: dict[AttackStage, list[Alert]] = defaultdict(list)
     for alert in alerts:
         by_stage[alert[3]].append(alert)  # by stage
+    # the stages' alerts one after the other: a run ends where its stage's
+    # alerts end, or at a gap that reaches the limit, found in C
+    groups = by_stage.values()
+    grouped = list(chain.from_iterable(groups))
+    times = list(map(_TIMESTAMP, grouped))
+    services = list(map(_SERVICE, grouped))
+    ends = set(accumulate(map(len, groups)))
+    if limit is not None:
+        ends.update(compress(count(1), map(limit.__le__, map(sub, islice(times, 1, None), times))))
 
     episodes = []
-    for stage, group in by_stage.items():
-        times = list(map(_TIMESTAMP, group))
-        start = 0  # of the current run
-        for end, gap in enumerate(map(sub, islice(times, 1, None), times), 1):
-            if gap.total_seconds() > w:
-                episodes.append(_make_episode(group[start:end], stage, attacker, victim))
-                start = end
-        episodes.append(_make_episode(group[start:], stage, attacker, victim))
+    start = 0  # of the current run
+    for end in sorted(ends):
+        episodes.append(_new_record(Episode, (
+            times[start],
+            times[end - 1],
+            grouped[start][3],  # the run's stage
+            _mode_service(services[start:end]),
+            end - start,
+            attacker,
+            victim,
+        )))
+        start = end
     episodes.sort(key=_episode_order)
     return episodes
-
-
-def _make_episode(run: list[Alert], stage: AttackStage, attacker: str, victim: str) -> Episode:
-    return Episode(
-        st=run[0].timestamp,
-        et=run[-1].timestamp,
-        stage=stage,
-        service=_mode_service(map(_SERVICE, run)),
-        alert_count=len(run),
-        attacker=attacker,
-        victim=victim,
-    )
 
 
 def build_sequences(episodes_by_pair: Mapping[Pair, list[Episode]]) -> list[EpisodeSequence]:
@@ -189,6 +209,11 @@ def build_sequences(episodes_by_pair: Mapping[Pair, list[Episode]]) -> list[Epis
     return sequences
 
 
+# one letter per stage, by severity: an attempt ends at each "HL" in a sequence
+_SEVERITY_LETTER = {stage: "LMH"[stage.severity] for stage in AttackStage}
+_NEW_ATTEMPT = re.compile("HL")
+
+
 def partition_subsequences(es: EpisodeSequence) -> list[EpisodeSubSequence]:
     """Cut an episode sequence into attack attempts.
 
@@ -196,16 +221,15 @@ def partition_subsequences(es: EpisodeSequence) -> list[EpisodeSubSequence]:
     High severity and episode i+1 has Low severity; concatenating the
     resulting slices reproduces the input sequence.
     """
-    if not es.episodes:
+    episodes = es.episodes
+    if not episodes:
         raise ValueError("episode sequence is empty")
-    slices: list[list[Episode]] = [[es.episodes[0]]]
-    for prev, cur in zip(es.episodes, es.episodes[1:]):
-        if prev.severity == Severity.HIGH and cur.severity == Severity.LOW:
-            slices.append([])
-        slices[-1].append(cur)
+    letters = "".join(map(_SEVERITY_LETTER.__getitem__, map(_STAGE, episodes)))
+    bounds = [0, *[match.end() - 1 for match in _NEW_ATTEMPT.finditer(letters)], len(episodes)]
+    parent = (es.attacker, es.victim)
     return [
-        EpisodeSubSequence(parent=(es.attacker, es.victim), index=i, episodes=chunk)
-        for i, chunk in enumerate(slices)
+        EpisodeSubSequence(parent=parent, index=i, episodes=episodes[start:end])
+        for i, (start, end) in enumerate(zip(bounds, bounds[1:]))
     ]
 
 
@@ -213,27 +237,26 @@ def to_symbols(ess: EpisodeSubSequence) -> list[Symbol]:
     """Project a sub-sequence onto its (stage, service) symbols, order preserved."""
     if not ess.episodes:
         raise ValueError("episode sub-sequence is empty")
-    return [ep.symbol for ep in ess.episodes]
+    return list(map(_new_symbol, map(_STAGE_SERVICE, ess.episodes)))
 
 
-def render_episode_dump(sequences: Iterable[EpisodeSequence]) -> str:
+def render_episode_dump(sequences: Iterable[EpisodeSequence]) -> Iterator[str]:
     """Tab-separated debug dump, one line per episode, in the order of
-    ``sequences`` and of the episodes within each; names are escaped."""
+    ``sequences`` and of the episodes within each; names are escaped.
+    Yields the dump line by line, each line ending in a newline."""
     names = Escaped()
-    lines = ["attacker\tvictim\tst\tet\tstage\tservice\talert_count"]
+    yield "attacker\tvictim\tst\tet\tstage\tservice\talert_count\n"
     for es in sequences:
-        for ep in es.episodes:
-            lines.append(
-                "\t".join(
-                    [
-                        names[ep.attacker],
-                        names[ep.victim],
-                        ep.st.isoformat(timespec="microseconds"),
-                        ep.et.isoformat(timespec="microseconds"),
-                        ep.stage.value,
-                        names[ep.service],
-                        str(ep.alert_count),
-                    ]
-                )
+        for st, et, stage, service, alert_count, attacker, victim in es.episodes:
+            # isoformat() writes microseconds unless they are 0, and is faster
+            # with no timespec to read; a one-alert episode ends where it starts
+            start = st.isoformat() if st.microsecond else st.isoformat(timespec="microseconds")
+            end = (
+                start if et is st
+                else et.isoformat() if et.microsecond
+                else et.isoformat(timespec="microseconds")
             )
-    return "\n".join(lines) + "\n"
+            yield (
+                f"{names[attacker]}\t{names[victim]}\t{start}\t{end}"
+                f"\t{stage.value}\t{names[service]}\t{alert_count}\n"
+            )

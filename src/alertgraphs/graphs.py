@@ -12,9 +12,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from itertools import compress, count, product
+from operator import attrgetter, itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .alerts import _new_record
 from .automaton import OUT_OF_MODEL, AnnotatedSequence, dot_quote
 from .episodes import TEAM_ESCAPES, Episode, Escaped
 from .stages import AttackStage, Severity
@@ -48,8 +50,9 @@ class AgVertex:
         return self.stage.severity
 
 
-@dataclass(frozen=True)
-class AgEdge:
+class AgEdge(NamedTuple):
+    """One step of one attempt: a named tuple, as an episode is."""
+
     src: VertexKey
     dst: VertexKey
     team: str
@@ -72,6 +75,10 @@ class AttackGraph:
     teams: tuple[str, ...]
 
 
+_HIGH_STAGES = frozenset(stage for stage in AttackStage if stage.severity == Severity.HIGH)
+_EPISODE, _STAGE = itemgetter(0), itemgetter(2)  # of an entry, of an Episode
+
+
 def find_objectives(annotated: Iterable[AnnotatedSequence]) -> dict[ObjectiveKey, list[Attempt]]:
     """Every attempt at every objective present in the data, in key order.
 
@@ -82,19 +89,21 @@ def find_objectives(annotated: Iterable[AnnotatedSequence]) -> dict[ObjectiveKey
     dropped. Sequences are walked in attacker order, ties in input order,
     so each objective's attempts are grouped by team.
     """
-    found: dict[ObjectiveKey, list[Attempt]] = {}
+    # keyed by (victim, stage, service), which orders as ObjectiveKey does
+    found: dict[tuple[str, AttackStage, str], list[Attempt]] = {}
     for seq in sorted(annotated, key=attrgetter("attacker")):
+        entries = seq.entries
         cuts: dict[tuple[AttackStage, str], tuple[int, int]] = {}  # -> (start, attempts so far)
-        for end, (episode, _) in enumerate(seq.entries, 1):
-            if episode.severity != Severity.HIGH:
-                continue
-            objective = (episode.stage, episode.service)
+        # the end of each entry whose episode is of high severity, found in C
+        high = map(_HIGH_STAGES.__contains__, map(_STAGE, map(_EPISODE, entries)))
+        for end in compress(count(1), high):
+            objective = entries[end - 1][0][2:4]  # (stage, service)
             start, number = cuts.get(objective, (0, 0))
             cuts[objective] = (end, number + 1)
-            found.setdefault(ObjectiveKey(seq.victim, *objective), []).append(
-                (seq.attacker, number + 1, seq.entries[start:end])
+            found.setdefault((seq.victim, *objective), []).append(
+                (seq.attacker, number + 1, entries[start:end])
             )
-    return {key: found[key] for key in sorted(found)}
+    return {ObjectiveKey(*key): found[key] for key in sorted(found)}
 
 
 def team_start_times(annotated: Iterable[AnnotatedSequence]) -> dict[str, datetime]:
@@ -129,28 +138,29 @@ def extract_ag(
     for team, number, entries in attempts:
         start = starts[team]
         path: list[VertexKey] = []
+        triple = None  # the last vertex drawn
         for episode, sid in entries:
-            triple: VertexKey = (episode.stage, episode.service, sid)
-            if path and path[-1] == triple:
+            stage, service = episode.stage, episode.service
+            current = (stage, service, sid)
+            if current == triple:
                 latest = episode
                 continue
-            if triple not in vertices:
-                vertices[triple] = AgVertex(
-                    stage=episode.stage,
-                    service=episode.service,
-                    sid=sid,
-                    is_sink=sid == OUT_OF_MODEL or sid in sink_ids,
+            source, triple = triple, current
+            vertex = vertices.get(triple)
+            if vertex is None:
+                vertex = vertices[triple] = AgVertex(
+                    stage, service, sid, False, sid == OUT_OF_MODEL or sid in sink_ids
                 )
-            if path:
-                seconds = int((latest.et - start).total_seconds())
-                edges.append(AgEdge(path[-1], triple, team, seconds))
+            if source is None:
+                vertex.is_path_start = True
             else:
-                vertices[triple].is_path_start = True
+                seconds = int((latest.et - start).total_seconds())
+                edges.append(_new_record(AgEdge, (source, triple, team, seconds)))
             path.append(triple)
             latest = episode
         if path:
-            vertices[path[-1]].is_objective_variant = True
-        paths.append(AttemptPath(team=team, index=number, vertices=path))
+            vertex.is_objective_variant = True
+        paths.append(AttemptPath(team, number, path))
     teams = tuple(sorted({p.team for p in paths}))
     return AttackGraph(key=key, vertices=vertices, edges=edges, attempts=paths, teams=teams)
 
@@ -186,46 +196,61 @@ def ag_filename(key: ObjectiveKey) -> str:
     return _UNSAFE_NAME_CHAR.sub("-", _graph_name(key)) + ".dot"
 
 
-def _vertex_id(triple: VertexKey) -> str:
-    stage, service, sid = triple
-    return f"{stage.value}|{service}|{sid}"
+class VertexTexts(dict):
+    """``texts[(stage, service, sid)]`` is a vertex's quoted DOT id, the start
+    of its line up to its shape, and the end of its line from its label,
+    worked out once per distinct vertex: one vertex appears in many graphs.
+    The graphs stage keeps one for the graphs of a run."""
+
+    def __missing__(self, triple: VertexKey) -> tuple[str, str, str]:
+        stage, service, sid = triple
+        vid = dot_quote(f"{stage.value}|{service}|{sid}")
+        text = self[triple] = (
+            vid,
+            f"    {vid} [shape={_SEVERITY_SHAPES[stage.severity]}",
+            f", label={dot_quote(stage.value, service, str(sid))}];",
+        )
+        return text
 
 
-def emit_dot(ag: AttackGraph) -> str:
+def _flag_attrs(objective_variant: bool, path_start: bool, sink: bool) -> str:
+    """The style and fill attributes a vertex's flags give it."""
+    fill = _OBJECTIVE_FILL if objective_variant else _START_FILL if path_start else None
+    styles = ["filled"] * bool(fill) + ["dotted"] * sink
+    attrs = f", style={dot_quote(','.join(styles))}" if styles else ""
+    return attrs + (f", fillcolor={dot_quote(fill)}" if fill else "")
+
+
+# (is_objective_variant, is_path_start, is_sink) -> attributes
+_FLAG_ATTRS = {flags: _flag_attrs(*flags) for flags in product((False, True), repeat=3)}
+
+
+def emit_dot(ag: AttackGraph, texts: VertexTexts | None = None) -> str:
     """Deterministic DOT rendering of one attack graph.
 
     Severity picks the shape (oval/box/hexagon), path starts are yellow,
     objective variants red, sink states dotted; each team gets its own
     edge style and edge labels show hours since the team's first alert.
+    ``texts`` holds the vertex texts already worked out; a graph drawn
+    without it gets its own.
     """
+    if texts is None:
+        texts = VertexTexts()
     name = _graph_name(ag.key)
     lines = [f"digraph {dot_quote(name)} {{"]
     n_styles = len(_TEAM_EDGE_STYLES)
     team_style = {t: _TEAM_EDGE_STYLES[i % n_styles] for i, t in enumerate(sorted(ag.teams))}
-    ids = {triple: dot_quote(_vertex_id(triple)) for triple in ag.vertices}
-    for triple in sorted(ag.vertices, key=lambda t: (t[0].value, t[1], t[2])):
+    # a stage sorts as its acronym, so the triples sort by (acronym, service, sid)
+    for triple in sorted(ag.vertices):
         v = ag.vertices[triple]
-        attrs = [f"shape={_SEVERITY_SHAPES[v.severity]}"]
-        styles = []
-        fill = None
-        if v.is_objective_variant:
-            fill = _OBJECTIVE_FILL
-        elif v.is_path_start:
-            fill = _START_FILL
-        if fill:
-            styles.append("filled")
-        if v.is_sink:
-            styles.append("dotted")
-        if styles:
-            attrs.append(f"style={dot_quote(','.join(styles))}")
-        if fill:
-            attrs.append(f"fillcolor={dot_quote(fill)}")
-        attrs.append(f"label={dot_quote(v.stage.value, v.service, str(v.sid))}")
-        lines.append(f"    {ids[triple]} [{', '.join(attrs)}];")
+        _, head, tail = texts[triple]
+        lines.append(head + _FLAG_ATTRS[v.is_objective_variant, v.is_path_start, v.is_sink] + tail)
     for edge in ag.edges:
         hours = edge.seconds_since_first_alert / 3600.0
-        attrs = [f'label="{hours:.1f}h"', f"style={team_style[edge.team]}"]
-        lines.append(f"    {ids[edge.src]} -> {ids[edge.dst]} [{', '.join(attrs)}];")
+        lines.append(
+            f"    {texts[edge.src][0]} -> {texts[edge.dst][0]}"
+            f' [label="{hours:.1f}h", style={team_style[edge.team]}];'
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -70,6 +70,13 @@ class _Merger:
       states it stamps and why that is enough), and an entry is reused while
       every state it read is older. A pruned entry holds its partial score
       and stays pruned, unscored, while that is below the round's floor.
+      An entry pruned while still in its top (red, blue) state pair records
+      only those two states as its reads, not the child pairs it looked at
+      there: its partial score, and the bound checked before it, sum terms
+      of the counts of red and blue alone (a row's target only decides which
+      child pairs come later). A merge that stamps neither leaves that score
+      as it was, and by the argument below it still bounds the pair's final
+      score, whatever the child pairs now hold.
 
     Pruning is exact. By the log-sum inequality no term of a score is
     positive in exact arithmetic. With ``u = 2**-53``, pooled count ``c`` and
@@ -154,6 +161,7 @@ class _Merger:
         log2, sqrt, threshold = math.log2, math.sqrt, self.threshold
         score = 0.0
         stack, reads = [(red_id, blue_id)], [red_id, blue_id]
+        top = True  # still in the (red, blue) state pair itself
         while stack:
             q1, q2 = stack.pop()
             n1, n2 = total[q1], total[q2]
@@ -193,7 +201,9 @@ class _Merger:
                     return -math.inf, reads, True
                 score += c * log2(c / n) - b
                 if score < floor:
-                    return score, reads, False
+                    # pruned in the top pair, the score read only its tables
+                    return score, reads[:2] if top else reads, False
+            top = False
         return score, reads, True
 
     def _merge(self, red_id: int, blue_id: int, parent: int, via: int) -> None:

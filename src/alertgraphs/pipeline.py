@@ -11,10 +11,10 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import alerts as alerts_mod
 from . import analytics
@@ -45,6 +45,7 @@ from .graphs import (
     AG_FILE_GLOB,
     AttackGraph,
     ObjectiveKey,
+    VertexTexts,
     ag_filename,
     emit_dot,
     extract_ag,
@@ -132,11 +133,23 @@ class _StageWriter:
         self.out_dir = out_dir
         self.written: list[Path] = []
 
-    def write(self, name: str, content: str) -> Path:
+    def write(self, name: str, content: str | Iterable[str]) -> Path:
+        """Write ``content``, a string or an iterable of lines, to ``name``.
+
+        The path is recorded once the file is open and before its first
+        byte, so a write that fails part-way, such as on an unencodable
+        character or a full disk, leaves no partial file behind
+        ``rollback``, and a path that could not be opened, such as a
+        directory, is never unlinked.
+        """
         path = self.out_dir / name
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
+        fh = open(path, "w", encoding="utf-8", newline="\n")
         self.written.append(path)
+        with fh:
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                fh.writelines(content)
         return path
 
     def rollback(self) -> None:
@@ -235,20 +248,14 @@ def _stage_episodes(cfg: PipelineConfig, result: PipelineResult, writer: _StageW
 
     writer.write(EPISODE_DUMP, render_episode_dump(result.sequences))
     names, symbol_text = Escaped(), Escaped(render_symbol, SYMBOL_ESCAPES)
-    corpus_lines = ["attacker\tvictim\tindex\tsymbols"]
-    for ess, symbols in zip(result.subsequences, result.corpus):
-        attacker, victim = ess.parent
-        corpus_lines.append(
-            "\t".join(
-                [
-                    names[attacker],
-                    names[victim],
-                    str(ess.index),
-                    " ".join([symbol_text[s] for s in symbols]),
-                ]
-            )
-        )
-    writer.write(ATTEMPT_CORPUS, "\n".join(corpus_lines) + "\n")
+    writer.write(ATTEMPT_CORPUS, chain(
+        ("attacker\tvictim\tindex\tsymbols\n",),
+        (
+            f"{names[ess.parent[0]]}\t{names[ess.parent[1]]}\t{ess.index}"
+            f"\t{' '.join(map(symbol_text.__getitem__, symbols))}\n"
+            for ess, symbols in zip(result.subsequences, result.corpus)
+        ),
+    ))
 
 
 def _stage_learn(cfg: PipelineConfig, result: PipelineResult, writer: _StageWriter) -> None:
@@ -274,9 +281,10 @@ def _stage_graphs(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
         filenames[filename] = key
     starts = team_start_times(result.annotated)
     entries = []
+    texts = VertexTexts()
     for filename, key in filenames.items():
         ag = extract_ag(key, objectives[key], sink_ids, starts)
-        writer.write(filename, emit_dot(ag))
+        writer.write(filename, emit_dot(ag, texts))
         entries.append((filename, ag))
     result.ags = sorted(entries)
     writer.write(INDEX_FILE, render_index(result.ags))

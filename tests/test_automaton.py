@@ -700,3 +700,35 @@ def test_pair_within_margin_of_the_best_is_never_pruned():
     partial, _, done = merger._evaluate(3, 54, score)
     assert partial < score and not done
     assert merger._evaluate(3, 54, score - merger.margin) == (score, reads, True)
+
+
+def test_pair_pruned_in_its_top_state_pair_reads_only_red_and_blue():
+    # A pruned entry stays pruned while no state it read changes. Pruned in the
+    # (red, blue) pair itself, its partial score sums terms of those two
+    # states' counts only; pruned in a child pair, it summed that pair's terms
+    # too, so its reads must keep the child pairs it descended into.
+    tree = build_suffix_tree(merge_heavy_corpus(9, 200))
+    params = LearnParams(2, 2, 2, 0.5)
+    merger = _Merger(tree, params)
+    # the same search with every child pair below state_count: only the top
+    # pair's terms are summed
+    top_only = _Merger(tree, LearnParams(2, 10**9, 2, 0.5))
+    depth_one = sorted(target for target, _ in tree.trans[tree.root].values())
+    checked = 0
+    for red in depth_one:
+        for blue in depth_one:
+            if red == blue:
+                continue
+            final, reads, done = merger._evaluate(red, blue, -math.inf)
+            top, _, _ = top_only._evaluate(red, blue, -math.inf)
+            if not (done and -math.inf < final < top < 0 and len(reads) > 2):
+                continue
+            # the running score falls below this floor only after the top pair
+            partial, pruned_reads, done = merger._evaluate(red, blue, (final + top) / 2)
+            assert not done and partial < (final + top) / 2
+            assert len(pruned_reads) > 2 and pruned_reads == reads[: len(pruned_reads)]
+            # and below this one while still in it
+            partial, pruned_reads, done = merger._evaluate(red, blue, top / 2)
+            assert not done and pruned_reads == [red, blue]
+            checked += 1
+    assert checked >= 3

@@ -130,6 +130,41 @@ class TestErrors:
         # artifacts of completed stages stay in place
         assert (out / "episodes.tsv").exists()
 
+    def test_writer_rolls_back_a_file_whose_write_failed(self, tmp_path):
+        writer = pipeline._StageWriter(tmp_path)
+        writer.write("ok.tsv", "fine\n")
+        with pytest.raises(UnicodeEncodeError):
+            writer.write("bad.tsv", "x" * 10_000 + "\udcff")
+        with pytest.raises(UnicodeEncodeError):
+            writer.write("bad_lines.tsv", iter(["x" * 10_000 + "\n", "\udcff\n"]))
+        writer.rollback()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("as_lines", [False, True], ids=["str", "lines"])
+    def test_stage_write_failing_midway_leaves_no_file(self, tmp_path, monkeypatch, as_lines):
+        def failing_dump(sequences):
+            yield "attacker\tvictim\tst\tet\tstage\tservice\talert_count\n"
+            yield "x" * 100_000 + "\n"  # over any write buffer: bytes reach the file
+            raise RuntimeError("boom")
+
+        def failing_text(sequences):
+            return "x" * 100_000 + "\udcff\n"
+
+        monkeypatch.setattr(pipeline, "render_episode_dump", failing_dump if as_lines else failing_text)
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(config(tmp_path))
+        assert excinfo.value.stage == "episodes"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_directory_at_an_output_name_fails_its_stage(self, tmp_path):
+        # the earlier run's cleanup leaves directories alone, so opening the
+        # file fails; the stage must still fail cleanly and keep the directory
+        (tmp_path / "out" / "episodes.tsv").mkdir(parents=True)
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(config(tmp_path))
+        assert excinfo.value.stage == "episodes"
+        assert (tmp_path / "out" / "episodes.tsv").is_dir()
+
     def test_invalid_utf8_csv_row_skipped(self, tmp_path):
         csv_file = tmp_path / "alerts.csv"
         csv_file.write_bytes(
