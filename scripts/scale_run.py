@@ -17,7 +17,8 @@ through ``gc.callbacks``; ``run_pipeline`` pauses the collector, so each
 should be 0.
 ``--json PATH`` also writes that record to ``PATH``, with the commit of the
 checkout, the Python version, ``nproc`` and ``PYTHONDONTWRITEBYTECODE``
-(null when unset), which change what a run costs.
+(null when unset), which change what a run costs, and ``src_lines``, the
+line count of ``src/alertgraphs/*.py``, the size of the code that ran.
 Exits 1 when the record or skip count of any run differs from the
 generator's ground truth. Run from anywhere:
 
@@ -198,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "nproc": len(os.sched_getaffinity(0)),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "src_lines": sum(  # as wc -l counts them
+                path.read_bytes().count(b"\n") for path in (ROOT / "src" / "alertgraphs").glob("*.py")
+            ),
         }, indent=2) + "\n", encoding="utf-8")
     wrong = [
         f"run {i + 1}: {key}"

@@ -27,6 +27,7 @@ from .stages import AttackStage
 DEFAULT_STAGE = AttackStage.SURFING
 CATCH_ALL_PATTERN = "*"
 UNKNOWN_SERVICE = "unknown"
+FORMATS = ("eve-json", "csv")  # the input formats parse_alerts reads
 
 
 def _parse_normalized(value: str) -> datetime:
@@ -44,16 +45,6 @@ def _parse_normalized(value: str) -> datetime:
     return dt if dt.tzinfo is timezone.utc else dt.astimezone(timezone.utc)
 
 
-def _reads_offsets(fromisoformat) -> bool:
-    """Whether ``fromisoformat`` itself reads Suricata's ``+0000`` and a ``Z``."""
-    try:
-        fromisoformat("2000-01-01T00:00:00.000001+0000")
-        fromisoformat("2000-01-01T00:00:00Z")
-    except ValueError:
-        return False
-    return True
-
-
 def parse_timestamp(value: str) -> datetime:
     """Parse an alert timestamp into a UTC-normalized datetime.
 
@@ -61,9 +52,10 @@ def parse_timestamp(value: str) -> datetime:
     offset without a colon (Suricata's default). Naive timestamps are assumed
     to be UTC.
 
-    From Python 3.11 ``fromisoformat`` reads these forms in one C call. What
-    it rejects (surrounding whitespace, a lowercase ``z``, a non-string) goes
-    to ``_parse_normalized``, which gives the same result wherever both parse.
+    ``fromisoformat`` reads these forms in one C call from Python 3.11. What
+    it rejects (surrounding whitespace, a lowercase ``z``, a non-string, and
+    before 3.11 a ``Z`` or ``+0000``) goes to ``_parse_normalized``, which
+    gives the same result wherever both parse.
     """
     try:
         dt = datetime.fromisoformat(value)
@@ -74,13 +66,8 @@ def parse_timestamp(value: str) -> datetime:
     return dt if dt.tzinfo is timezone.utc else dt.astimezone(timezone.utc)
 
 
-# Before Python 3.11 the normalizing parser stands in for fromisoformat in
-# _raw_alert too: its result is UTC already, and what it rejects the fallback
-# rejects again.
-if _reads_offsets(datetime.fromisoformat):
-    _fromisoformat = datetime.fromisoformat
-else:
-    parse_timestamp = _fromisoformat = _parse_normalized
+# one global lookup per record in _raw_alert, not a global and an attribute
+_fromisoformat = datetime.fromisoformat
 
 
 class RawAlert(NamedTuple):
@@ -181,7 +168,11 @@ def load_signature_rules(lines: Iterable[str]) -> list[tuple[str, AttackStage]]:
         pattern = pattern.strip()
         if not pattern:
             raise ValueError(f"rule line {lineno}: empty pattern")
-        rules.append((pattern, AttackStage(acronym.strip())))
+        acronym = acronym.strip()
+        try:
+            rules.append((pattern, AttackStage(acronym)))
+        except ValueError as exc:
+            raise ValueError(f"rule line {lineno}: unknown stage {acronym!r}") from exc
     if not any(p == CATCH_ALL_PATTERN for p, _ in rules):
         rules.append((CATCH_ALL_PATTERN, DEFAULT_STAGE))
     return rules

@@ -30,7 +30,6 @@ from .episodes import (
     Symbol,
     parse_symbol,
     render_symbol,
-    to_symbols,
     unescape_field,
 )
 from .merger import _Merger
@@ -151,13 +150,11 @@ class SuffixPdfa:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(
-        cls, text: str, parse: Callable[[str], SymbolT] = parse_symbol
-    ) -> "SuffixPdfa":
+    def from_text(cls, text: str) -> "SuffixPdfa":
         lines = [ln for ln in text.split("\n") if ln.strip()]
         if len(lines) < 2 or lines[0].split("\t")[0] != "alphabet":
             raise ValueError("malformed automaton text: missing alphabet line")
-        alphabet = [_parse_field(f, parse) for f in lines[0].split("\t")[1:] if f]
+        alphabet = [parse_symbol(unescape_field(f)) for f in lines[0].split("\t")[1:] if f]
         model = cls(_symbol_table([alphabet]), [], [], [], [], {})
         label, _, root = lines[1].partition("\t")
         if label != "root":
@@ -174,7 +171,7 @@ class SuffixPdfa:
             for item in edges:
                 name, _, rest = item.rpartition("->")
                 tgt, cnt = rest.rsplit(":", 1)
-                sid = model.ids.get(_parse_field(name, parse))
+                sid = model.ids.get(parse_symbol(unescape_field(name)))
                 if sid is None:
                     raise ValueError(f"malformed automaton text: {name!r} is not in the alphabet")
                 trans[sid] = (int(tgt), int(cnt))
@@ -213,11 +210,6 @@ class SuffixPdfa:
                 lines.append(f"    {q} -> {tgt} [label={dot_quote(f'{labels[sid]} ({cnt})')}];")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _parse_field(field: str, parse: Callable[[str], SymbolT]) -> SymbolT:
-    """Inverse of the escaped rendering in ``SuffixPdfa.to_text``."""
-    return parse(unescape_field(field))
 
 
 def dot_quote(*lines: str) -> str:
@@ -331,11 +323,12 @@ class AnnotatedSequence:
 
 
 def annotate_sequence(
-    attempts: Sequence[EpisodeSubSequence], model: SuffixPdfa
+    attempts: Sequence[tuple[EpisodeSubSequence, Sequence[Symbol]]], model: SuffixPdfa
 ) -> AnnotatedSequence:
-    """Replay every attack attempt of one sequence and concatenate the results."""
+    """Replay every attack attempt of one sequence, each given with its
+    symbols (``to_symbols`` of it), and concatenate the results."""
     entries = [
-        entry for ess in attempts for entry in zip(ess.episodes, model.replay(to_symbols(ess)))
+        entry for ess, symbols in attempts for entry in zip(ess.episodes, model.replay(symbols))
     ]
-    attacker, victim = attempts[0].parent
+    attacker, victim = attempts[0][0].parent
     return AnnotatedSequence(attacker=attacker, victim=victim, entries=entries)

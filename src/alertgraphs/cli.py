@@ -6,6 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .alerts import FORMATS
 from .automaton import LearnParams
 from .pipeline import STAGES, PipelineConfig, StageError, run_pipeline
 
@@ -18,7 +19,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--alerts", nargs="+", required=True, type=Path, metavar="PATH",
                         help="alert log file(s)")
-    parser.add_argument("--format", choices=("eve-json", "csv"), default=PipelineConfig.format)
+    parser.add_argument("--format", choices=FORMATS, default=PipelineConfig.format)
     parser.add_argument("--sig-map", type=Path, metavar="PATH",
                         help="signature rule file (PATTERN<TAB>STAGE per line)")
     parser.add_argument("--port-map", type=Path, metavar="PATH",

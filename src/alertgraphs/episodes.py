@@ -91,10 +91,6 @@ class Episode(NamedTuple):
     def severity(self) -> Severity:
         return self.stage.severity
 
-    @property
-    def symbol(self) -> Symbol:
-        return Symbol(self.stage, self.service)
-
 
 @dataclass
 class EpisodeSequence:
@@ -135,7 +131,7 @@ _STAGE, _STAGE_SERVICE = itemgetter(2), itemgetter(2, 3)  # of an Episode
 _new_symbol = partial(_new_record, Symbol)  # from a (stage, service) tuple
 
 
-def aggregate_episodes(alerts: list[Alert], w: float = 150.0) -> list[Episode]:
+def aggregate_episodes(alerts: list[Alert], w: float) -> list[Episode]:
     """Group one (attacker, victim) pair's alerts into episodes.
 
     Per attack stage independently, alerts are split into maximal runs whose

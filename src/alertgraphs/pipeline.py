@@ -106,7 +106,7 @@ class PipelineConfig:
             raise ValueError("w must be > 0")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split must be in (0, 1)")
-        if self.format not in ("eve-json", "csv"):
+        if self.format not in alerts_mod.FORMATS:
             raise ValueError(f"unknown format: {self.format!r}")
         if self.stop_after is not None and self.stop_after not in STAGES:
             raise ValueError(f"unknown stage: {self.stop_after!r}")
@@ -269,7 +269,9 @@ def _stage_graphs(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
     model = result.model
     result.annotated = [
         annotate_sequence(list(attempts), model)
-        for _, attempts in groupby(result.subsequences, key=lambda ess: ess.parent)
+        for _, attempts in groupby(
+            zip(result.subsequences, result.corpus), key=lambda attempt: attempt[0].parent
+        )
     ]
     sink_ids = model.sink_ids()
     objectives = find_objectives(result.annotated)

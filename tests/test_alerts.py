@@ -3,7 +3,6 @@ import json
 import math
 import random
 import re
-import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -597,18 +596,6 @@ def test_parse_timestamp_matches_normalizing_parser(value):
     assert record_outcome(parse_timestamp, value) == record_outcome(alerts._parse_normalized, value)
 
 
-def test_fast_timestamp_path_needs_offsets_read_in_c():
-    def fromisoformat_310(text):
-        if text.endswith(("Z", "+0000")):
-            raise ValueError(f"Invalid isoformat string: {text!r}")
-        return datetime.fromisoformat(text)
-
-    assert not alerts._reads_offsets(fromisoformat_310)
-    assert alerts._reads_offsets(datetime.fromisoformat) == (sys.version_info >= (3, 11))
-    if sys.version_info < (3, 11):
-        assert parse_timestamp is alerts._parse_normalized
-
-
 def oracle_text(value, name):
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string")
@@ -891,6 +878,10 @@ class TestMapping:
     def test_load_signature_rules_appends_catch_all(self):
         rules = load_signature_rules(["# comment", "scan\tSERVICE_DISC", ""])
         assert rules[-1] == ("*", AttackStage.SURFING)
+
+    def test_load_signature_rules_names_the_line_of_an_unknown_stage(self):
+        with pytest.raises(ValueError, match="rule line 2: unknown stage 'service_disc'"):
+            load_signature_rules(["ssh\tSERVICE_DISC", "foo\tservice_disc"])
 
     def test_load_port_services_ranges_and_unassigned(self):
         lines = [

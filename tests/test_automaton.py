@@ -234,7 +234,7 @@ class TestAnnotateSequence:
         es = es_from_letters("LMH")
         model = self._model_for([es])
         part, = partition_subsequences(es)
-        annotated = annotate_sequence([part], model)
+        annotated = annotate_sequence([(part, to_symbols(part))], model)
         assert annotated.entries == replay_episodes(model, part)
         assert len(annotated.entries) == len(es.episodes)
 
@@ -242,7 +242,7 @@ class TestAnnotateSequence:
         es = es_from_letters("LHLH")
         model = self._model_for([es])
         parts = partition_subsequences(es)
-        annotated = annotate_sequence(parts, model)
+        annotated = annotate_sequence([(p, to_symbols(p)) for p in parts], model)
         expected = [e for p in parts for e in replay_episodes(model, p)]
         assert annotated.entries == expected
 
@@ -254,7 +254,9 @@ class TestAnnotateSequence:
         ]
         model = self._model_for(sequences)
         for es in sequences:
-            annotated = annotate_sequence(partition_subsequences(es), model)
+            annotated = annotate_sequence(
+                [(p, to_symbols(p)) for p in partition_subsequences(es)], model
+            )
             expected = [
                 entry
                 for part in partition_subsequences(es)

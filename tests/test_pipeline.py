@@ -56,6 +56,31 @@ class TestGoldenRun:
         assert len(result.ags) == 2  # two high-severity objectives
 
 
+class TestPackageApi:
+    def test_top_level_entry_points_give_the_goldens(self, tmp_path):
+        from alertgraphs import (
+            LearnParams,
+            PipelineConfig,
+            PipelineResult,
+            StageError,
+            default_mapping_config,
+            run_pipeline,
+        )
+
+        out = tmp_path / "out"
+        result = run_pipeline(PipelineConfig(alerts=[FIXTURE], out_dir=out, learn=LearnParams()))
+        assert isinstance(result, PipelineResult)
+        assert tree_bytes(out) == tree_bytes(GOLDEN)
+        assert default_mapping_config().stage_for("ET SCAN Nmap") is AttackStage.SERVICE_DISC
+        with pytest.raises(StageError):
+            run_pipeline(PipelineConfig(alerts=[tmp_path / "missing.jsonl"], out_dir=out))
+
+    def test_other_names_are_imported_from_their_modules(self):
+        with pytest.raises(ImportError):
+            from alertgraphs import parse_alerts  # noqa: F401
+        from alertgraphs.alerts import parse_alerts  # noqa: F401, F811
+
+
 class TestReproducibility:
     def test_two_runs_byte_identical(self, tmp_path):
         cfg_a = PipelineConfig(alerts=[FIXTURE], out_dir=tmp_path / "a")
