@@ -11,7 +11,10 @@ and of the peak RSS (``VmHWM``, Linux only) in MB, plus the record count.
 ``learn_pdfa`` holds each learner call by the stage that made it (``learn``,
 and ``stats`` for the perplexity report's model): its seconds, and the
 rounds and the evaluated, reused and pruned pair scores summed from the
-learner's ``trace`` callback. ``gc_collections`` holds, per stage, the most
+learner's ``trace`` callback, and ``trie_states``, the states of the trie it
+learned from. ``episodes``, ``attempts``, ``pdfa_states``, ``sink_states``,
+``graphs`` and ``artifacts`` count the work of the run, read from its
+``PipelineResult``. ``gc_collections`` holds, per stage, the most
 cyclic garbage collections any run made while that stage ran, counted
 through ``gc.callbacks``; ``run_pipeline`` pauses the collector, so each
 should be 0.
@@ -20,7 +23,8 @@ checkout, the Python version, ``nproc`` and ``PYTHONDONTWRITEBYTECODE``
 (null when unset), which change what a run costs, and ``src_lines``, the
 line count of ``src/alertgraphs/*.py``, the size of the code that ran.
 Exits 1 when the record or skip count of any run differs from the
-generator's ground truth. Run from anywhere:
+generator's ground truth, or when any count, of the work or of a learner
+call, differs between runs. Run from anywhere:
 
     python3 scripts/scale_run.py --workload flood                           # ~70k records
     python3 scripts/scale_run.py --workload flood --victims 24 --runs 3     # ~210k records
@@ -54,7 +58,9 @@ import workloads  # noqa: E402  bench/workloads.py
 from tracing import peak_rss_mb  # noqa: E402  bench/tracing.py, VmHWM in MB
 
 
-LEARNER_COUNTS = ("rounds", "evaluated", "reused", "pruned")
+LEARNER_COUNTS = ("rounds", "evaluated", "reused", "pruned", "trie_states")
+WORK_COUNTS = ("records", "parsed", "skipped", "episodes", "attempts", "pdfa_states",
+               "sink_states", "graphs", "artifacts")
 
 
 def _run(alerts: str, fmt: str, out_dir: str) -> dict:
@@ -86,10 +92,11 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
 
     def learn_pdfa(tree, params):
         call = learner[running] = dict.fromkeys(LEARNER_COUNTS, 0)
+        call["trie_states"] = len(tree)
 
         def count(step):
             call["rounds"] += 1
-            for key in LEARNER_COUNTS[1:]:
+            for key in ("evaluated", "reused", "pruned"):
                 call[key] += step[key]
 
         start = time.perf_counter()
@@ -112,6 +119,12 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
         "records": stats.total,
         "parsed": stats.parsed,
         "skipped": stats.skipped,
+        "episodes": sum(len(es.episodes) for es in result.sequences),
+        "attempts": len(result.subsequences),
+        "pdfa_states": len(result.model),
+        "sink_states": len(result.model.sink_ids()),
+        "graphs": len(result.ags),
+        "artifacts": len(result.artifacts),
         "wall_s": wall_s,
         "stage_s": stage_s,
         "learn_pdfa": learner,
@@ -178,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         "victims": spec.victims,
         "log_mb": round(log_size / 1e6, 1),
         "runs": args.runs,
-        **{key: first[key] for key in ("records", "parsed", "skipped")},
+        **{key: first[key] for key in WORK_COUNTS},
         "wall_s": _spread([r["wall_s"] for r in records]),
         "stage_s": {stage: _spread([r["stage_s"][stage] for r in records]) for stage in first["stage_s"]},
         "learn_pdfa": {
@@ -211,6 +224,15 @@ def main(argv: list[str] | None = None) -> int:
     ]
     if wrong:
         print(f"ingest counts differ from the generator's: {wrong}", file=sys.stderr)
+        return 1
+    varying = [key for key in WORK_COUNTS if len({r[key] for r in records}) > 1] + [
+        f"learn_pdfa.{stage}.{key}"
+        for stage in first["learn_pdfa"]
+        for key in LEARNER_COUNTS
+        if len({r["learn_pdfa"][stage][key] for r in records}) > 1
+    ]
+    if varying:
+        print(f"counts differ between runs: {varying}", file=sys.stderr)
         return 1
     return 0
 

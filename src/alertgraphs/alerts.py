@@ -30,9 +30,14 @@ UNKNOWN_SERVICE = "unknown"
 FORMATS = ("eve-json", "csv")  # the input formats parse_alerts reads
 
 
-def _parse_normalized(value: str) -> datetime:
-    """``parse_timestamp`` by rewriting a ``Z`` or ``+0000`` offset, which
-    ``fromisoformat`` reads only from Python 3.11, as ``+00:00``."""
+def parse_timestamp(value: str) -> datetime:
+    """Parse an alert timestamp into a UTC-normalized datetime.
+
+    Accepts ISO-8601 with microseconds, a ``Z`` suffix, or a ``+0000``-style
+    offset without a colon (Suricata's default), with surrounding whitespace.
+    Naive timestamps are assumed to be UTC. ``Z`` and ``+0000``, which
+    ``fromisoformat`` reads only from Python 3.11, are rewritten ``+00:00``.
+    """
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -42,27 +47,6 @@ def _parse_normalized(value: str) -> datetime:
     if dt.tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)
     # astimezone would return an already-UTC result unchanged
-    return dt if dt.tzinfo is timezone.utc else dt.astimezone(timezone.utc)
-
-
-def parse_timestamp(value: str) -> datetime:
-    """Parse an alert timestamp into a UTC-normalized datetime.
-
-    Accepts ISO-8601 with microseconds, a ``Z`` suffix, or a ``+0000``-style
-    offset without a colon (Suricata's default). Naive timestamps are assumed
-    to be UTC.
-
-    ``fromisoformat`` reads these forms in one C call from Python 3.11. What
-    it rejects (surrounding whitespace, a lowercase ``z``, a non-string, and
-    before 3.11 a ``Z`` or ``+0000``) goes to ``_parse_normalized``, which
-    gives the same result wherever both parse.
-    """
-    try:
-        dt = datetime.fromisoformat(value)
-    except (ValueError, TypeError):
-        return _parse_normalized(value)
-    if dt.tzinfo is None:
-        return dt.replace(tzinfo=timezone.utc)
     return dt if dt.tzinfo is timezone.utc else dt.astimezone(timezone.utc)
 
 
@@ -243,7 +227,8 @@ class _Memo(dict):
     port breaks the rule (``True == 1``, yet ``True`` is no port), so
     ``_raw_alert`` checks a ``bool`` port without its memo. A
     ``MappingConfig`` keeps one more, of the stage of each ``(signature,
-    category)`` pair.
+    category)`` pair; the text artifacts keep one of each name's escapes
+    (``episodes.escaped``) and of each DOT vertex's text (``graphs.vertex_texts``).
     """
 
     __slots__ = ("check",)
@@ -288,12 +273,17 @@ def _port(value) -> int:
 def _raw_alert(timestamp, src_ip, dst_ip, port, signature, category, memo) -> RawAlert:
     """One checked record from its six field values, as ``parse_timestamp``
     and the field checks would give it; ``memo`` holds the ``_Memo`` of the
-    addresses, ports, signatures and categories of one parse."""
+    addresses, ports, signatures and categories of one parse.
+
+    ``fromisoformat`` reads most timestamps in one C call (from Python 3.11
+    also Suricata's ``+0000`` and a ``Z``); what it rejects, such as
+    surrounding whitespace, a lowercase ``z`` or a non-string, goes to
+    ``parse_timestamp``, which gives the same result wherever both parse."""
     addresses, ports, signatures, categories = memo
     try:
         timestamp = _fromisoformat(timestamp)
     except (ValueError, TypeError):
-        timestamp = _parse_normalized(timestamp)
+        timestamp = parse_timestamp(timestamp)
     else:
         tzinfo = timestamp.tzinfo
         if tzinfo is None:

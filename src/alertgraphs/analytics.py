@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -59,11 +58,10 @@ def score_from_counts(
     severe_vertices: int, severe_total: int, medium_vertices: int, medium_total: int
 ) -> float:
     """Weighted discovery score: percentages are rounded to whole numbers
-    first, then combined as (2*sev% + med%) / 3 to two decimals."""
+    first, then (2*sev% + med%) / 3 is rounded half-up to two decimals, in integers."""
     sev_pct = _round_half_up(100.0 * severe_vertices / severe_total)
     med_pct = _round_half_up(100.0 * medium_vertices / medium_total)
-    combined = Decimal(2 * sev_pct + med_pct) / Decimal(3)
-    return float(combined.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return (200 * (2 * sev_pct + med_pct) + 3) // 6 / 100
 
 
 def workload_stats(

@@ -274,7 +274,7 @@ def build_suffix_tree(sequences: Iterable[Sequence[SymbolT]]) -> SuffixPdfa:
 
 def learn_pdfa(
     tree: SuffixPdfa,
-    params: LearnParams = LearnParams(),
+    params: LearnParams,
     trace: Callable[[dict], None] | None = None,
 ) -> SuffixPdfa:
     """Learn the merged automaton from a suffix trie; ``tree`` is left intact.

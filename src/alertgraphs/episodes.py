@@ -18,8 +18,8 @@ from itertools import accumulate, chain, compress, count, islice
 from operator import gt, itemgetter, sub
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .alerts import Alert, _new_record, least_gap
-from .stages import AttackStage, Severity
+from .alerts import Alert, _Memo, _new_record, least_gap
+from .stages import AttackStage
 
 Pair = tuple[str, str]  # (attacker, victim)
 
@@ -51,24 +51,20 @@ _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "s": " ", "c": ",", "
 _ESCAPED = re.compile(r"\\([\\tnrsc#])")
 
 
-class Escaped(dict):
-    """``escaped[value]`` is ``render(value)`` with ``table``'s escapes, worked
-    out once per distinct value: addresses and services repeat on many rows.
-    A leading ``#`` is written ``\\#``, so no field starts a comment line."""
+def escaped(render: Callable[[Any], str] = str, table: dict = TSV_ESCAPES) -> _Memo:
+    """A memo whose ``[value]`` is ``render(value)`` with ``table``'s escapes,
+    worked out once per distinct value: addresses and services repeat on many
+    rows. A leading ``#`` is written ``\\#``, so no field starts a comment line."""
 
-    def __init__(self, render: Callable[[Any], str] = str, table: dict = TSV_ESCAPES):
-        super().__init__()
-        self.render = render
-        self.table = table
+    def escape(value) -> str:
+        text = render(value).translate(table)
+        return "\\" + text if text.startswith("#") else text
 
-    def __missing__(self, value) -> str:
-        text = self.render(value).translate(self.table)
-        text = self[value] = "\\" + text if text.startswith("#") else text
-        return text
+    return _Memo(escape)
 
 
 def unescape_field(field: str) -> str:
-    """Inverse of ``Escaped`` with any of the escape tables above."""
+    """Inverse of ``escaped`` with any of the escape tables above."""
     return _ESCAPED.sub(lambda m: _UNESCAPES[m[1]], field)
 
 
@@ -86,10 +82,6 @@ class Episode(NamedTuple):
     alert_count: int
     attacker: str
     victim: str
-
-    @property
-    def severity(self) -> Severity:
-        return self.stage.severity
 
 
 @dataclass
@@ -240,7 +232,7 @@ def render_episode_dump(sequences: Iterable[EpisodeSequence]) -> Iterator[str]:
     """Tab-separated debug dump, one line per episode, in the order of
     ``sequences`` and of the episodes within each; names are escaped.
     Yields the dump line by line, each line ending in a newline."""
-    names = Escaped()
+    names = escaped()
     yield "attacker\tvictim\tst\tet\tstage\tservice\talert_count\n"
     for es in sequences:
         for st, et, stage, service, alert_count, attacker, victim in es.episodes:

@@ -7,6 +7,7 @@ applied at evaluation time only, so probabilities never hit zero.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -27,11 +28,15 @@ def learn_markov_chain(sequences: Sequence[Sequence[SymbolT]]) -> SuffixPdfa:
 
 
 def perplexity(model, sequences: Sequence[Sequence[SymbolT]], smoothed: bool = True) -> float:
-    """2 raised to the negative mean log2 trace probability; lower fits better."""
+    """2 raised to the negative mean log2 trace probability, ``math.inf`` where
+    that overflows a float (a mean below about -1024); lower fits better."""
     if not sequences:
         raise ValueError("perplexity requires at least one sequence")
     mean = sum(model.log2_probability(s, smoothed=smoothed) for s in sequences) / len(sequences)
-    return 2.0 ** (-mean)
+    try:
+        return 2.0 ** (-mean)
+    except OverflowError:
+        return math.inf
 
 
 def split_sequences(

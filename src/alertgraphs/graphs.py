@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .alerts import _new_record
 from .automaton import OUT_OF_MODEL, AnnotatedSequence, dot_quote
-from .episodes import TEAM_ESCAPES, Episode, Escaped
+from .episodes import TEAM_ESCAPES, Episode, escaped
 from .stages import AttackStage, Severity
 
 VertexKey = tuple[AttackStage, str, int]  # (stage, service, state id)
@@ -196,21 +196,17 @@ def ag_filename(key: ObjectiveKey) -> str:
     return _UNSAFE_NAME_CHAR.sub("-", _graph_name(key)) + ".dot"
 
 
-class VertexTexts(dict):
-    """``texts[(stage, service, sid)]`` is a vertex's quoted DOT id, the start
-    of its line up to its shape, and the end of its line from its label,
-    worked out once per distinct vertex: one vertex appears in many graphs.
-    The graphs stage keeps one for the graphs of a run."""
-
-    def __missing__(self, triple: VertexKey) -> tuple[str, str, str]:
-        stage, service, sid = triple
-        vid = dot_quote(f"{stage.value}|{service}|{sid}")
-        text = self[triple] = (
-            vid,
-            f"    {vid} [shape={_SEVERITY_SHAPES[stage.severity]}",
-            f", label={dot_quote(stage.value, service, str(sid))}];",
-        )
-        return text
+def vertex_texts(triple: VertexKey) -> tuple[str, str, str]:
+    """A vertex's quoted DOT id, the start of its line up to its shape, and
+    the end of its line from its label. One vertex appears in many graphs,
+    so the graphs stage keeps these in one ``_Memo`` for the graphs of a run."""
+    stage, service, sid = triple
+    vid = dot_quote(f"{stage.value}|{service}|{sid}")
+    return (
+        vid,
+        f"    {vid} [shape={_SEVERITY_SHAPES[stage.severity]}",
+        f", label={dot_quote(stage.value, service, str(sid))}];",
+    )
 
 
 def _flag_attrs(objective_variant: bool, path_start: bool, sink: bool) -> str:
@@ -225,17 +221,15 @@ def _flag_attrs(objective_variant: bool, path_start: bool, sink: bool) -> str:
 _FLAG_ATTRS = {flags: _flag_attrs(*flags) for flags in product((False, True), repeat=3)}
 
 
-def emit_dot(ag: AttackGraph, texts: VertexTexts | None = None) -> str:
+def emit_dot(ag: AttackGraph, texts: Mapping[VertexKey, tuple[str, str, str]]) -> str:
     """Deterministic DOT rendering of one attack graph.
 
     Severity picks the shape (oval/box/hexagon), path starts are yellow,
     objective variants red, sink states dotted; each team gets its own
     edge style and edge labels show hours since the team's first alert.
-    ``texts`` holds the vertex texts already worked out; a graph drawn
-    without it gets its own.
+    ``texts`` maps each vertex to its ``vertex_texts``, as a
+    ``_Memo(vertex_texts)`` does.
     """
-    if texts is None:
-        texts = VertexTexts()
     name = _graph_name(ag.key)
     lines = [f"digraph {dot_quote(name)} {{"]
     n_styles = len(_TEAM_EDGE_STYLES)
@@ -258,7 +252,7 @@ def emit_dot(ag: AttackGraph, texts: VertexTexts | None = None) -> str:
 def render_index(entries: Sequence[tuple[str, AttackGraph]]) -> str:
     """Tab-separated index of all emitted graphs with counts and simplicity;
     names are escaped, and a comma in a team name too."""
-    names, teams = Escaped(), Escaped(table=TEAM_ESCAPES)
+    names, teams = escaped(), escaped(table=TEAM_ESCAPES)
     lines = [
         "# attack graph index; adjacent episodes mapping to an identical",
         "# (stage, service, state) triple are collapsed into one vertex",

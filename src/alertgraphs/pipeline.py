@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import alerts as alerts_mod
 from . import analytics
-from .alerts import Alert, MappingConfig, ParseStats
+from .alerts import Alert, MappingConfig, ParseStats, _Memo
 from .automaton import (
     AnnotatedSequence,
     LearnParams,
@@ -32,9 +32,9 @@ from .episodes import (
     TEAM_ESCAPES,
     EpisodeSequence,
     EpisodeSubSequence,
-    Escaped,
     aggregate_episodes,
     build_sequences,
+    escaped,
     partition_subsequences,
     render_episode_dump,
     render_symbol,
@@ -45,13 +45,13 @@ from .graphs import (
     AG_FILE_GLOB,
     AttackGraph,
     ObjectiveKey,
-    VertexTexts,
     ag_filename,
     emit_dot,
     extract_ag,
     find_objectives,
     render_index,
     team_start_times,
+    vertex_texts,
 )
 
 STAGES = ("ingest", "episodes", "learn", "graphs", "stats")
@@ -247,7 +247,7 @@ def _stage_episodes(cfg: PipelineConfig, result: PipelineResult, writer: _StageW
     result.corpus = [to_symbols(ess) for ess in result.subsequences]
 
     writer.write(EPISODE_DUMP, render_episode_dump(result.sequences))
-    names, symbol_text = Escaped(), Escaped(render_symbol, SYMBOL_ESCAPES)
+    names, symbol_text = escaped(), escaped(render_symbol, SYMBOL_ESCAPES)
     writer.write(ATTEMPT_CORPUS, chain(
         ("attacker\tvictim\tindex\tsymbols\n",),
         (
@@ -283,7 +283,7 @@ def _stage_graphs(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
         filenames[filename] = key
     starts = team_start_times(result.annotated)
     entries = []
-    texts = VertexTexts()
+    texts = _Memo(vertex_texts)
     for filename, key in filenames.items():
         ag = extract_ag(key, objectives[key], sink_ids, starts)
         writer.write(filename, emit_dot(ag, texts))
@@ -330,7 +330,7 @@ def _fmt(value, spec: str = ".4f") -> str:
 
 
 def _render_stats(team_stats, scores, ranking_note, repeat, summary) -> str:
-    names = Escaped(table=TEAM_ESCAPES)
+    names = escaped(table=TEAM_ESCAPES)
     lines = [
         "# per-team volume funnel (teams are attacker identifiers)",
         "team\traw_alerts\tfiltered_alerts\tepisodes\tsequences\tattempts\tgraphs",

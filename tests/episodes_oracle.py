@@ -16,7 +16,7 @@ from datetime import datetime
 from itertools import islice
 from operator import gt, itemgetter, sub
 
-from alertgraphs.episodes import Episode, Escaped
+from alertgraphs.episodes import Episode, escaped
 from alertgraphs.graphs import (
     _OBJECTIVE_FILL,
     _SEVERITY_SHAPES,
@@ -32,7 +32,7 @@ def dot_quote(*lines):
 
 
 def episode_order(episode):
-    return (episode.st, episode.severity, episode.service, episode.stage.value)
+    return (episode.st, episode.stage.severity, episode.service, episode.stage.value)
 
 
 def mode_service(services):
@@ -106,7 +106,7 @@ def filter_duplicates(alerts, t):
 
 
 def render_episode_dump(sequences) -> str:
-    names = Escaped()
+    names = escaped()
     lines = ["attacker\tvictim\tst\tet\tstage\tservice\talert_count"]
     for es in sequences:
         for ep in es.episodes:

@@ -232,7 +232,7 @@ def test_criterion_5_structural_invariants(tmp_path):
         for part in parts:
             for prev, cur in zip(part.episodes, part.episodes[1:]):
                 ok = ok and not (
-                    prev.severity == Severity.HIGH and cur.severity == Severity.LOW
+                    prev.stage.severity == Severity.HIGH and cur.stage.severity == Severity.LOW
                 )
 
     # pipeline-level invariants on the bundled fixture

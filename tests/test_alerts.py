@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alertgraphs import alerts
 from alertgraphs.alerts import (
     _RECORD_ERRORS,
     Alert,
@@ -555,6 +554,16 @@ def record_outcome(fn, value):
     return dt, dt.tzinfo
 
 
+def eve_record_timestamp(value):
+    """The timestamp of the record ``parse_alerts`` reads from an EVE line
+    whose ``timestamp`` is ``value``; raises ``ValueError`` when it skips it."""
+    records, stats = parse_alerts(eve_line(timestamp=value))
+    if stats.skipped:
+        assert (records, stats.total) == ([], 1)
+        raise ValueError("record skipped")
+    return records[0].timestamp
+
+
 iso_offsets = st.one_of(
     st.sampled_from(["", "Z", "z"]),
     st.tuples(
@@ -592,8 +601,13 @@ iso_timestamps = st.tuples(
 @example("0001-01-01T00:00:00+0100")  # before year 1 in UTC
 @example("9999-12-31T23:59:59-01:00")  # after year 9999 in UTC
 @example("2018-11-03T23:16:09.148520z")
-def test_parse_timestamp_matches_normalizing_parser(value):
-    assert record_outcome(parse_timestamp, value) == record_outcome(alerts._parse_normalized, value)
+def test_record_timestamp_matches_parse_timestamp(value):
+    # the record path tries fromisoformat before parse_timestamp: a line is
+    # skipped exactly when parse_timestamp fails, and read as it reads it
+    outcome = record_outcome(parse_timestamp, value)
+    assert record_outcome(eve_record_timestamp, value) == outcome
+    if outcome != "error":
+        assert outcome[1] == timezone.utc
 
 
 def oracle_text(value, name):

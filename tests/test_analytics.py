@@ -1,4 +1,6 @@
+import itertools
 import random
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 from hypothesis import given
@@ -53,6 +55,14 @@ class TestScoreFromCounts:
     def test_half_up_rounding(self):
         # 21/40 = 52.5% must round up to 53
         assert score_from_counts(21, 40, 0, 148) == pytest.approx((2 * 53 + 0) / 3, abs=0.005)
+
+    def test_integer_rounding_matches_decimal_quantize(self):
+        # every numerator 2*sev% + med% from 0 to 300, against the Decimal
+        # formula the integer one replaced
+        for sev_pct, med_pct in itertools.product(range(101), repeat=2):
+            combined = Decimal(2 * sev_pct + med_pct) / Decimal(3)
+            expected = float(combined.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+            assert score_from_counts(sev_pct, 100, med_pct, 100) == expected
 
     def test_team_score_percentages_are_derived_not_stored(self):
         sc = TeamScore("t1", 21, 18, 40, 70, score_from_counts(21, 40, 18, 70))

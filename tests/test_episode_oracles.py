@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import episodes_oracle as oracle
-from alertgraphs.alerts import Alert, _MAX_US, filter_duplicates, least_gap
+from alertgraphs.alerts import Alert, _MAX_US, _Memo, filter_duplicates, least_gap
 from alertgraphs.automaton import AnnotatedSequence, dot_quote
 from alertgraphs.episodes import (
     Episode,
@@ -28,7 +28,13 @@ from alertgraphs.episodes import (
     aggregate_episodes,
     render_episode_dump,
 )
-from alertgraphs.graphs import VertexTexts, emit_dot, extract_ag, find_objectives, team_start_times
+from alertgraphs.graphs import (
+    emit_dot,
+    extract_ag,
+    find_objectives,
+    team_start_times,
+    vertex_texts,
+)
 from alertgraphs.stages import AttackStage
 
 # early enough that gaps of 10**16 microseconds still fit before year 9999
@@ -180,8 +186,8 @@ def annotated_sequences(draw):
 @given(annotated_sequences(), st.frozensets(st.integers(0, 3)))
 def test_emit_dot_matches_replaced_path(sequences, sink_ids):
     # one memo across every graph of a run, as the graphs stage keeps it
-    texts = VertexTexts()
+    texts = _Memo(vertex_texts)
     starts = team_start_times(sequences)
     for key, attempts in find_objectives(sequences).items():
         ag = extract_ag(key, attempts, sink_ids, starts)
-        assert emit_dot(ag, texts) == oracle.emit_dot(ag) == emit_dot(ag)
+        assert emit_dot(ag, texts) == oracle.emit_dot(ag) == emit_dot(ag, _Memo(vertex_texts))

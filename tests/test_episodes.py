@@ -11,10 +11,10 @@ from alertgraphs.episodes import (
     TEAM_ESCAPES,
     TSV_ESCAPES,
     EpisodeSequence,
-    Escaped,
     Symbol,
     aggregate_episodes,
     build_sequences,
+    escaped,
     parse_symbol,
     partition_subsequences,
     render_symbol,
@@ -173,7 +173,7 @@ class TestBuildSequences:
         rng.shuffle(episodes)
         es, = build_sequences({("10.0.254.1", "10.0.0.1"): episodes})
         oracle = sorted(
-            episodes, key=lambda e: (e.st, e.severity, e.service, e.stage.value)
+            episodes, key=lambda e: (e.st, e.stage.severity, e.service, e.stage.value)
         )
         assert es.episodes == oracle
 
@@ -182,7 +182,7 @@ class TestBuildSequences:
 
 
 def severities(es):
-    return [e.severity for e in es.episodes]
+    return [e.stage.severity for e in es.episodes]
 
 
 def cut_oracle(letters):
@@ -234,7 +234,7 @@ def test_partition_properties(letters):
     # no High -> Low adjacency inside any slice
     for part in parts:
         for prev, cur in zip(part.episodes, part.episodes[1:]):
-            assert not (prev.severity == Severity.HIGH and cur.severity == Severity.LOW)
+            assert not (prev.stage.severity == Severity.HIGH and cur.stage.severity == Severity.LOW)
     assert [p.index for p in parts] == list(range(len(parts)))
 
 
@@ -293,7 +293,7 @@ def test_escaped_names_round_trip(name):
         (SYMBOL_ESCAPES, "\t\n\r "),
         (TEAM_ESCAPES, "\t\n\r,"),
     ):
-        text = Escaped(table=table)[name]
+        text = escaped(table=table)[name]
         assert unescape_field(text) == name
         assert not text.startswith("#")
         assert not set(text) & set(kept_out)

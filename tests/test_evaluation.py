@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import defaultdict
 
@@ -81,6 +82,11 @@ class TestPerplexity:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             perplexity(build_suffix_tree([["a"]]), [])
+
+    def test_overflowing_power_is_infinite(self):
+        # the trace of 2,000 unseen symbols has log2 probability about -2003,
+        # and 2.0 ** 2003 overflows a float
+        assert perplexity(build_suffix_tree([["a"]] * 4), [["b"] * 2000]) == math.inf
 
 
 def bigram_oracle(sequences):

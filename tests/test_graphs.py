@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alertgraphs.alerts import _Memo
 from alertgraphs.automaton import OUT_OF_MODEL, AnnotatedSequence
 from alertgraphs.graphs import (
     AgEdge,
@@ -16,6 +17,7 @@ from alertgraphs.graphs import (
     render_index,
     simplicity,
     team_start_times,
+    vertex_texts,
 )
 from alertgraphs.stages import AttackStage, Severity
 
@@ -26,6 +28,11 @@ MANIP = AttackStage.DATA_MANIPULATION
 SCAN = AttackStage.SERVICE_DISC
 PRIV = AttackStage.PRIV_ESC
 INFO = AttackStage.INFO_DISC
+
+
+def dot_of(ag):
+    """``emit_dot`` of one graph drawn alone, with a vertex-text memo of its own."""
+    return emit_dot(ag, _Memo(vertex_texts))
 
 
 def aseq(attacker, victim, rows):
@@ -59,7 +66,7 @@ def oracle_find_objectives(annotated):
             ObjectiveKey(seq.victim, ep.stage, ep.service)
             for seq in annotated
             for ep, _ in seq.entries
-            if ep.severity == Severity.HIGH
+            if ep.stage.severity == Severity.HIGH
         }
     )
 
@@ -217,7 +224,7 @@ class TestExtractAg:
         assert ag.teams == ("t1", "t5", "t8")
         assert len(ag.vertices) == 3  # shared across teams
         assert len(ag.edges) == 6  # parallel edges stay distinct per team
-        dot = emit_dot(ag)
+        dot = dot_of(ag)
         assert "style=dashed" in dot and "style=solid" in dot and "style=dotted" in dot
 
     def test_trailing_unfinished_attempt_dropped(self):
@@ -333,7 +340,7 @@ def test_per_victim_extraction_matches_whole_corpus_scan(corpus, sinks):
     for key, attempts in objectives.items():
         drawn = extract_ag(key, attempts, sinks, starts)
         scanned = oracle_extract_ag(key, corpus, sinks)
-        assert emit_dot(drawn) == emit_dot(scanned)
+        assert dot_of(drawn) == dot_of(scanned)
         assert drawn.attempts == scanned.attempts
         assert drawn.teams == scanned.teams
 
@@ -345,7 +352,7 @@ def test_edge_labels_count_from_first_alert_at_another_victim():
     assert list(find_objectives([earlier, sequence])) == [key]
     ag = draw_ag(key, [earlier, sequence])
     assert [e.seconds_since_first_alert for e in ag.edges] == [7200]
-    assert 'label="2.0h"' in emit_dot(ag)
+    assert 'label="2.0h"' in dot_of(ag)
 
 
 class TestSimplicity:
@@ -391,7 +398,7 @@ class TestEmitDot:
             ObjectiveKey("v1", EXFIL, "ssh"),
             [aseq("t1", "v1", [(0.0, EXFIL, "ssh", 1)])],
         )
-        dot = emit_dot(ag)
+        dot = dot_of(ag)
         assert dot.count("->") == 0
         assert dot.count("[shape=") == 1
 
@@ -405,7 +412,7 @@ class TestEmitDot:
                 (20.0, EXFIL, "remoteware-cl", 3),
             ],
         )
-        dot = emit_dot(draw_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), [sequence]))
+        dot = dot_of(draw_ag(ObjectiveKey("v1", EXFIL, "remoteware-cl"), [sequence]))
         assert "shape=oval" in dot
         assert "shape=box" in dot
         assert "shape=hexagon" in dot
@@ -423,7 +430,7 @@ class TestEmitDot:
         ag = draw_ag(
             ObjectiveKey("v1", EXFIL, "remoteware-cl"), [earlier, sequence], frozenset({1})
         )
-        dot = emit_dot(ag)
+        dot = dot_of(ag)
         assert 'fillcolor="yellow"' in dot  # path start
         assert 'fillcolor="red"' in dot  # objective variant
         assert dot.count("dotted") >= 2  # sink sid 1 and out-of-model sid -1
@@ -434,7 +441,7 @@ class TestEmitDot:
             ObjectiveKey("v1", EXFIL, "ssh"),
             [aseq("t1", "v1", [(0.0, EXFIL, "ssh", 1)])],
         )
-        dot = emit_dot(ag)
+        dot = dot_of(ag)
         assert 'fillcolor="red"' in dot
         assert "yellow" not in dot
 
@@ -455,12 +462,12 @@ class TestEmitDot:
             '[label="0.0h", style=dashed];\n'
             "}\n"
         )
-        assert emit_dot(ag) == expected
+        assert dot_of(ag) == expected
 
     def test_backslash_and_quote_escaped(self):
         svc = 'a"b\\'
         sequence = aseq("t1", "v1", [(0.0, SCAN, svc, 1), (1800.0, EXFIL, svc, 2)])
-        strings = dot_strings(emit_dot(draw_ag(ObjectiveKey("v1", EXFIL, svc), [sequence])))
+        strings = dot_strings(dot_of(draw_ag(ObjectiveKey("v1", EXFIL, svc), [sequence])))
         assert f"attack-graph-v1-DATA_EXFILTRATION-{svc}" in strings
         assert f"SERVICE_DISC|{svc}|1" in strings
         assert f"SERVICE_DISC\\n{svc}\\n1" in strings
@@ -469,7 +476,7 @@ class TestEmitDot:
         teams = ["t5", "t1", "t8", "t9", "t2"]
         # each team's one edge leaves a start vertex named after the team
         sequences = [aseq(t, "v1", [(0.0, SCAN, t, 1), (10.0, EXFIL, "ssh", 2)]) for t in teams]
-        dot = emit_dot(draw_ag(ObjectiveKey("v1", EXFIL, "ssh"), sequences))
+        dot = dot_of(draw_ag(ObjectiveKey("v1", EXFIL, "ssh"), sequences))
         styles = {
             line.split("|")[1]: line.rsplit("style=", 1)[1].rstrip("];")
             for line in dot.splitlines()

@@ -1,11 +1,14 @@
 """Limits on the source itself."""
 
+import ast
+import re
 import tokenize
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "alertgraphs"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "alertgraphs"
 
 # CPython's parser doubles its token array when a module reaches this many
 # tokens. Modules are compiled from source when no bytecode is cached, so a
@@ -24,6 +27,44 @@ def parser_tokens(path: Path) -> int:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_module_stays_under_the_parser_token_step(path):
     assert parser_tokens(path) < PARSER_TOKEN_STEP
+
+
+def public_definitions(tree: ast.Module):
+    """The public functions and classes of a module and the public methods of
+    its classes, each as ``(qualified name, name)``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_definition_is_named_outside_the_tests():
+    # in src/, only names and attributes in the code count, not docstrings;
+    # in scripts/ and bench/, a word match is enough
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    outside = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    )
+    unnamed = [
+        f"{module}: {qualified}"
+        for module, tree in sorted(trees.items())
+        for qualified, name in public_definitions(tree)
+        if not name.startswith("_")
+        and name not in named
+        and not re.search(rf"\b{re.escape(name)}\b", outside)
+    ]
+    assert unnamed == []
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import random
 import sys
 import tempfile
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -364,6 +364,29 @@ class TestRankingUnavailable:
         assert len(result.ags) == 1
         report = (tmp_path / "out/stats_report.tsv").read_text()
         assert "ranking unavailable" in report
+
+
+class TestLongAttempt:
+    def test_stats_stage_writes_its_files_when_a_perplexity_overflows(self, tmp_path):
+        # one attempt of 6,000 episodes: its mean log2 trace probability is far
+        # below -1024, where 2 ** -mean overflows a float
+        signatures = ["ICMP PING", "ET SCAN Nmap", "Nikto", "Attempted Information Leak",
+                      "Brute Force"]
+        start = datetime(2018, 11, 3)
+        rows = [(start + i * timedelta(seconds=200), "t0", signatures[i % 5]) for i in range(6000)]
+        rows += [
+            (start + i * timedelta(seconds=200), f"t{team}", signatures[i])
+            for team in range(1, 11) for i in range(3)
+        ]
+        csv_file = tmp_path / "alerts.csv"
+        csv_file.write_text("timestamp,src_ip,dst_ip,dst_port,signature,category\n" + "".join(
+            f"{when.isoformat()},{team},v1,22,{signature},\n" for when, team, signature in rows
+        ))
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig(alerts=[csv_file], out_dir=out, format="csv"))
+        for name in (pipeline.STATS_REPORT, pipeline.SUMMARY_JSON, pipeline.PERPLEXITY_REPORT):
+            assert (out / name).is_file()
+        assert "\tinf" in (out / pipeline.PERPLEXITY_REPORT).read_text()
 
 
 class TestCsvInput:
