@@ -12,5 +12,3 @@ imported from its module, such as ``alertgraphs.alerts.parse_alerts``.
 from .alerts import default_mapping_config
 from .automaton import LearnParams
 from .pipeline import PipelineConfig, PipelineResult, StageError, run_pipeline
-
-__version__ = "0.1.0"

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 from typing import Iterable, Sequence
 
 from .alerts import Alert
@@ -92,9 +93,9 @@ def _discovery(ags: Sequence[AttackGraph]):
     by_team: dict[str, set[VertexKey]] = {}
     for ag in ags:
         for triple, vertex in ag.vertices.items():
-            if vertex.severity == Severity.HIGH:
+            if vertex.stage.severity == Severity.HIGH:
                 severe.add(triple)
-            elif vertex.severity == Severity.MED:
+            elif vertex.stage.severity == Severity.MED:
                 medium.add(triple)
         for edge in ag.edges:
             team = by_team.setdefault(edge.team, set())
@@ -149,12 +150,14 @@ def shorter_repeat_ratio(ags: Sequence[AttackGraph]) -> float | None:
 
 
 def graph_summary(ags: Sequence[AttackGraph]) -> dict:
-    """Aggregate AG statistics: count, mean vertex count, mean simplicity."""
+    """Aggregate AG statistics: count, mean vertex count, mean simplicity;
+    floats are added left to right, as ``sum`` did before Python 3.12."""
     if not ags:
         return {"ag_count": 0, "mean_vertices": None, "mean_simplicity": None}
     simplicities = [s for s in (simplicity(ag) for ag in ags) if s is not None]
+    mean_simplicity = reduce(add, simplicities, 0.0) / len(simplicities) if simplicities else None
     return {
         "ag_count": len(ags),
         "mean_vertices": sum(len(ag.vertices) for ag in ags) / len(ags),
-        "mean_simplicity": sum(simplicities) / len(simplicities) if simplicities else None,
+        "mean_simplicity": mean_simplicity,
     }

@@ -184,11 +184,9 @@ class SuffixPdfa:
         return model
 
     def to_dot(self) -> str:
-        """Debug rendering; states colored by their highest-severity incoming
-        symbol (High=red, Med=blue, Low=white)."""
-        severity = [
-            getattr(getattr(sym, "stage", None), "severity", Severity.LOW) for sym in self.symbols
-        ]
+        """Debug rendering of a model over ``Symbol``s; states colored by their
+        highest-severity incoming symbol (High=red, Med=blue, Low=white)."""
+        severity = [sym.stage.severity for sym in self.symbols]
         severity_in: dict[int, Severity] = {}
         for trans in self.trans:
             for sid, (tgt, _) in trans.items():
@@ -203,7 +201,7 @@ class SuffixPdfa:
                 f'    {q} [shape={shape}, fillcolor="{color}", '
                 f'label="{q}\\n{self.total[q]}/{self.final[q]}"];'
             )
-        labels = [render_symbol(s) if isinstance(s, Symbol) else str(s) for s in self.symbols]
+        labels = list(map(render_symbol, self.symbols))
         for q, trans in enumerate(self.trans):
             for sid in sorted(trans):
                 tgt, cnt = trans[sid]

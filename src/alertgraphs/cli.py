@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .alerts import FORMATS
@@ -12,7 +13,8 @@ from .pipeline import STAGES, PipelineConfig, StageError, run_pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # every default is read from PipelineConfig or LearnParams (None where none is set)
+    # each option's dest is the name of a PipelineConfig or LearnParams field, and
+    # every default is read from that field (None where none is set)
     parser = argparse.ArgumentParser(
         prog="alertgraphs",
         description="Transform raw IDS alerts into per-victim, per-objective attack graphs.",
@@ -38,30 +40,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="train fraction for the perplexity report (default %(default)s)")
     parser.add_argument("--seed", type=int, default=PipelineConfig.seed, metavar="N",
                         help="seed for the train/test shuffle (default %(default)s)")
-    parser.add_argument("--out", required=True, type=Path, metavar="DIR")
+    parser.add_argument("--out", dest="out_dir", required=True, type=Path, metavar="DIR")
     parser.add_argument("--stop-after", choices=STAGES)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(
-        alerts=list(args.alerts),
-        out_dir=args.out,
-        format=args.format,
-        sig_map=args.sig_map,
-        port_map=args.port_map,
-        t=args.t,
-        w=args.w,
-        learn=LearnParams(
-            symbol_count=args.symbol_count,
-            state_count=args.state_count,
-            sink_count=args.sink_count,
-            alpha=args.alpha,
-        ),
-        split=args.split,
-        seed=args.seed,
-        stop_after=args.stop_after,
-    )
+    options = dict(vars(args))
+    learn = LearnParams(**{f.name: options.pop(f.name) for f in fields(LearnParams)})
+    return PipelineConfig(**options, learn=learn)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -124,7 +124,8 @@ _new_symbol = partial(_new_record, Symbol)  # from a (stage, service) tuple
 
 
 def aggregate_episodes(alerts: list[Alert], w: float) -> list[Episode]:
-    """Group one (attacker, victim) pair's alerts into episodes.
+    """Group one (attacker, victim) pair's alerts into episodes, in order of
+    (start, severity, service, stage acronym).
 
     Per attack stage independently, alerts are split into maximal runs whose
     consecutive gaps are <= ``w`` seconds. Each run yields one episode with
@@ -178,23 +179,13 @@ def aggregate_episodes(alerts: list[Alert], w: float) -> list[Episode]:
 
 
 def build_sequences(episodes_by_pair: Mapping[Pair, list[Episode]]) -> list[EpisodeSequence]:
-    """One time-sorted episode sequence per (attacker, victim) pair.
-
-    Episodes tie-broken on equal start times by (severity ascending, service,
-    stage acronym); pairs without episodes are dropped.
-    """
-    sequences = []
-    for (attacker, victim), episodes in sorted(episodes_by_pair.items()):
-        if not episodes:
-            continue
-        sequences.append(
-            EpisodeSequence(
-                attacker=attacker,
-                victim=victim,
-                episodes=sorted(episodes, key=_episode_order),
-            )
-        )
-    return sequences
+    """One episode sequence per (attacker, victim) pair, in pair order, each
+    keeping its episodes, which must be non-empty, in the order given: the
+    order ``aggregate_episodes`` returns."""
+    return [
+        EpisodeSequence(attacker=attacker, victim=victim, episodes=episodes)
+        for (attacker, victim), episodes in sorted(episodes_by_pair.items())
+    ]
 
 
 # one letter per stage, by severity: an attempt ends at each "HL" in a sequence

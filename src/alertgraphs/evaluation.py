@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import random
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .automaton import SuffixPdfa, SymbolT, _symbol_table, count_sequences
@@ -29,10 +31,12 @@ def learn_markov_chain(sequences: Sequence[Sequence[SymbolT]]) -> SuffixPdfa:
 
 def perplexity(model, sequences: Sequence[Sequence[SymbolT]], smoothed: bool = True) -> float:
     """2 raised to the negative mean log2 trace probability, ``math.inf`` where
-    that overflows a float (a mean below about -1024); lower fits better."""
+    that overflows a float (a mean below about -1024); lower fits better.
+    Floats are added left to right, as ``sum`` did before Python 3.12."""
     if not sequences:
         raise ValueError("perplexity requires at least one sequence")
-    mean = sum(model.log2_probability(s, smoothed=smoothed) for s in sequences) / len(sequences)
+    logs = (model.log2_probability(s, smoothed=smoothed) for s in sequences)
+    mean = reduce(add, logs, 0.0) / len(sequences)
     try:
         return 2.0 ** (-mean)
     except OverflowError:

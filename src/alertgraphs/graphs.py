@@ -45,10 +45,6 @@ class AgVertex:
     is_sink: bool = False
     is_path_start: bool = False
 
-    @property
-    def severity(self) -> Severity:
-        return self.stage.severity
-
 
 class AgEdge(NamedTuple):
     """One step of one attempt: a named tuple, as an episode is."""
@@ -72,7 +68,7 @@ class AttackGraph:
     vertices: dict[VertexKey, AgVertex]
     edges: list[AgEdge]
     attempts: list[AttemptPath]
-    teams: tuple[str, ...]
+    teams: tuple[str, ...]  # sorted
 
 
 _HIGH_STAGES = frozenset(stage for stage in AttackStage if stage.severity == Severity.HIGH)
@@ -225,15 +221,15 @@ def emit_dot(ag: AttackGraph, texts: Mapping[VertexKey, tuple[str, str, str]]) -
     """Deterministic DOT rendering of one attack graph.
 
     Severity picks the shape (oval/box/hexagon), path starts are yellow,
-    objective variants red, sink states dotted; each team gets its own
-    edge style and edge labels show hours since the team's first alert.
-    ``texts`` maps each vertex to its ``vertex_texts``, as a
-    ``_Memo(vertex_texts)`` does.
+    objective variants red, sink states dotted; the edge styles are cycled
+    over ``ag.teams`` in their sorted order, and edge labels show hours
+    since the team's first alert. ``texts`` maps each vertex to its
+    ``vertex_texts``, as a ``_Memo(vertex_texts)`` does.
     """
     name = _graph_name(ag.key)
     lines = [f"digraph {dot_quote(name)} {{"]
     n_styles = len(_TEAM_EDGE_STYLES)
-    team_style = {t: _TEAM_EDGE_STYLES[i % n_styles] for i, t in enumerate(sorted(ag.teams))}
+    team_style = {t: _TEAM_EDGE_STYLES[i % n_styles] for i, t in enumerate(ag.teams)}
     # a stage sorts as its acronym, so the triples sort by (acronym, service, sid)
     for triple in sorted(ag.vertices):
         v = ag.vertices[triple]
@@ -250,15 +246,16 @@ def emit_dot(ag: AttackGraph, texts: Mapping[VertexKey, tuple[str, str, str]]) -
 
 
 def render_index(entries: Sequence[tuple[str, AttackGraph]]) -> str:
-    """Tab-separated index of all emitted graphs with counts and simplicity;
-    names are escaped, and a comma in a team name too."""
+    """Tab-separated index of all emitted graphs with counts and simplicity,
+    one line per entry in the order given (the graphs stage sorts them by
+    file name); names are escaped, and a comma in a team name too."""
     names, teams = escaped(), escaped(table=TEAM_ESCAPES)
     lines = [
         "# attack graph index; adjacent episodes mapping to an identical",
         "# (stage, service, state) triple are collapsed into one vertex",
         "file\tvictim\tstage\tservice\tvertices\tedges\tsimplicity\tteams",
     ]
-    for filename, ag in sorted(entries):
+    for filename, ag in entries:
         simp = simplicity(ag)
         lines.append(
             "\t".join(

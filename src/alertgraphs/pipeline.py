@@ -54,8 +54,6 @@ from .graphs import (
     vertex_texts,
 )
 
-STAGES = ("ingest", "episodes", "learn", "graphs", "stats")
-
 EPISODE_DUMP = "episodes.tsv"
 ATTEMPT_CORPUS = "attempt_corpus.tsv"
 MODEL_TEXT = "automaton.txt"
@@ -323,6 +321,7 @@ _STAGE_FUNCS = {
     "graphs": _stage_graphs,
     "stats": _stage_stats,
 }
+STAGES = tuple(_STAGE_FUNCS)  # in run order
 
 
 def _fmt(value, spec: str = ".4f") -> str:
@@ -373,15 +372,13 @@ def _render_summary_json(team_stats, scores, repeat, summary) -> str:
 
 
 def _render_perplexity(cfg: PipelineConfig, corpus: Sequence) -> str:
-    n = len(corpus)
-    n_train = int(cfg.split * n)
-    if n_train == 0 or n_train == n:
+    train, test = split_sequences(corpus, cfg.split, cfg.seed)
+    if not train or not test:
         return (
-            f"# corpus of {n} sequences is too small for a "
+            f"# corpus of {len(corpus)} sequences is too small for a "
             f"{cfg.split:.2f} split; perplexity skipped\n"
             "model\ttrain_perplexity\ttest_perplexity\n"
         )
-    train, test = split_sequences(corpus, cfg.split, cfg.seed)
     tree = build_suffix_tree(train)
     chain = learn_markov_chain(train)
     pdfa = learn_pdfa(tree, cfg.learn)

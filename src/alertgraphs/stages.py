@@ -10,61 +10,40 @@ class Severity(enum.IntEnum):
 
 
 class AttackStage(str, enum.Enum):
-    """Attack-stage category assigned to an alert (value doubles as the acronym)."""
+    """Attack-stage category of an alert: its acronym (the value) and severity."""
+
+    severity: Severity
+
+    def __new__(cls, acronym: str, severity: Severity):
+        member = str.__new__(cls, acronym)
+        member._value_ = acronym
+        member.severity = severity
+        return member
 
     # Low severity: reconnaissance and discovery
-    SURFING = "SURFING"
-    HOST_DISC = "HOST_DISC"
-    SERVICE_DISC = "SERVICE_DISC"
-    VULN_DISC = "VULN_DISC"
-    INFO_DISC = "INFO_DISC"
+    SURFING = "SURFING", Severity.LOW
+    HOST_DISC = "HOST_DISC", Severity.LOW
+    SERVICE_DISC = "SERVICE_DISC", Severity.LOW
+    VULN_DISC = "VULN_DISC", Severity.LOW
+    INFO_DISC = "INFO_DISC", Severity.LOW
     # Medium severity: access, execution and movement
-    USER_PRIV_ESC = "USER_PRIV_ESC"
-    ROOT_PRIV_ESC = "ROOT_PRIV_ESC"
-    BRUTE_FORCE_CREDS = "BRUTE_FORCE_CREDS"
-    ACCT_MANIP = "ACCT_MANIP"
-    PUBLIC_APP_EXP = "PUBLIC_APP_EXP"
-    REMOTE_SERVICE_EXP = "REMOTE_SERVICE_EXP"
-    COMMAND_AND_CONTROL = "COMMAND_AND_CONTROL"
-    LATERAL_MOVEMENT = "LATERAL_MOVEMENT"
-    ARBITRARY_CODE_EXE = "ARBITRARY_CODE_EXE"
-    PRIV_ESC = "PRIV_ESC"
+    USER_PRIV_ESC = "USER_PRIV_ESC", Severity.MED
+    ROOT_PRIV_ESC = "ROOT_PRIV_ESC", Severity.MED
+    BRUTE_FORCE_CREDS = "BRUTE_FORCE_CREDS", Severity.MED
+    ACCT_MANIP = "ACCT_MANIP", Severity.MED
+    PUBLIC_APP_EXP = "PUBLIC_APP_EXP", Severity.MED
+    REMOTE_SERVICE_EXP = "REMOTE_SERVICE_EXP", Severity.MED
+    COMMAND_AND_CONTROL = "COMMAND_AND_CONTROL", Severity.MED
+    LATERAL_MOVEMENT = "LATERAL_MOVEMENT", Severity.MED
+    ARBITRARY_CODE_EXE = "ARBITRARY_CODE_EXE", Severity.MED
+    PRIV_ESC = "PRIV_ESC", Severity.MED
     # High severity: end goals
-    NETWORK_DOS = "NETWORK_DOS"
-    RESOURCE_HIJACKING = "RESOURCE_HIJACKING"
-    DATA_MANIPULATION = "DATA_MANIPULATION"
-    DATA_EXFILTRATION = "DATA_EXFILTRATION"
-    DATA_DELIVERY = "DATA_DELIVERY"
-    DATA_DESTRUCTION = "DATA_DESTRUCTION"
-
-    @property
-    def severity(self) -> Severity:
-        return _SEVERITIES[self]
+    NETWORK_DOS = "NETWORK_DOS", Severity.HIGH
+    RESOURCE_HIJACKING = "RESOURCE_HIJACKING", Severity.HIGH
+    DATA_MANIPULATION = "DATA_MANIPULATION", Severity.HIGH
+    DATA_EXFILTRATION = "DATA_EXFILTRATION", Severity.HIGH
+    DATA_DELIVERY = "DATA_DELIVERY", Severity.HIGH
+    DATA_DESTRUCTION = "DATA_DESTRUCTION", Severity.HIGH
 
     def __str__(self) -> str:
         return self.value
-
-
-_SEVERITIES = {
-    AttackStage.SURFING: Severity.LOW,
-    AttackStage.HOST_DISC: Severity.LOW,
-    AttackStage.SERVICE_DISC: Severity.LOW,
-    AttackStage.VULN_DISC: Severity.LOW,
-    AttackStage.INFO_DISC: Severity.LOW,
-    AttackStage.USER_PRIV_ESC: Severity.MED,
-    AttackStage.ROOT_PRIV_ESC: Severity.MED,
-    AttackStage.BRUTE_FORCE_CREDS: Severity.MED,
-    AttackStage.ACCT_MANIP: Severity.MED,
-    AttackStage.PUBLIC_APP_EXP: Severity.MED,
-    AttackStage.REMOTE_SERVICE_EXP: Severity.MED,
-    AttackStage.COMMAND_AND_CONTROL: Severity.MED,
-    AttackStage.LATERAL_MOVEMENT: Severity.MED,
-    AttackStage.ARBITRARY_CODE_EXE: Severity.MED,
-    AttackStage.PRIV_ESC: Severity.MED,
-    AttackStage.NETWORK_DOS: Severity.HIGH,
-    AttackStage.RESOURCE_HIJACKING: Severity.HIGH,
-    AttackStage.DATA_MANIPULATION: Severity.HIGH,
-    AttackStage.DATA_EXFILTRATION: Severity.HIGH,
-    AttackStage.DATA_DELIVERY: Severity.HIGH,
-    AttackStage.DATA_DESTRUCTION: Severity.HIGH,
-}

@@ -130,7 +130,7 @@ def emit_dot(ag) -> str:
     ids = {triple: dot_quote(f"{triple[0].value}|{triple[1]}|{triple[2]}") for triple in ag.vertices}
     for triple in sorted(ag.vertices, key=lambda t: (t[0].value, t[1], t[2])):
         v = ag.vertices[triple]
-        attrs = [f"shape={_SEVERITY_SHAPES[v.severity]}"]
+        attrs = [f"shape={_SEVERITY_SHAPES[v.stage.severity]}"]
         styles = []
         fill = None
         if v.is_objective_variant:

@@ -828,6 +828,14 @@ class TestStageTable:
         assert AttackStage.SURFING.severity == Severity.LOW
         assert AttackStage.DATA_DESTRUCTION.severity == Severity.HIGH
 
+    @pytest.mark.parametrize("member", list(AttackStage), ids=str)
+    def test_member_contract(self, member):
+        # the learner's symbol ids follow str(Symbol), which embeds the repr
+        assert AttackStage(member.value) is member
+        assert str(member) == format(member) == member.value
+        assert repr(member) == f"<AttackStage.{member.name}: {member.value!r}>"
+        assert isinstance(member.severity, Severity)
+
 
 class TestMapping:
     def test_rule_and_iana_lookup(self):

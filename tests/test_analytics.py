@@ -16,7 +16,7 @@ from alertgraphs.analytics import (
 )
 from alertgraphs.automaton import AnnotatedSequence
 from alertgraphs.episodes import EpisodeSequence, EpisodeSubSequence
-from alertgraphs.graphs import AttackGraph, AttemptPath, ObjectiveKey
+from alertgraphs.graphs import AgEdge, AgVertex, AttackGraph, AttemptPath, ObjectiveKey
 from alertgraphs.stages import AttackStage
 
 from util import draw_ag, mk_alert, mk_episode
@@ -319,3 +319,20 @@ def test_graph_summary():
     assert summary["mean_simplicity"] == pytest.approx((1.0 + 2.0) / 2)
     empty = graph_summary([])
     assert empty == {"ag_count": 0, "mean_vertices": None, "mean_simplicity": None}
+
+
+def test_graph_summary_adds_left_to_right():
+    # ten graphs of one vertex and ten edges: 0.1 added ten times left to
+    # right is 0.9999999999999999, where a compensated sum gives 1.0
+    vertex = (EXFIL, "rw", 0)
+    ags = [
+        AttackGraph(
+            key=ObjectiveKey(f"v{i}", EXFIL, "rw"),
+            vertices={vertex: AgVertex(EXFIL, "rw", 0)},
+            edges=[AgEdge(vertex, vertex, "t1", 0)] * 10,
+            attempts=[],
+            teams=("t1",),
+        )
+        for i in range(10)
+    ]
+    assert graph_summary(ags)["mean_simplicity"] == 0.09999999999999999

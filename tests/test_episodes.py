@@ -155,30 +155,33 @@ class TestBuildSequences:
         assert [(s.attacker, s.victim) for s in sequences] == [("a1", "v1"), ("a2", "v1")]
 
     def test_tie_break_low_severity_first(self):
+        # build_sequences keeps the order aggregate_episodes gives
+        alerts = [
+            mk_alert(0.0, stage=AttackStage.DATA_EXFILTRATION),
+            mk_alert(0.0, stage=AttackStage.SERVICE_DISC),
+        ]
         high = mk_episode(0.0, stage=AttackStage.DATA_EXFILTRATION)
         low = mk_episode(0.0, stage=AttackStage.SERVICE_DISC)
-        es, = build_sequences({("10.0.254.1", "10.0.0.1"): [high, low]})
+        es, = build_sequences({("10.0.254.1", "10.0.0.1"): aggregate_episodes(alerts, 150.0)})
         assert es.episodes == [low, high]
 
     def test_shuffled_fixture_matches_sort_oracle(self):
         rng = random.Random(11)
-        episodes = [
-            mk_episode(
+        alerts = [
+            mk_alert(
                 float(rng.randrange(5)),
                 stage=rng.choice(list(AttackStage)),
                 service=rng.choice(["ssh", "http"]),
             )
             for _ in range(12)
         ]
-        rng.shuffle(episodes)
-        es, = build_sequences({("10.0.254.1", "10.0.0.1"): episodes})
+        alerts.sort(key=lambda a: a.timestamp)  # stable: equal instants stay shuffled
+        es, = build_sequences({("10.0.254.1", "10.0.0.1"): aggregate_episodes(alerts, 0.5)})
         oracle = sorted(
-            episodes, key=lambda e: (e.st, e.stage.severity, e.service, e.stage.value)
+            es.episodes, key=lambda e: (e.st, e.stage.severity, e.service, e.stage.value)
         )
         assert es.episodes == oracle
-
-    def test_empty_pairs_dropped(self):
-        assert build_sequences({("a", "v"): []}) == []
+        assert [e[:5] for e in es.episodes] == aggregation_oracle(alerts, 0.5)
 
 
 def severities(es):

@@ -88,6 +88,15 @@ class TestPerplexity:
         # and 2.0 ** 2003 overflows a float
         assert perplexity(build_suffix_tree([["a"]] * 4), [["b"] * 2000]) == math.inf
 
+    def test_log_probabilities_added_left_to_right(self):
+        # -1e16 + -1.0 rounds back to -1e16, so the left-to-right mean is 0;
+        # a compensated sum keeps the -1.0 and gives 2 ** (1 / 3)
+        class Stub:
+            def log2_probability(self, seq, smoothed=True):
+                return seq[0]
+
+        assert perplexity(Stub(), [[-1e16], [-1.0], [1e16]]) == 1.0
+
 
 def bigram_oracle(sequences):
     """Sliding-window bigram counts over the reversed corpus."""

@@ -504,9 +504,10 @@ class TestCli:
         assert err.startswith("error: stage 'ingest' failed:") and "Traceback" not in err
 
     def test_bad_flag_exits_two(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--alerts", str(FIXTURE), "--out", str(tmp_path), "--t", "-1"])
-        assert excinfo.value.code == 2
+        for flag in [["--t", "-1"], ["--alpha", "0"], ["--symbol-count", "-1"]]:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--alerts", str(FIXTURE), "--out", str(tmp_path), *flag])
+            assert excinfo.value.code == 2, flag
 
     @pytest.mark.parametrize("flags", [["--t", "nan"], ["--w", "nan"], ["--t", "nan", "--w", "nan"]])
     def test_nan_window_exits_two(self, tmp_path, capsys, flags):
@@ -519,6 +520,37 @@ class TestCli:
     def test_defaults_are_the_configs(self):
         args = build_parser().parse_args(["--alerts", "X", "--out", "Y"])
         assert config_from_args(args) == PipelineConfig(alerts=[Path("X")], out_dir=Path("Y"))
+
+    def test_every_flag_forwarded(self):
+        parser = build_parser()
+        args = parser.parse_args([
+            "--alerts", "a.log", "b.log", "--format", "csv", "--sig-map", "rules.tsv",
+            "--port-map", "ports.csv", "--t", "2.5", "--w", "60", "--symbol-count", "3",
+            "--state-count", "4", "--sink-count", "2", "--alpha", "0.1", "--split", "0.5",
+            "--seed", "7", "--out", "o", "--stop-after", "graphs",
+        ])
+        expected = PipelineConfig(
+            alerts=[Path("a.log"), Path("b.log")],
+            out_dir=Path("o"),
+            format="csv",
+            sig_map=Path("rules.tsv"),
+            port_map=Path("ports.csv"),
+            t=2.5,
+            w=60.0,
+            learn=LearnParams(symbol_count=3, state_count=4, sink_count=2, alpha=0.1),
+            split=0.5,
+            seed=7,
+            stop_after="graphs",
+        )
+        assert config_from_args(args) == expected
+        # every option is parsed above, each at a value other than its default
+        learn_fields = {f.name for f in fields(LearnParams)}
+        config_fields = {f.name for f in fields(PipelineConfig)} - {"learn"}
+        assert {a.dest for a in parser._actions} - {"help"} == config_fields | learn_fields
+        for f in fields(PipelineConfig):
+            assert getattr(expected, f.name) != f.default, f.name
+        for f in fields(LearnParams):
+            assert getattr(expected.learn, f.name) != f.default, f.name
 
     def test_config_learn_params(self):
         with pytest.raises(ValueError):
