@@ -14,10 +14,13 @@ rounds and the evaluated, reused and pruned pair scores summed from the
 learner's ``trace`` callback, and ``trie_states``, the states of the trie it
 learned from. ``episodes``, ``attempts``, ``pdfa_states``, ``sink_states``,
 ``graphs`` and ``artifacts`` count the work of the run, read from its
-``PipelineResult``. ``gc_collections`` holds, per stage, the most
-cyclic garbage collections any run made while that stage ran, counted
-through ``gc.callbacks``; ``run_pipeline`` pauses the collector, so each
-should be 0.
+``PipelineResult``. ``stage_rss_mb`` holds, per stage, the live
+(``VmRSS``) and peak (``VmHWM``) resident size in MB as the stage ended,
+so a change in memory shows which stage moved it. ``gc_collections``
+holds, per stage, the most cyclic garbage collections any run made while
+that stage ran, counted through ``gc.callbacks``; ``run_pipeline`` pauses
+the collector, so each should be 0. Each run writes into an output
+directory of its own, empty when the run starts.
 ``--json PATH`` also writes that record to ``PATH``, with the commit of the
 checkout, the Python version, ``nproc`` and ``PYTHONDONTWRITEBYTECODE``
 (null when unset), which change what a run costs, and ``src_lines``, the
@@ -55,7 +58,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402  bench/workloads.py
-from tracing import peak_rss_mb  # noqa: E402  bench/tracing.py, VmHWM in MB
 
 
 LEARNER_COUNTS = ("rounds", "evaluated", "reused", "pruned", "trie_states")
@@ -68,6 +70,7 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
     from alertgraphs import pipeline
 
     stage_s: dict[str, float] = {}
+    stage_rss: dict[str, dict[str, float]] = {}
     learner: dict[str, dict] = {}
     collections: dict[str, int] = {}
     running = None  # the stage being run
@@ -82,6 +85,7 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
                 return fn(*args)
             finally:
                 stage_s[stage] = time.perf_counter() - start
+                stage_rss[stage] = _status_mb()
                 running = None
 
         return run
@@ -127,10 +131,22 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
         "artifacts": len(result.artifacts),
         "wall_s": wall_s,
         "stage_s": stage_s,
+        "stage_rss_mb": stage_rss,
         "learn_pdfa": learner,
         "gc_collections": collections,
-        "vmhwm_mb": peak_rss_mb(),
+        "vmhwm_mb": _status_mb()["VmHWM"],
     }
+
+
+def _status_mb() -> dict[str, float]:
+    """This process's live (``VmRSS``) and peak (``VmHWM``) resident size in MB."""
+    sizes = {}
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            name, _, value = line.partition(":")
+            if name in ("VmRSS", "VmHWM"):
+                sizes[name] = int(value.split()[0]) / 1024.0
+    return sizes
 
 
 def _spread(values: list[float]) -> dict:
@@ -179,10 +195,12 @@ def main(argv: list[str] | None = None) -> int:
         del text
         log_size = log.stat().st_size
         context = multiprocessing.get_context("spawn")
-        for _ in range(args.runs):
-            # a new pool per run: a worker process is never reused
+        for run in range(args.runs):
+            # a new pool per run, so a worker process is never reused, and a
+            # new output directory, so no run writes over another's files
+            out = Path(tmp) / f"out-{run + 1}"
             with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-                records.append(pool.submit(_run, str(log), spec.format, str(Path(tmp) / "out")).result())
+                records.append(pool.submit(_run, str(log), spec.format, str(out)).result())
     first = records[0]
     record = {
         "workload": args.workload,
@@ -194,6 +212,10 @@ def main(argv: list[str] | None = None) -> int:
         **{key: first[key] for key in WORK_COUNTS},
         "wall_s": _spread([r["wall_s"] for r in records]),
         "stage_s": {stage: _spread([r["stage_s"][stage] for r in records]) for stage in first["stage_s"]},
+        "stage_rss_mb": {
+            stage: {name: _spread([r["stage_rss_mb"][stage][name] for r in records]) for name in sizes}
+            for stage, sizes in first["stage_rss_mb"].items()
+        },
         "learn_pdfa": {
             stage: {
                 "s": _spread([r["learn_pdfa"][stage]["s"] for r in records]),

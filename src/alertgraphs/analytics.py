@@ -8,7 +8,7 @@ their edges is incident to it.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, attrgetter
@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .alerts import Alert
 from .episodes import Episode, EpisodeSequence, EpisodeSubSequence
-from .graphs import AttackGraph, VertexKey, simplicity
+from .graphs import AttackGraph, IndexRow, VertexKey, simplicity
 from .stages import Severity
 
 
@@ -71,47 +71,67 @@ def workload_stats(
     episodes: Iterable[Episode],
     sequences: Iterable[EpisodeSequence],
     subsequences: Iterable[EpisodeSubSequence],
-    ags: Iterable[AttackGraph],
+    rows: Iterable[IndexRow],
 ) -> list[TeamStats]:
-    """Per-team tallies of every pipeline stage; AGs count toward every team
-    appearing in them, so AG counts may overlap across teams."""
+    """Per-team tallies of every pipeline stage; a graph, given by its index
+    row, counts toward every team appearing in it, so graph counts may
+    overlap across teams."""
     tallies = [  # in TeamStats field order
         Counter(map(attrgetter("attacker"), raw_alerts)),
         Counter(map(attrgetter("attacker"), filtered_alerts)),
         Counter(map(attrgetter("attacker"), episodes)),
         Counter(map(attrgetter("attacker"), sequences)),
         Counter(ess.parent[0] for ess in subsequences),
-        Counter(team for ag in ags for team in ag.teams),
+        Counter(team for *_, teams in rows for team in teams),
     ]
     teams = sorted(set().union(*tallies))
     return [TeamStats(team, *(tally[team] for tally in tallies)) for team in teams]
 
 
-def _discovery(ags: Sequence[AttackGraph]):
-    severe: set[VertexKey] = set()
-    medium: set[VertexKey] = set()
-    by_team: dict[str, set[VertexKey]] = {}
-    for ag in ags:
-        for triple, vertex in ag.vertices.items():
-            if vertex.stage.severity == Severity.HIGH:
-                severe.add(triple)
-            elif vertex.stage.severity == Severity.MED:
-                medium.add(triple)
-        for edge in ag.edges:
-            team = by_team.setdefault(edge.team, set())
-            team.add(edge.src)
-            team.add(edge.dst)
-    return severe, medium, by_team
+class GraphTally:
+    """What the stats stage reads of a run's attack graphs, folded in one
+    graph at a time by ``add``, so that no graph outlives its DOT file: the
+    distinct severe and medium vertex triples, the triples each team's edges
+    touch, and the consecutive same-team attempt pairs at one objective with
+    how many of them got strictly shorter."""
+
+    __slots__ = ("severe", "medium", "found", "pairs", "shorter")
+
+    def __init__(self) -> None:
+        self.severe: set[VertexKey] = set()
+        self.medium: set[VertexKey] = set()
+        self.found: defaultdict[str, set[VertexKey]] = defaultdict(set)  # by team
+        self.pairs = 0
+        self.shorter = 0
+
+    def add(self, ag: AttackGraph) -> None:
+        """Fold one graph in; a triple already held is kept once."""
+        for triple in ag.vertices:
+            severity = triple[0].severity
+            if severity == Severity.HIGH:
+                self.severe.add(triple)
+            elif severity == Severity.MED:
+                self.medium.add(triple)
+        found = self.found
+        for src, dst, team, _ in ag.edges:
+            seen = found[team]
+            seen.add(src)
+            seen.add(dst)
+        attempts = sorted(ag.attempts, key=attrgetter("team", "index"))
+        for first, second in zip(attempts, attempts[1:]):
+            if first.team == second.team:
+                self.pairs += 1
+                self.shorter += len(second.vertices) < len(first.vertices)
 
 
-def rank_teams(ags: Sequence[AttackGraph]) -> list[TeamScore]:
+def rank_teams(tally: GraphTally) -> list[TeamScore]:
     """Teams ranked by the weighted fraction of unique severe/medium vertices
     they discovered, highest score first."""
-    severe, medium, by_team = _discovery(ags)
+    severe, medium = tally.severe, tally.medium
     if not severe or not medium:
         raise ValueError("ranking requires both high- and medium-severity vertices")
     scores = []
-    for team, found in sorted(by_team.items()):
+    for team, found in sorted(tally.found.items()):
         sev_found = len(found & severe)
         med_found = len(found & medium)
         scores.append(
@@ -128,36 +148,30 @@ def rank_teams(ags: Sequence[AttackGraph]) -> list[TeamScore]:
     return scores
 
 
-def shorter_repeat_ratio(ags: Sequence[AttackGraph]) -> float | None:
+def shorter_repeat_ratio(tally: GraphTally) -> float | None:
     """Percentage of consecutive repeat attempts that got strictly shorter.
 
     Pairs are consecutive attempts by the same team against the same
     objective key; length is the attempt's vertex count. None when no team
     made a repeat attempt anywhere.
     """
-    pairs = 0
-    shorter = 0
-    for ag in ags:
-        attempts = sorted(ag.attempts, key=attrgetter("team", "index"))
-        for first, second in zip(attempts, attempts[1:]):
-            if first.team == second.team:
-                pairs += 1
-                if len(second.vertices) < len(first.vertices):
-                    shorter += 1
-    if pairs == 0:
+    if tally.pairs == 0:
         return None
-    return 100.0 * shorter / pairs
+    return 100.0 * tally.shorter / tally.pairs
 
 
-def graph_summary(ags: Sequence[AttackGraph]) -> dict:
-    """Aggregate AG statistics: count, mean vertex count, mean simplicity;
-    floats are added left to right, as ``sum`` did before Python 3.12."""
-    if not ags:
+def graph_summary(rows: Sequence[IndexRow]) -> dict:
+    """Aggregate AG statistics from the index rows: count, mean vertex count,
+    mean simplicity; floats are added left to right, as ``sum`` did before
+    Python 3.12."""
+    if not rows:
         return {"ag_count": 0, "mean_vertices": None, "mean_simplicity": None}
-    simplicities = [s for s in (simplicity(ag) for ag in ags) if s is not None]
+    simplicities = [
+        s for s in (simplicity(vertices, edges) for _, _, vertices, edges, _ in rows) if s is not None
+    ]
     mean_simplicity = reduce(add, simplicities, 0.0) / len(simplicities) if simplicities else None
     return {
-        "ag_count": len(ags),
-        "mean_vertices": sum(len(ag.vertices) for ag in ags) / len(ags),
+        "ag_count": len(rows),
+        "mean_vertices": sum(vertices for _, _, vertices, _, _ in rows) / len(rows),
         "mean_simplicity": mean_simplicity,
     }

@@ -71,6 +71,9 @@ class AttackGraph:
     teams: tuple[str, ...]  # sorted
 
 
+# (file name, key, vertex count, edge count, sorted teams)
+IndexRow = tuple[str, ObjectiveKey, int, int, tuple[str, ...]]
+
 _HIGH_STAGES = frozenset(stage for stage in AttackStage if stage.severity == Severity.HIGH)
 _EPISODE, _STAGE = itemgetter(0), itemgetter(2)  # of an entry, of an Episode
 
@@ -161,11 +164,9 @@ def extract_ag(
     return AttackGraph(key=key, vertices=vertices, edges=edges, attempts=paths, teams=teams)
 
 
-def simplicity(ag: AttackGraph) -> float | None:
+def simplicity(vertices: int, edges: int) -> float | None:
     """|V| / |E| with parallel edges counted individually; None when |E|=0."""
-    if not ag.edges:
-        return None
-    return len(ag.vertices) / len(ag.edges)
+    return vertices / edges if edges else None
 
 
 _SEVERITY_SHAPES = {Severity.LOW: "oval", Severity.MED: "box", Severity.HIGH: "hexagon"}
@@ -245,9 +246,14 @@ def emit_dot(ag: AttackGraph, texts: Mapping[VertexKey, tuple[str, str, str]]) -
     return "\n".join(lines) + "\n"
 
 
-def render_index(entries: Sequence[tuple[str, AttackGraph]]) -> str:
+def index_row(filename: str, ag: AttackGraph) -> IndexRow:
+    """What the index and the stats stage keep of a graph once it is drawn."""
+    return filename, ag.key, len(ag.vertices), len(ag.edges), ag.teams
+
+
+def render_index(rows: Sequence[IndexRow]) -> str:
     """Tab-separated index of all emitted graphs with counts and simplicity,
-    one line per entry in the order given (the graphs stage sorts them by
+    one line per row in the order given (the graphs stage sorts them by
     file name); names are escaped, and a comma in a team name too."""
     names, teams = escaped(), escaped(table=TEAM_ESCAPES)
     lines = [
@@ -255,19 +261,19 @@ def render_index(entries: Sequence[tuple[str, AttackGraph]]) -> str:
         "# (stage, service, state) triple are collapsed into one vertex",
         "file\tvictim\tstage\tservice\tvertices\tedges\tsimplicity\tteams",
     ]
-    for filename, ag in entries:
-        simp = simplicity(ag)
+    for filename, key, vertices, edges, ag_teams in rows:
+        simp = simplicity(vertices, edges)
         lines.append(
             "\t".join(
                 [
                     names[filename],
-                    names[ag.key.victim],
-                    ag.key.stage.value,
-                    names[ag.key.service],
-                    str(len(ag.vertices)),
-                    str(len(ag.edges)),
+                    names[key.victim],
+                    key.stage.value,
+                    names[key.service],
+                    str(vertices),
+                    str(edges),
                     "NA" if simp is None else f"{simp:.4f}",
-                    ",".join([teams[team] for team in ag.teams]),
+                    ",".join([teams[team] for team in ag_teams]),
                 ]
             )
         )

@@ -1,8 +1,9 @@
 """End-to-end orchestration: alerts in, attack graphs and reports out.
 
 Stages run in a fixed order (ingest, episodes, learn, graphs, stats); each
-stage owns a set of output files. A failing stage removes its partial
-outputs and surfaces the stage name. Identical configuration and inputs
+stage owns a set of output files. A stage that fails or is interrupted
+removes its partial outputs; a failure surfaces the stage name, and an
+interrupt or exit passes through as it is. Identical configuration and inputs
 produce byte-identical artifacts.
 """
 
@@ -43,12 +44,13 @@ from .episodes import (
 from .evaluation import learn_markov_chain, perplexity, split_sequences
 from .graphs import (
     AG_FILE_GLOB,
-    AttackGraph,
+    IndexRow,
     ObjectiveKey,
     ag_filename,
     emit_dot,
     extract_ag,
     find_objectives,
+    index_row,
     render_index,
     team_start_times,
     vertex_texts,
@@ -120,7 +122,8 @@ class PipelineResult:
     corpus: list = field(default_factory=list)
     model: SuffixPdfa | None = None
     annotated: list[AnnotatedSequence] = field(default_factory=list)
-    ags: list[tuple[str, AttackGraph]] = field(default_factory=list)
+    ags: list[IndexRow] = field(default_factory=list)  # sorted by file name
+    tally: analytics.GraphTally = field(default_factory=analytics.GraphTally)
     artifacts: list[Path] = field(default_factory=list)
 
 
@@ -203,8 +206,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             writer = _StageWriter(cfg.out_dir)
             try:
                 _STAGE_FUNCS[stage](cfg, result, writer)
-            except Exception as exc:
+            except BaseException as exc:
                 writer.rollback()
+                if not isinstance(exc, Exception):
+                    raise  # an interrupt or exit stays what it is
                 raise StageError(stage, exc) from exc
             result.artifacts.extend(writer.written)
     finally:
@@ -280,34 +285,36 @@ def _stage_graphs(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
             raise ValueError(f"{filenames[filename]} and {key} share the graph file name {filename}")
         filenames[filename] = key
     starts = team_start_times(result.annotated)
-    entries = []
+    rows = []
     texts = _Memo(vertex_texts)
+    # each graph is folded into the run's tallies once written, so none
+    # outlives its turn of the loop
     for filename, key in filenames.items():
         ag = extract_ag(key, objectives[key], sink_ids, starts)
         writer.write(filename, emit_dot(ag, texts))
-        entries.append((filename, ag))
-    result.ags = sorted(entries)
+        rows.append(index_row(filename, ag))
+        result.tally.add(ag)
+    result.ags = sorted(rows)
     writer.write(INDEX_FILE, render_index(result.ags))
 
 
 def _stage_stats(cfg: PipelineConfig, result: PipelineResult, writer: _StageWriter) -> None:
-    ags = [ag for _, ag in result.ags]
     team_stats = analytics.workload_stats(
         result.mapped_alerts,
         result.filtered_alerts,
         (ep for es in result.sequences for ep in es.episodes),
         result.sequences,
         result.subsequences,
-        ags,
+        result.ags,
     )
     try:
-        scores = analytics.rank_teams(ags) if ags else []
+        scores = analytics.rank_teams(result.tally) if result.ags else []
         ranking_note = None
     except ValueError as exc:
         scores = []
         ranking_note = str(exc)
-    repeat = analytics.shorter_repeat_ratio(ags)
-    summary = analytics.graph_summary(ags)
+    repeat = analytics.shorter_repeat_ratio(result.tally)
+    summary = analytics.graph_summary(result.ags)
 
     writer.write(STATS_REPORT, _render_stats(team_stats, scores, ranking_note, repeat, summary))
     writer.write(SUMMARY_JSON, _render_summary_json(team_stats, scores, repeat, summary))

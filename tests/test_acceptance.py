@@ -24,6 +24,7 @@ from alertgraphs.episodes import (
     partition_subsequences,
 )
 from alertgraphs.evaluation import learn_markov_chain, perplexity, split_sequences
+from alertgraphs.graphs import extract_ag, find_objectives, team_start_times
 from alertgraphs.pipeline import PipelineConfig, run_pipeline
 from alertgraphs.stages import AttackStage, Severity
 
@@ -36,6 +37,17 @@ from util import mk_alert
 
 FIXTURE = Path(__file__).parent / "fixtures/synthetic_alerts.jsonl"
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def rebuilt_graphs(result):
+    """The graphs of a finished run, drawn again from its annotated sequences:
+    the run keeps only their index rows and tallies."""
+    sink_ids = result.model.sink_ids()
+    starts = team_start_times(result.annotated)
+    return [
+        extract_ag(key, attempts, sink_ids, starts)
+        for key, attempts in find_objectives(result.annotated).items()
+    ]
 
 
 def report(number: int, name: str, ok: bool) -> None:
@@ -242,7 +254,11 @@ def test_criterion_5_structural_invariants(tmp_path):
     bytes_b = {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
     ok = ok and bytes_a == bytes_b  # byte-identical artifacts across runs
 
-    for _, ag in res_a.ags:  # every attempt path ends at an objective variant
+    ags = rebuilt_graphs(res_a)
+    ok = ok and [(ag.key, len(ag.vertices), len(ag.edges)) for ag in ags] == sorted(
+        (key, vertices, edges) for _, key, vertices, edges, _ in res_a.ags
+    )
+    for ag in ags:  # every attempt path ends at an objective variant
         for attempt in ag.attempts:
             ok = ok and ag.vertices[attempt.vertices[-1]].is_objective_variant
 
@@ -281,14 +297,10 @@ def test_criterion_7_dataset_scale(tmp_path):
         sig_map=Path(sig_map) if sig_map else None,
     )
     result = run_pipeline(cfg)
-    ag_count = len(result.ags)
-    objectives = sum(
-        1
-        for _, ag in result.ags
-        for v in ag.vertices.values()
-        if v.is_objective_variant
-    )
-    victims = len({ag.key.victim for _, ag in result.ags})
+    ags = rebuilt_graphs(result)
+    ag_count = len(ags)
+    objectives = sum(1 for ag in ags for v in ag.vertices.values() if v.is_objective_variant)
+    victims = len({ag.key.victim for ag in ags})
     # published targets: 93 AGs, 70 objectives, 19 victims; matching within
     # +/-20% is informational because the stage mapping is external data
     for name, got, want in (

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
@@ -14,17 +15,42 @@ from alertgraphs.analytics import (
     shorter_repeat_ratio,
     workload_stats,
 )
-from alertgraphs.automaton import AnnotatedSequence
+from alertgraphs.automaton import OUT_OF_MODEL, AnnotatedSequence
 from alertgraphs.episodes import EpisodeSequence, EpisodeSubSequence
-from alertgraphs.graphs import AgEdge, AgVertex, AttackGraph, AttemptPath, ObjectiveKey
+from alertgraphs.graphs import (
+    AgEdge,
+    AgVertex,
+    AttackGraph,
+    AttemptPath,
+    ObjectiveKey,
+    ag_filename,
+    extract_ag,
+    find_objectives,
+    render_index,
+    team_start_times,
+)
 from alertgraphs.stages import AttackStage
 
-from util import draw_ag, mk_alert, mk_episode
+from analytics_oracle import (
+    graph_summary_oracle,
+    rank_teams_oracle,
+    render_index_oracle,
+    shorter_repeat_ratio_oracle,
+)
+from util import draw_ag, fold_ags, mk_alert, mk_episode
 
 EXFIL = AttackStage.DATA_EXFILTRATION
 SCAN = AttackStage.SERVICE_DISC
 PRIV = AttackStage.PRIV_ESC
 INFO = AttackStage.INFO_DISC
+
+
+def tally_of(ags):
+    return fold_ags(ags)[1]
+
+
+def rows_of(ags):
+    return fold_ags(ags)[0]
 
 # Published team evaluation rows: (severe found/70, medium found/148, score)
 PUBLISHED_RANKING = [
@@ -120,7 +146,7 @@ def build_ags():
 class TestRankTeams:
     def test_discovery_and_ordering(self):
         _, ags = build_ags()
-        scores = rank_teams(ags)
+        scores = rank_teams(tally_of(ags))
         # distinct High triples: (EXFIL, rw, 3) and (EXFIL, rw, 8);
         # distinct Med triples: (PRIV, http, 2) and (PRIV, smb, 7)
         by_team = {s.team: s for s in scores}
@@ -135,8 +161,8 @@ class TestRankTeams:
 
     def test_permutation_invariance(self):
         _, ags = build_ags()
-        forward = rank_teams(ags)
-        backward = rank_teams(list(reversed(ags)))
+        forward = rank_teams(tally_of(ags))
+        backward = rank_teams(tally_of(list(reversed(ags))))
         assert forward == backward
 
     def test_duplicate_discovery_leaves_totals_unchanged(self):
@@ -154,8 +180,8 @@ class TestRankTeams:
             draw_ag(ObjectiveKey("v1", EXFIL, "rw"), sequences + [clone]),
             draw_ag(ObjectiveKey("v2", EXFIL, "rw"), sequences + [clone]),
         ]
-        before = {s.team: s.score for s in rank_teams(ags)}
-        after = {s.team: s.score for s in rank_teams(ags2)}
+        before = {s.team: s.score for s in rank_teams(tally_of(ags))}
+        after = {s.team: s.score for s in rank_teams(tally_of(ags2))}
         for team, score in before.items():
             assert after[team] == score
 
@@ -163,13 +189,13 @@ class TestRankTeams:
         sequences = [aseq("t1", "v1", [(0.0, EXFIL, "rw", 1)])]
         ags = [draw_ag(ObjectiveKey("v1", EXFIL, "rw"), sequences)]
         with pytest.raises(ValueError):
-            rank_teams(ags)  # no medium-severity vertex anywhere
+            rank_teams(tally_of(ags))  # no medium-severity vertex anywhere
 
 
 class TestShorterRepeatRatio:
     def test_single_attempts_absent(self):
         _, ags = build_ags()
-        assert shorter_repeat_ratio(ags) is None
+        assert shorter_repeat_ratio(tally_of(ags)) is None
 
     def test_mixed_pairs_fifty_percent(self):
         # attempts of lengths (5, 3) and (4, 4) -> one of two pairs shorter
@@ -205,7 +231,7 @@ class TestShorterRepeatRatio:
             draw_ag(ObjectiveKey("v1", EXFIL, "rw"), [seq_a, seq_b]),
             draw_ag(ObjectiveKey("v2", EXFIL, "rw"), [seq_a, seq_b]),
         ]
-        assert shorter_repeat_ratio(ags) == pytest.approx(50.0)
+        assert shorter_repeat_ratio(tally_of(ags)) == pytest.approx(50.0)
 
 
 def oracle_shorter_repeat_ratio(ags):
@@ -255,7 +281,7 @@ def test_shorter_repeat_ratio_matches_group_then_sort(graphs):
         )
         for i, rows in enumerate(graphs)
     ]
-    assert shorter_repeat_ratio(ags) == oracle_shorter_repeat_ratio(ags)
+    assert shorter_repeat_ratio(tally_of(ags)) == oracle_shorter_repeat_ratio(ags)
 
 
 class TestWorkloadStats:
@@ -279,7 +305,7 @@ class TestWorkloadStats:
             EpisodeSubSequence(("t2", "v1"), 0, episodes[2:4]),
         ]
         _, ags = build_ags()
-        stats = workload_stats(raw, filtered, episodes, sequences, subsequences, ags)
+        stats = workload_stats(raw, filtered, episodes, sequences, subsequences, rows_of(ags))
         by_team = {s.team: s for s in stats}
         # independent recount
         for team in ("t1", "t2"):
@@ -306,14 +332,14 @@ class TestWorkloadStats:
 
     def test_ag_attribution_overlaps(self):
         _, ags = build_ags()
-        stats = workload_stats([], [], [], [], [], ags)
+        stats = workload_stats([], [], [], [], [], rows_of(ags))
         counts = {s.team: s.ag_count for s in stats}
         assert counts == {"t1": 1, "t2": 2}
 
 
 def test_graph_summary():
     _, ags = build_ags()
-    summary = graph_summary(ags)
+    summary = graph_summary(rows_of(ags))
     assert summary["ag_count"] == 2
     assert summary["mean_vertices"] == pytest.approx((3 + 2) / 2)
     assert summary["mean_simplicity"] == pytest.approx((1.0 + 2.0) / 2)
@@ -335,4 +361,56 @@ def test_graph_summary_adds_left_to_right():
         )
         for i in range(10)
     ]
-    assert graph_summary(ags)["mean_simplicity"] == 0.09999999999999999
+    assert graph_summary(rows_of(ags))["mean_simplicity"] == 0.09999999999999999
+
+
+# annotated sequences: one per (attacker, victim), each entry a (stage,
+# service, state id) with out-of-model and sink states among the ids
+annotated_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["t0", "t1", "t2"]),
+        st.sampled_from(["v0", "v1"]),
+        st.lists(
+            st.tuples(
+                st.sampled_from([SCAN, INFO, PRIV, AttackStage.USER_PRIV_ESC, EXFIL]),
+                st.sampled_from(["ssh", "http"]),
+                st.sampled_from([OUT_OF_MODEL, 0, 1, 2]),
+            ),
+            max_size=12,
+        ),
+    ),
+    max_size=6,
+    unique_by=lambda row: row[:2],
+)
+
+
+@given(annotated_rows, st.randoms(use_true_random=False))
+def test_tallies_match_the_graph_walking_statistics(rows, rng):
+    sequences = [
+        aseq(attacker, victim, [(10.0 * i, *entry) for i, entry in enumerate(entries)])
+        for attacker, victim, entries in rows
+    ]
+    objectives = find_objectives(sequences)
+    starts = team_start_times(sequences)
+    ags = [extract_ag(key, attempts, frozenset({2}), starts) for key, attempts in objectives.items()]
+    rng.shuffle(ags)  # the fold's order is free; the summary adds in the rows' order
+    index_rows, tally = fold_ags(ags)
+
+    try:
+        want = rank_teams_oracle(ags)
+    except ValueError:
+        with pytest.raises(ValueError):
+            rank_teams(tally)
+    else:
+        assert rank_teams(tally) == want
+    assert shorter_repeat_ratio(tally) == shorter_repeat_ratio_oracle(ags)
+    summary, want_summary = graph_summary(index_rows), graph_summary_oracle(ags)
+    assert summary == want_summary
+    if want_summary["mean_simplicity"] is not None:  # equal to the bit
+        assert summary["mean_simplicity"].hex() == want_summary["mean_simplicity"].hex()
+    by_name = sorted(zip(index_rows, ags), key=lambda pair: pair[0][0])
+    assert render_index([row for row, _ in by_name]) == render_index_oracle(
+        [(ag_filename(ag.key), ag) for _, ag in by_name]
+    )
+    counts = {s.team: s.ag_count for s in workload_stats([], [], [], [], [], index_rows)}
+    assert counts == Counter(team for ag in ags for team in ag.teams)

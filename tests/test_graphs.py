@@ -14,6 +14,7 @@ from alertgraphs.graphs import (
     emit_dot,
     extract_ag,
     find_objectives,
+    index_row,
     render_index,
     simplicity,
     team_start_times,
@@ -361,7 +362,7 @@ class TestSimplicity:
             ObjectiveKey("v1", EXFIL, "ssh"),
             [aseq("t1", "v1", [(0.0, SCAN, "ssh", 1), (10.0, EXFIL, "ssh", 2)])],
         )
-        assert simplicity(ag) == 2.0
+        assert simplicity(len(ag.vertices), len(ag.edges)) == 2.0
 
     def test_parallel_edges_counted_individually(self):
         sequences = [
@@ -382,14 +383,14 @@ class TestSimplicity:
         # vertices: scan, exfil, info; edges: 3 first-attempt + 1 re-attempt
         assert len(ag.vertices) == 3
         assert len(ag.edges) == 4
-        assert simplicity(ag) == 0.75
+        assert simplicity(len(ag.vertices), len(ag.edges)) == 0.75
 
     def test_zero_edges_absent(self):
         ag = draw_ag(
             ObjectiveKey("v1", EXFIL, "ssh"),
             [aseq("t1", "v1", [(0.0, EXFIL, "ssh", 1)])],
         )
-        assert simplicity(ag) is None
+        assert simplicity(len(ag.vertices), len(ag.edges)) is None
 
 
 class TestEmitDot:
@@ -524,7 +525,7 @@ def test_render_index_lists_counts_and_simplicity():
         ObjectiveKey("v1", EXFIL, "ssh"),
         [aseq("t1", "v1", [(0.0, SCAN, "ssh", 1), (10.0, EXFIL, "ssh", 2)])],
     )
-    text = render_index([(ag_filename(ag.key), ag)])
+    text = render_index([index_row(ag_filename(ag.key), ag)])
     lines = text.splitlines()
     assert lines[-1].split("\t") == [
         "attack-graph-v1-DATA_EXFILTRATION-ssh.dot",

@@ -8,6 +8,7 @@ import tempfile
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from datetime import datetime, timedelta
 from pathlib import Path
+from types import FunctionType, ModuleType
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from alertgraphs.alerts import Alert, ParseStats, parse_alerts
 from alertgraphs.automaton import LearnParams
 from alertgraphs.cli import build_parser, config_from_args, main
 from alertgraphs.episodes import parse_symbol, unescape_field
+from alertgraphs.graphs import AgVertex, AttackGraph, AttemptPath
 from alertgraphs.pipeline import PipelineConfig, PipelineResult, StageError, run_pipeline
 from alertgraphs.stages import AttackStage
 
@@ -155,6 +157,30 @@ class TestErrors:
         # artifacts of completed stages stay in place
         assert (out / "episodes.tsv").exists()
 
+    def test_interrupted_stage_removes_partial_outputs(self, tmp_path, monkeypatch):
+        calls = []
+
+        def interrupted_emit_dot(ag, texts):
+            calls.append(ag.key)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return emit_dot(ag, texts)
+
+        emit_dot = pipeline.emit_dot
+        monkeypatch.setattr(pipeline, "emit_dot", interrupted_emit_dot)
+        was = gc.isenabled()
+        with pytest.raises(KeyboardInterrupt):  # not wrapped in a StageError
+            run_pipeline(config(tmp_path))
+        assert gc.isenabled() is was
+        out = tmp_path / "out"
+        assert len(calls) == 2
+        assert list(out.glob("attack-graph-*.dot")) == []
+        assert not (out / "attack_graph_index.tsv").exists()
+        # artifacts of completed stages stay in place
+        assert sorted(p.name for p in out.iterdir()) == [
+            "attempt_corpus.tsv", "automaton.dot", "automaton.txt", "episodes.tsv"
+        ]
+
     def test_writer_rolls_back_a_file_whose_write_failed(self, tmp_path):
         writer = pipeline._StageWriter(tmp_path)
         writer.write("ok.tsv", "fine\n")
@@ -253,7 +279,7 @@ class TestErrors:
         out = tmp_path / "out"
         cfg = PipelineConfig(alerts=[csv_file], out_dir=out, format="csv", port_map=ports)
         result = run_pipeline(cfg)
-        assert [name for name, _ in result.ags] == [filename]
+        assert [row[0] for row in result.ags] == [filename]
         assert (out / filename).is_file()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["alerts.csv", "out", "ports.csv"]
         assert f"{filename}\tv1\tDATA_EXFILTRATION\t{service}\t" in (
@@ -585,6 +611,22 @@ class TestCollector:
         finally:
             (gc.enable if was else gc.disable)()
         assert seen == [False]
+
+    def test_no_graph_reachable_from_a_finished_result(self, tmp_path):
+        """The graphs stage keeps index rows and tallies, not graphs."""
+        result = run_pipeline(config(tmp_path))
+        assert len(result.ags) == 2 and result.tally.pairs > 0
+        seen, stack, kinds = set(), [result], set()
+        while stack:
+            obj = stack.pop()
+            # classes, modules and functions lead to the whole interpreter
+            if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+                continue
+            seen.add(id(obj))
+            kinds.add(type(obj))
+            stack.extend(gc.get_referents(obj))
+        assert Alert in kinds and PipelineResult in kinds  # the walk reaches records
+        assert not kinds & {AgVertex, AttackGraph, AttemptPath}
 
     def test_cyclic_garbage_does_not_grow_with_input(self, tmp_path):
         """With the collector off for whole runs, a run on a log three times

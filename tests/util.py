@@ -7,8 +7,18 @@ import re
 from datetime import datetime, timedelta, timezone
 
 from alertgraphs.alerts import Alert
+from alertgraphs.analytics import GraphTally
 from alertgraphs.episodes import Episode
-from alertgraphs.graphs import AttackGraph, ObjectiveKey, extract_ag, find_objectives, team_start_times
+from alertgraphs.graphs import (
+    AttackGraph,
+    IndexRow,
+    ObjectiveKey,
+    ag_filename,
+    extract_ag,
+    find_objectives,
+    index_row,
+    team_start_times,
+)
 from alertgraphs.stages import AttackStage, Severity
 
 BASE = datetime(2018, 11, 3, 10, 0, 0, tzinfo=timezone.utc)
@@ -62,6 +72,16 @@ def draw_ag(key: ObjectiveKey, sequences, sink_ids: frozenset[int] = frozenset()
     """The graph of ``key`` drawn as the graphs stage draws it: its attempts
     cut by ``find_objectives`` and team start times taken over ``sequences``."""
     return extract_ag(key, find_objectives(sequences)[key], sink_ids, team_start_times(sequences))
+
+
+def fold_ags(ags) -> tuple[list[IndexRow], GraphTally]:
+    """The index rows of ``ags``, in the order given, and their run-wide
+    tally, as the graphs stage makes them once each graph is written."""
+    rows, tally = [], GraphTally()
+    for ag in ags:
+        rows.append(index_row(ag_filename(ag.key), ag))
+        tally.add(ag)
+    return rows, tally
 
 
 def stage_of(letter: str) -> AttackStage:
