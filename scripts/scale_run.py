@@ -178,8 +178,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", type=Path, metavar="PATH",
                         help="also write the record, with the commit and host facts, to PATH")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
+    for name in ("runs", "teams", "victims"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            parser.error(f"--{name} must be at least 1")
 
     spec = workloads.WORKLOADS[args.workload]
     spec = dataclasses.replace(

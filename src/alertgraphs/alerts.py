@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from importlib import resources
 from operator import ge, gt, itemgetter
-from typing import IO, Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple
 
 from .stages import AttackStage
 
@@ -67,7 +67,7 @@ class RawAlert(NamedTuple):
     dst_ip: str
     dst_port: int
     signature: str
-    category: str = ""
+    category: str
 
 
 class Alert(NamedTuple):
@@ -127,7 +127,7 @@ class MappingConfig:
         object.__setattr__(self, "signature_rules", rules)
         object.__setattr__(self, "_stages", _Memo(scan))
 
-    def stage_for(self, signature: str, category: str = "") -> AttackStage:
+    def stage_for(self, signature: str, category: str) -> AttackStage:
         return self._stages[signature, category]
 
     def service_for(self, port: int) -> str:
@@ -203,15 +203,6 @@ def default_mapping_config() -> MappingConfig:
         data.joinpath("service_names.csv").read_text(encoding="utf-8").splitlines()
     )
     return MappingConfig(signature_rules=rules, port_service=ports)
-
-
-def _as_lines(source: Union[IO[bytes], IO[str], str, bytes]) -> Iterable[Union[str, bytes]]:
-    """Lines of ``source``, left as bytes when it holds bytes."""
-    if isinstance(source, bytes):
-        return io.BytesIO(source)
-    if isinstance(source, str):
-        return io.StringIO(source)
-    return source
 
 
 class _Memo(dict):
@@ -312,14 +303,17 @@ _scan_json = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = " \t\n\r"
 
 
-def parse_alerts(
-    source: Union[IO[bytes], IO[str], str, bytes], format: str = "eve-json"
-) -> tuple[list[RawAlert], ParseStats]:
-    """Parse raw alerts from a byte/text stream.
+def parse_alerts(source: Iterable[bytes], format: str) -> tuple[list[RawAlert], ParseStats]:
+    """Parse raw alerts from the ``bytes`` lines of ``source``, such as a log
+    file opened ``"rb"``.
 
     Returns alerts in input order plus counters. Malformed records are
     skipped and counted, never silently dropped; non-alert EVE events count
-    as skipped as well. Blank lines are ignored entirely.
+    as skipped as well. A blank EVE line, one of ASCII whitespace only, is
+    ignored entirely, as is an empty CSV line; a line of other whitespace,
+    such as U+0085, U+2028 or U+3000, is one skipped record. A ``str``, a
+    ``bytes`` object or a text stream raises ``TypeError``: it would yield
+    characters, ints or ``str`` lines, each one a skipped record.
 
     An EVE line is accepted exactly when ``json.loads`` accepts it: that call
     skips JSON whitespace (space, tab, LF, CR) around one value and rejects
@@ -330,20 +324,21 @@ def parse_alerts(
     scanner raises ``StopIteration`` where no value starts, which skips the
     record; this function is no generator, so that exception stays itself.
 
-    A CSV log drops one BOM (U+FEFF) before its header, from text or bytes.
+    A CSV log drops one BOM (U+FEFF) before its header.
     """
+    if isinstance(source, (str, bytes, io.TextIOBase)):
+        raise TypeError("parse_alerts reads the bytes lines of a binary stream")
     alerts: list[RawAlert] = []
     total = skipped = 0
     memo = _Memo(_address), _Memo(_port), _Memo(_text), _Memo(_category)
     if format == "eve-json":
-        for line in _as_lines(source):
+        for line in source:
             if not line.strip():
                 continue
             total += 1
             try:
-                if isinstance(line, bytes):
-                    line = line.decode("utf-8")  # a bad byte skips this record only
-                text = line.strip(_JSON_WHITESPACE)
+                # a bad byte skips this record only
+                text = line.decode("utf-8").strip(_JSON_WHITESPACE)
                 record, end = _scan_json(text, 0)
                 if end != len(text):
                     raise ValueError("extra data after the JSON value")
@@ -363,13 +358,11 @@ def parse_alerts(
                 pass
             skipped += 1  # a malformed record or another event type
     elif format == "csv":
-        lines = _as_lines(source)
-        if isinstance(lines.read(0), bytes):
-            # an undecodable byte becomes a lone surrogate, which skips its row;
-            # records split on "\n" only, as they do in text input. No UTF-8
-            # sequence holds that byte, so each line decodes alone, and no
-            # wrapper is left to close the caller's stream when it is freed
-            lines = (line.decode("utf-8", "surrogateescape") for line in lines)
+        # an undecodable byte becomes a lone surrogate, which skips its row;
+        # records split on "\n" only. No UTF-8 sequence holds that byte, so
+        # each line decodes alone, and no wrapper is left to close the
+        # caller's stream when it is freed
+        lines = (line.decode("utf-8", "surrogateescape") for line in source)
         header = next(lines, "").removeprefix("\ufeff")
         rows = csv.DictReader(itertools.chain((header,), lines))
         try:

@@ -99,7 +99,7 @@ class SuffixPdfa:
     def __len__(self) -> int:
         return len(self.total)
 
-    def log2_probability(self, seq: Sequence[SymbolT], smoothed: bool = True) -> float:
+    def log2_probability(self, seq: Sequence[SymbolT]) -> float:
         """log2 of the probability of ``seq`` and then its end; off the
         automaton every step counts as unseen in an unseen context."""
         n_alpha = len(self.alphabet)
@@ -110,9 +110,9 @@ class SuffixPdfa:
             sid = ids.get(sym)
             n, hop = (0, None) if cur == OUT_OF_MODEL else (total[cur], trans[cur].get(sid))
             cur, count = hop or (fallback.get(sid, OUT_OF_MODEL), 0)
-            lp += _smoothed_log2(count, n, n_alpha, smoothed)
+            lp += _smoothed_log2(count, n, n_alpha)
         n, count = (0, 0) if cur == OUT_OF_MODEL else (total[cur], self.final[cur])
-        return lp + _smoothed_log2(count, n, n_alpha, smoothed)
+        return lp + _smoothed_log2(count, n, n_alpha)
 
     def replay(self, symbols: Sequence[SymbolT]) -> list[int]:
         """State id reached as each symbol is consumed, in original order.
@@ -132,13 +132,13 @@ class SuffixPdfa:
         reached.reverse()
         return reached
 
-    def to_text(self, render: Callable[[SymbolT], str] = render_symbol) -> str:
+    def to_text(self) -> str:
         """Lossless text form: one state per line, transitions inline.
 
         Symbols are rendered with backslash, tab, LF and CR escaped, so any
         service name keeps its line and field.
         """
-        names = [render(sym).translate(TSV_ESCAPES) for sym in self.symbols]
+        names = [render_symbol(sym).translate(TSV_ESCAPES) for sym in self.symbols]
         lines = ["alphabet\t" + "\t".join(names[self.ids[sym]] for sym in self.alphabet)]
         lines.append(f"root\t{self.root}")
         for q, trans in enumerate(self.trans):
@@ -166,7 +166,9 @@ class SuffixPdfa:
                 raise ValueError(f"malformed automaton text: state {q} out of order")
             model.total.append(int(total))
             model.final.append(int(final))
-            model.sink.append(bool(int(sink)))
+            if sink not in ("0", "1"):
+                raise ValueError(f"malformed automaton text: state {q} has sink field {sink!r}")
+            model.sink.append(sink == "1")
             trans = {}
             for item in edges:
                 name, _, rest = item.rpartition("->")
@@ -174,6 +176,8 @@ class SuffixPdfa:
                 sid = model.ids.get(parse_symbol(unescape_field(name)))
                 if sid is None:
                     raise ValueError(f"malformed automaton text: {name!r} is not in the alphabet")
+                if sid in trans:
+                    raise ValueError(f"malformed automaton text: state {q} names {name!r} twice")
                 trans[sid] = (int(tgt), int(cnt))
             model.trans.append(trans)
         states = range(len(model))
@@ -218,12 +222,8 @@ def dot_quote(*lines: str) -> str:
     return '"' + "\\n".join(escaped) + '"'
 
 
-def _smoothed_log2(count: int, total: int, alphabet_size: int, smoothed: bool) -> float:
-    if smoothed:
-        return math.log2((count + 1) / (total + alphabet_size + 1))
-    if count == 0:
-        return -math.inf
-    return math.log2(count / total)
+def _smoothed_log2(count: int, total: int, alphabet_size: int) -> float:
+    return math.log2((count + 1) / (total + alphabet_size + 1))
 
 
 def _symbol_table(sequences: Iterable[Sequence[SymbolT]]) -> list:

@@ -29,13 +29,13 @@ def learn_markov_chain(sequences: Sequence[Sequence[SymbolT]]) -> SuffixPdfa:
     return count_sequences(chain, sequences)
 
 
-def perplexity(model, sequences: Sequence[Sequence[SymbolT]], smoothed: bool = True) -> float:
+def perplexity(model, sequences: Sequence[Sequence[SymbolT]]) -> float:
     """2 raised to the negative mean log2 trace probability, ``math.inf`` where
     that overflows a float (a mean below about -1024); lower fits better.
     Floats are added left to right, as ``sum`` did before Python 3.12."""
     if not sequences:
         raise ValueError("perplexity requires at least one sequence")
-    logs = (model.log2_probability(s, smoothed=smoothed) for s in sequences)
+    logs = map(model.log2_probability, sequences)
     mean = reduce(add, logs, 0.0) / len(sequences)
     try:
         return 2.0 ** (-mean)

@@ -248,7 +248,7 @@ class _Merger:
                         stack.append((entry[0], s_tgt))
             trans[source] = {}  # unreachable from now on
 
-    def run(self, trace: Callable[[dict], None] | None = None) -> None:
+    def run(self, trace: Callable[[dict], None] | None) -> None:
         stamp = self.stamp
         scores: dict[tuple[int, int], tuple] = {}
         while True:

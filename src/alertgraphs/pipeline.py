@@ -331,8 +331,8 @@ _STAGE_FUNCS = {
 STAGES = tuple(_STAGE_FUNCS)  # in run order
 
 
-def _fmt(value, spec: str = ".4f") -> str:
-    return "NA" if value is None else format(value, spec)
+def _fmt(value) -> str:
+    return "NA" if value is None else format(value, ".4f")
 
 
 def _render_stats(team_stats, scores, ranking_note, repeat, summary) -> str:

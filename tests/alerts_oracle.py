@@ -7,8 +7,8 @@ values of different types never share an entry. Records are built by
 field checks themselves are the module's own; ``oracle_parse_eve`` in
 ``test_alerts.py`` checks them against plain rewrites.
 
-One change from that path: a CSV log drops a leading BOM, by decoding bytes
-as ``utf-8-sig`` and by removing it from the front of a text source.
+Two changes from that path: a log is the bytes of a file, not text, and a
+CSV log drops a leading BOM by decoding as ``utf-8-sig``.
 """
 
 from __future__ import annotations
@@ -79,19 +79,17 @@ def raw_from_csv_row(row: dict, checked: Checked) -> RawAlert:
     )
 
 
-def oracle_parse_alerts(source: str | bytes, format: str = "eve-json") -> tuple[list[RawAlert], ParseStats]:
+def oracle_parse_alerts(source: bytes, format: str) -> tuple[list[RawAlert], ParseStats]:
     stats = ParseStats()
     alerts: list[RawAlert] = []
     checked = Checked()
     if format == "eve-json":
-        for line in io.BytesIO(source) if isinstance(source, bytes) else io.StringIO(source):
+        for line in io.BytesIO(source):
             if not line.strip():
                 continue
             stats.total += 1
             try:
-                if isinstance(line, bytes):
-                    line = line.decode("utf-8")
-                text = line.strip(JSON_WHITESPACE)
+                text = line.decode("utf-8").strip(JSON_WHITESPACE)
                 record, end = decode_json(text)
                 if end != len(text):
                     raise ValueError("extra data after the JSON value")
@@ -104,12 +102,9 @@ def oracle_parse_alerts(source: str | bytes, format: str = "eve-json") -> tuple[
                 alerts.append(raw)
                 stats.parsed += 1
         return alerts, stats
-    if isinstance(source, bytes):
-        lines = io.TextIOWrapper(
-            io.BytesIO(source), encoding="utf-8-sig", errors="surrogateescape", newline="\n"
-        )
-    else:
-        lines = io.StringIO(source.removeprefix("\ufeff"))
+    lines = io.TextIOWrapper(
+        io.BytesIO(source), encoding="utf-8-sig", errors="surrogateescape", newline="\n"
+    )
     rows = csv.DictReader(lines)
     try:
         "".join(rows.fieldnames or ()).encode("utf-8")

@@ -130,11 +130,12 @@ class TestLearnPdfa:
 
     def test_determinism_byte_identical(self):
         rng = random.Random(99)
+        symbols = [Symbol(AttackStage.SURFING, c) for c in "abcd"]
         corpus = [
-            [rng.choice("abcd") for _ in range(rng.randrange(1, 6))] for _ in range(60)
+            [rng.choice(symbols) for _ in range(rng.randrange(1, 6))] for _ in range(60)
         ]
-        first = learn_pdfa(build_suffix_tree(corpus), LearnParams()).to_text(render=str)
-        second = learn_pdfa(build_suffix_tree(corpus), LearnParams()).to_text(render=str)
+        first = learn_pdfa(build_suffix_tree(corpus), LearnParams()).to_text()
+        second = learn_pdfa(build_suffix_tree(corpus), LearnParams()).to_text()
         assert first == second
 
     def test_trie_left_intact(self):
@@ -314,6 +315,8 @@ class TestSerialization:
             "alphabet\tSURFING|x\nroot\t0\n0\t1\t0\t0\tSURFING|x->7:1\n",  # target not a state
             "alphabet\t\nroot\t5\n0\t0\t0\t0\n",  # root not a state
             "alphabet\t\nroot\n0\t0\t0\t0\n",  # root line without its state
+            "alphabet\tSURFING|x\nroot\t0\n0\t2\t0\t0\tSURFING|x->0:1\tSURFING|x->0:1\n",  # symbol named twice
+            "alphabet\t\nroot\t0\n0\t0\t0\t2\n",  # sink field neither 0 nor 1
         ],
     )
     def test_inconsistent_text_rejected(self, text):
@@ -374,13 +377,25 @@ def test_automaton_dot_escapes_edge_labels():
 
 
 def test_unsmoothed_tree_probability_is_empirical_frequency():
+    # each factor is the add-one estimate from the corpus's own counts: of the
+    # sequences whose reversal starts with the path read so far, those that
+    # go on with the next symbol, or end there
     rng = random.Random(8)
     corpus = [[rng.choice("ab") for _ in range(rng.randrange(1, 4))] for _ in range(30)]
     tree = build_suffix_tree(corpus)
     freq = Counter(tuple(seq) for seq in corpus)
+    reversals = [tuple(reversed(seq)) for seq in corpus]
+    n_alpha = len(tree.alphabet)
+
+    def passing(path):
+        return sum(rev[: len(path)] == path for rev in reversals)
+
     for seq, count in freq.items():
-        prob = 2.0 ** tree.log2_probability(list(seq), smoothed=False)
-        assert prob == pytest.approx(count / len(corpus))
+        path = tuple(reversed(seq))
+        expected = (count + 1) / (passing(path) + n_alpha + 1)
+        for k in range(len(path)):
+            expected *= (passing(path[: k + 1]) + 1) / (passing(path[:k]) + n_alpha + 1)
+        assert 2.0 ** tree.log2_probability(list(seq)) == pytest.approx(expected)
 
 
 # Oracle: the red-blue merger as it was before symbols were ranked once. It

@@ -11,9 +11,9 @@ from alertgraphs.automaton import LearnParams, _smoothed_log2, build_suffix_tree
 from alertgraphs.evaluation import learn_markov_chain, perplexity, split_sequences
 
 
-def sequence_probability(model, seq, smoothed=True):
-    """Probability the model assigns to one trace (in (0, 1] when smoothed)."""
-    return 2.0 ** model.log2_probability(seq, smoothed=smoothed)
+def sequence_probability(model, seq):
+    """Probability the model assigns to one trace, in (0, 1]."""
+    return 2.0 ** model.log2_probability(seq)
 
 
 def context_state(chain, sym):
@@ -66,17 +66,20 @@ class TestSequenceProbability:
 
 class TestPerplexity:
     def test_perfect_model_scores_one(self):
+        # the empirical P([a]) is 1; add-one over {a, end} makes each of its
+        # two factors (5+1)/(5+1+1), so the perplexity is (7/6)^2
         tree = build_suffix_tree([["a"]] * 5)
-        assert perplexity(tree, [["a"]], smoothed=False) == pytest.approx(1.0)
+        assert perplexity(tree, [["a"]]) == pytest.approx((7 / 6) ** 2)
 
     def test_direct_formula_evaluation(self):
-        # Unsmoothed tree over {2 x [a], 1 x [b], 1 x [c]} assigns exactly
-        # P([a]) = 0.5 and P([b]) = 0.25.
+        # The tree over {2 x [a], 1 x [b], 1 x [c]} counts [a] 2 of 4 and
+        # [b] 1 of 4 times; add-one over three symbols and the end gives
+        # P([a]) = 3/8 * 3/6 and P([b]) = 2/8 * 2/5.
         tree = build_suffix_tree([["a"], ["a"], ["b"], ["c"]])
-        assert sequence_probability(tree, ["a"], smoothed=False) == pytest.approx(0.5)
-        assert sequence_probability(tree, ["b"], smoothed=False) == pytest.approx(0.25)
-        assert perplexity(tree, [["a"], ["b"]], smoothed=False) == pytest.approx(
-            2.0 ** 1.5, abs=1e-9
+        assert sequence_probability(tree, ["a"]) == pytest.approx(3 / 8 * 3 / 6)
+        assert sequence_probability(tree, ["b"]) == pytest.approx(2 / 8 * 2 / 5)
+        assert perplexity(tree, [["a"], ["b"]]) == pytest.approx(
+            (3 / 16 * 1 / 10) ** -0.5, abs=1e-9
         )
 
     def test_empty_set_rejected(self):
@@ -92,7 +95,7 @@ class TestPerplexity:
         # -1e16 + -1.0 rounds back to -1e16, so the left-to-right mean is 0;
         # a compensated sum keeps the -1.0 and gives 2 ** (1 / 3)
         class Stub:
-            def log2_probability(self, seq, smoothed=True):
+            def log2_probability(self, seq):
                 return seq[0]
 
         assert perplexity(Stub(), [[-1e16], [-1.0], [1e16]]) == 1.0
@@ -161,7 +164,7 @@ class MarkovChain:
         self.end_counts[reversed_seq[-1]] += 1
         self.context_totals[reversed_seq[-1]] += 1
 
-    def log2_probability(self, seq, smoothed=True):
+    def log2_probability(self, seq):
         n_alpha = len(self.alphabet)
         rev = list(reversed(seq))
         prev = None  # None = start pseudo-state
@@ -172,13 +175,13 @@ class MarkovChain:
             else:
                 count = self.bigram_counts.get(prev, {}).get(sym, 0)
                 total = self.context_totals.get(prev, 0)
-            lp += _smoothed_log2(count, total, n_alpha, smoothed)
+            lp += _smoothed_log2(count, total, n_alpha)
             prev = sym
         if prev is None:
             count, total = self.start_end, self.start_total
         else:
             count, total = self.end_counts.get(prev, 0), self.context_totals.get(prev, 0)
-        return lp + _smoothed_log2(count, total, n_alpha, smoothed)
+        return lp + _smoothed_log2(count, total, n_alpha)
 
 
 def reference_markov_chain(sequences):
@@ -202,10 +205,7 @@ def test_markov_chain_matches_reference(train, held_out):
     chain, reference = learn_markov_chain(train), reference_markov_chain(train)
     assert chain.alphabet == reference.alphabet
     for seq in train + held_out:
-        for smoothed in (True, False):
-            assert chain.log2_probability(seq, smoothed) == reference.log2_probability(
-                seq, smoothed
-            )
+        assert chain.log2_probability(seq) == reference.log2_probability(seq)
 
 
 class TestSplit:

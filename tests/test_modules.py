@@ -67,6 +67,48 @@ def test_every_public_definition_is_named_outside_the_tests():
     assert unnamed == []
 
 
+def parameter_defaults(node: ast.AST, prefix: str):
+    """``module.qualified.name.parameter`` of each parameter under ``node``
+    that has a default, in functions, methods, nested functions and lambdas."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+            args = child.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):]
+            with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield from (f"{name}.{arg.arg}" for arg in with_default)
+            yield from parameter_defaults(child, name)
+        elif isinstance(child, ast.ClassDef):
+            yield from parameter_defaults(child, f"{prefix}.{child.name}")
+        else:
+            yield from parameter_defaults(child, prefix)
+
+
+def test_parameter_defaults_are_the_ones_callers_outside_the_tests_omit():
+    # An option that only tests set is a fork no run takes: a new default
+    # must be added here, with the callers outside the tests that set and omit it.
+    defaults = {
+        qualified
+        for path in SRC.glob("*.py")
+        for qualified in parameter_defaults(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert defaults == {
+        # scripts/scale_run.py sets it to count rounds; the pipeline's two
+        # learner calls omit it
+        "automaton.learn_pdfa.trace",
+        # the entry point's test seam: __main__.py and the alertgraphs script
+        # omit it, and no caller outside the tests sets it
+        "cli.main.argv",
+        # the pipeline's symbol column sets render_symbol; every name column
+        # (episodes.render_episode_dump, graphs, the pipeline's team names) omits it
+        "episodes.escaped.render",
+        # graphs and the pipeline set TEAM_ESCAPES for team names, and the
+        # pipeline SYMBOL_ESCAPES; episodes.render_episode_dump omits it
+        "episodes.escaped.table",
+    }
+
+
 if __name__ == "__main__":
     # the count the test checks, one module a line: python tests/test_modules.py
     for path in sorted(SRC.glob("*.py")):

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import random
+import subprocess
 import sys
 import tempfile
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
@@ -73,7 +74,7 @@ class TestPackageApi:
         result = run_pipeline(PipelineConfig(alerts=[FIXTURE], out_dir=out, learn=LearnParams()))
         assert isinstance(result, PipelineResult)
         assert tree_bytes(out) == tree_bytes(GOLDEN)
-        assert default_mapping_config().stage_for("ET SCAN Nmap") is AttackStage.SERVICE_DISC
+        assert default_mapping_config().stage_for("ET SCAN Nmap", "") is AttackStage.SERVICE_DISC
         with pytest.raises(StageError):
             run_pipeline(PipelineConfig(alerts=[tmp_path / "missing.jsonl"], out_dir=out))
 
@@ -583,6 +584,26 @@ class TestCli:
             LearnParams(alpha=0.0)
         with pytest.raises(ValueError):
             LearnParams(symbol_count=-1)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--workload", "fanout", "--victims", "0"],
+        ["--workload", "flood", "--teams", "0"],
+        ["--workload", "campaign", "--teams", "-1"],
+        ["--runs", "0"],
+    ],
+)
+def test_scale_run_rejects_counts_below_one(flags):
+    # argparse exits before any log is generated
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scale_run.py"), *flags],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{flags[-2]} must be at least 1" in proc.stderr
 
 
 class TestCollector:
