@@ -33,16 +33,14 @@ FORMATS = ("eve-json", "csv")  # the input formats parse_alerts reads
 def parse_timestamp(value: str) -> datetime:
     """Parse an alert timestamp into a UTC-normalized datetime.
 
-    Accepts ISO-8601 with microseconds, a ``Z`` suffix, or a ``+0000``-style
-    offset without a colon (Suricata's default), with surrounding whitespace.
-    Naive timestamps are assumed to be UTC. ``Z`` and ``+0000``, which
-    ``fromisoformat`` reads only from Python 3.11, are rewritten ``+00:00``.
+    Accepts what ``datetime.fromisoformat`` accepts, such as a ``+0000``
+    offset (Suricata's default), with surrounding whitespace and a ``Z`` or
+    ``z`` suffix, which is read as ``+00:00``. Naive timestamps are assumed
+    to be UTC.
     """
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
-    elif text[-5:-4] in ("+", "-") and text[-4:].isascii() and text[-4:].isdigit():
-        text = text[:-2] + ":" + text[-2:]
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)
@@ -99,7 +97,8 @@ class MappingConfig:
 
     Each rule is ``(pattern, stage)``; the first rule whose pattern occurs
     (case-insensitively) in the alert signature or category wins. The
-    pattern ``*`` matches everything and acts as the mandatory catch-all.
+    pattern ``*`` matches everything; a catch-all ``*`` rule mapping to
+    SURFING is appended when the rules hold none.
 
     A config is frozen, and ``signature_rules`` is stored as a tuple, so the
     rules cannot change under the memo of ``stage_for``, which keeps the
@@ -113,16 +112,17 @@ class MappingConfig:
 
     def __post_init__(self) -> None:
         rules = tuple(self.signature_rules)
+        if not any(pattern == CATCH_ALL_PATTERN for pattern, _ in rules):
+            rules += ((CATCH_ALL_PATTERN, DEFAULT_STAGE),)
         # the catch-all becomes the empty pattern, which every haystack contains
         lowered = [("" if pattern == CATCH_ALL_PATTERN else pattern.lower(), stage)
                    for pattern, stage in rules]
 
         def scan(key: tuple[str, str]) -> AttackStage:
             haystack = "\n".join(key).lower()
-            for pattern, stage in lowered:
+            for pattern, stage in lowered:  # the catch-all ends every scan
                 if pattern in haystack:
                     return stage
-            raise ValueError("mapping config has no catch-all rule")
 
         object.__setattr__(self, "signature_rules", rules)
         object.__setattr__(self, "_stages", _Memo(scan))
@@ -137,8 +137,8 @@ class MappingConfig:
 def load_signature_rules(lines: Iterable[str]) -> list[tuple[str, AttackStage]]:
     """Read rules from ``PATTERN<TAB>STAGE_ACRONYM`` lines.
 
-    Blank lines and ``#`` comments are ignored. A catch-all ``*`` rule
-    mapping to SURFING is appended when the file does not provide one.
+    Blank lines and ``#`` comments are ignored; the rules are returned as
+    read, and ``MappingConfig`` supplies the catch-all.
     """
     rules: list[tuple[str, AttackStage]] = []
     for lineno, line in enumerate(lines, start=1):
@@ -157,8 +157,6 @@ def load_signature_rules(lines: Iterable[str]) -> list[tuple[str, AttackStage]]:
             rules.append((pattern, AttackStage(acronym)))
         except ValueError as exc:
             raise ValueError(f"rule line {lineno}: unknown stage {acronym!r}") from exc
-    if not any(p == CATCH_ALL_PATTERN for p, _ in rules):
-        rules.append((CATCH_ALL_PATTERN, DEFAULT_STAGE))
     return rules
 
 
@@ -266,10 +264,9 @@ def _raw_alert(timestamp, src_ip, dst_ip, port, signature, category, memo) -> Ra
     and the field checks would give it; ``memo`` holds the ``_Memo`` of the
     addresses, ports, signatures and categories of one parse.
 
-    ``fromisoformat`` reads most timestamps in one C call (from Python 3.11
-    also Suricata's ``+0000`` and a ``Z``); what it rejects, such as
-    surrounding whitespace, a lowercase ``z`` or a non-string, goes to
-    ``parse_timestamp``, which gives the same result wherever both parse."""
+    ``fromisoformat`` reads most timestamps in one C call; what it rejects,
+    such as surrounding whitespace, a lowercase ``z`` or a non-string, goes
+    to ``parse_timestamp``, which gives the same result wherever both parse."""
     addresses, ports, signatures, categories = memo
     try:
         timestamp = _fromisoformat(timestamp)
@@ -312,8 +309,8 @@ def parse_alerts(source: Iterable[bytes], format: str) -> tuple[list[RawAlert], 
     as skipped as well. A blank EVE line, one of ASCII whitespace only, is
     ignored entirely, as is an empty CSV line; a line of other whitespace,
     such as U+0085, U+2028 or U+3000, is one skipped record. A ``str``, a
-    ``bytes`` object or a text stream raises ``TypeError``: it would yield
-    characters, ints or ``str`` lines, each one a skipped record.
+    ``bytes`` object or a text stream raises ``TypeError``, as does any line
+    that is not ``bytes``: it is no record of the log.
 
     An EVE line is accepted exactly when ``json.loads`` accepts it: that call
     skips JSON whitespace (space, tab, LF, CR) around one value and rejects
@@ -333,7 +330,7 @@ def parse_alerts(source: Iterable[bytes], format: str) -> tuple[list[RawAlert], 
     memo = _Memo(_address), _Memo(_port), _Memo(_text), _Memo(_category)
     if format == "eve-json":
         for line in source:
-            if not line.strip():
+            if not bytes.strip(line):  # a line of another type raises TypeError
                 continue
             total += 1
             try:
@@ -361,8 +358,8 @@ def parse_alerts(source: Iterable[bytes], format: str) -> tuple[list[RawAlert], 
         # an undecodable byte becomes a lone surrogate, which skips its row;
         # records split on "\n" only. No UTF-8 sequence holds that byte, so
         # each line decodes alone, and no wrapper is left to close the
-        # caller's stream when it is freed
-        lines = (line.decode("utf-8", "surrogateescape") for line in source)
+        # caller's stream when it is freed; a line of another type raises TypeError
+        lines = (bytes.decode(line, "utf-8", "surrogateescape") for line in source)
         header = next(lines, "").removeprefix("\ufeff")
         rows = csv.DictReader(itertools.chain((header,), lines))
         try:
@@ -378,9 +375,8 @@ def parse_alerts(source: Iterable[bytes], format: str) -> tuple[list[RawAlert], 
             except StopIteration:
                 break
             except csv.Error:
-                # an oversized field, a carriage return in an unquoted field, or
-                # a NUL byte before Python 3.11: the reader drops this row and
-                # resumes at the next line
+                # an oversized field or a carriage return in an unquoted field:
+                # the reader drops this row and resumes at the next line
                 total += 1
                 skipped += 1
                 continue

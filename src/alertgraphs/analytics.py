@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, attrgetter
 from typing import Iterable, Sequence
@@ -33,12 +33,19 @@ class TeamStats:
 
 @dataclass
 class TeamScore:
+    """A team's share of the severe and medium vertices and its weighted
+    discovery score: the shares are rounded to whole percent first, then
+    (2*sev% + med%) / 3 is rounded half-up to two decimals, in integers."""
+
     team: str
     severe_vertices: int
     medium_vertices: int
     severe_total: int
     medium_total: int
-    score: float
+    score: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.score = (200 * (2 * self.severe_pct + self.medium_pct) + 3) // 6 / 100
 
     @property
     def severe_pct(self) -> int:
@@ -53,16 +60,6 @@ class TeamScore:
 
 def _round_half_up(value: float) -> int:
     return math.floor(value + 0.5)
-
-
-def score_from_counts(
-    severe_vertices: int, severe_total: int, medium_vertices: int, medium_total: int
-) -> float:
-    """Weighted discovery score: percentages are rounded to whole numbers
-    first, then (2*sev% + med%) / 3 is rounded half-up to two decimals, in integers."""
-    sev_pct = _round_half_up(100.0 * severe_vertices / severe_total)
-    med_pct = _round_half_up(100.0 * medium_vertices / medium_total)
-    return (200 * (2 * sev_pct + med_pct) + 3) // 6 / 100
 
 
 def workload_stats(
@@ -130,20 +127,10 @@ def rank_teams(tally: GraphTally) -> list[TeamScore]:
     severe, medium = tally.severe, tally.medium
     if not severe or not medium:
         raise ValueError("ranking requires both high- and medium-severity vertices")
-    scores = []
-    for team, found in sorted(tally.found.items()):
-        sev_found = len(found & severe)
-        med_found = len(found & medium)
-        scores.append(
-            TeamScore(
-                team=team,
-                severe_vertices=sev_found,
-                medium_vertices=med_found,
-                severe_total=len(severe),
-                medium_total=len(medium),
-                score=score_from_counts(sev_found, len(severe), med_found, len(medium)),
-            )
-        )
+    scores = [
+        TeamScore(team, len(found & severe), len(found & medium), len(severe), len(medium))
+        for team, found in sorted(tally.found.items())
+    ]
     scores.sort(key=lambda s: (-s.score, s.team))
     return scores
 

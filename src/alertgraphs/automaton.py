@@ -159,26 +159,29 @@ class SuffixPdfa:
         label, _, root = lines[1].partition("\t")
         if label != "root":
             raise ValueError("malformed automaton text: missing root line")
-        model.root = int(root)
+        model.root = _count(root)
         for line in lines[2:]:
-            q, total, final, sink, *edges = line.split("\t")
-            if int(q) != len(model):
+            fields = line.split("\t")
+            if len(fields) < 4:
+                raise ValueError(f"malformed automaton text: state line {line!r} is short")
+            q, total, final, sink, *edges = fields
+            if _count(q) != len(model):
                 raise ValueError(f"malformed automaton text: state {q} out of order")
-            model.total.append(int(total))
-            model.final.append(int(final))
+            model.total.append(_count(total))
+            model.final.append(_count(final))
             if sink not in ("0", "1"):
                 raise ValueError(f"malformed automaton text: state {q} has sink field {sink!r}")
             model.sink.append(sink == "1")
             trans = {}
             for item in edges:
                 name, _, rest = item.rpartition("->")
-                tgt, cnt = rest.rsplit(":", 1)
+                tgt, _, cnt = rest.rpartition(":")
                 sid = model.ids.get(parse_symbol(unescape_field(name)))
                 if sid is None:
                     raise ValueError(f"malformed automaton text: {name!r} is not in the alphabet")
                 if sid in trans:
                     raise ValueError(f"malformed automaton text: state {q} names {name!r} twice")
-                trans[sid] = (int(tgt), int(cnt))
+                trans[sid] = (_count(tgt), _count(cnt))
             model.trans.append(trans)
         states = range(len(model))
         if model.root not in states or any(
@@ -220,6 +223,14 @@ def dot_quote(*lines: str) -> str:
         return '"' + lines[0] + '"'  # nothing to escape
     escaped = (line.replace("\\", "\\\\").replace('"', '\\"') for line in lines)
     return '"' + "\\n".join(escaped) + '"'
+
+
+def _count(field: str) -> int:
+    """A count, target or state id of automaton text, in the one form
+    ``to_text`` writes it: ASCII digits, no sign, no leading zero."""
+    if not (field.isascii() and field.isdigit()) or (field.startswith("0") and field != "0"):
+        raise ValueError(f"malformed automaton text: {field!r} is not a count")
+    return int(field)
 
 
 def _smoothed_log2(count: int, total: int, alphabet_size: int) -> float:

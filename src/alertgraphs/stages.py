@@ -9,7 +9,7 @@ class Severity(enum.IntEnum):
     HIGH = 2
 
 
-class AttackStage(str, enum.Enum):
+class AttackStage(enum.StrEnum):
     """Attack-stage category of an alert: its acronym (the value) and severity."""
 
     severity: Severity
@@ -44,6 +44,3 @@ class AttackStage(str, enum.Enum):
     DATA_EXFILTRATION = "DATA_EXFILTRATION", Severity.HIGH
     DATA_DELIVERY = "DATA_DELIVERY", Severity.HIGH
     DATA_DESTRUCTION = "DATA_DESTRUCTION", Severity.HIGH
-
-    def __str__(self) -> str:
-        return self.value

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import add, attrgetter
 
-from alertgraphs.analytics import TeamScore, score_from_counts
+from alertgraphs.analytics import TeamScore
 from alertgraphs.episodes import TEAM_ESCAPES, escaped
 from alertgraphs.stages import Severity
 
@@ -46,7 +46,6 @@ def rank_teams_oracle(ags):
                 medium_vertices=med_found,
                 severe_total=len(severe),
                 medium_total=len(medium),
-                score=score_from_counts(sev_found, len(severe), med_found, len(medium)),
             )
         )
     scores.sort(key=lambda s: (-s.score, s.team))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from alertgraphs.alerts import filter_duplicates
-from alertgraphs.analytics import rank_teams, score_from_counts
+from alertgraphs.analytics import TeamScore, rank_teams
 from alertgraphs.automaton import (
     OUT_OF_MODEL,
     LearnParams,
@@ -63,7 +63,7 @@ def report(number: int, name: str, ok: bool) -> None:
 def test_criterion_1_ranking_formula():
     started = time.perf_counter()
     scores = [
-        score_from_counts(sev, 70, med, 148) for _, sev, med, _ in PUBLISHED_RANKING
+        TeamScore(team, sev, med, 70, 148).score for team, sev, med, _ in PUBLISHED_RANKING
     ]
     expected = [row[3] for row in PUBLISHED_RANKING]
     ok = all(abs(got - want) <= 0.01 for got, want in zip(scores, expected))

@@ -2,7 +2,6 @@ import io
 import json
 import math
 import random
-import re
 from dataclasses import FrozenInstanceError, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -188,6 +187,16 @@ class TestParseAlerts:
         with pytest.raises(TypeError, match="binary stream"):
             parse_alerts(source, format=format)
 
+    @pytest.mark.parametrize("at", [0, 1], ids=["first-line", "second-line"])
+    @pytest.mark.parametrize("format", ["eve-json", "csv"])
+    def test_str_line_raises_type_error(self, format, at):
+        # a str line is no line of the log: it fails the parse, not one record
+        text = {"eve-json": eve_line() + "\n" + eve_line(), "csv": CSV_HEADER + CSV_ROW}[format]
+        lines = text.encode().splitlines(keepends=True)
+        lines[at] = lines[at].decode()
+        with pytest.raises(TypeError):
+            parse_alerts(lines, format=format)
+
 
 def eve_with(key, value):
     """``eve_line()`` with one field, top-level or under ``alert``, set to ``value``."""
@@ -244,21 +253,24 @@ CSV_ROW = "2018-11-03T10:00:00+00:00,10.0.254.1,10.0.0.1,22,ET SCAN Nmap,Misc\n"
 
 class TestCsvRows:
     @pytest.mark.parametrize(
-        "bad",
+        "bad, signatures",
         [
-            CSV_ROW.replace("ET SCAN Nmap", "x" * 200_000),  # over the csv field limit
-            CSV_ROW.replace("ET SCAN Nmap", "ET\0SCAN"),  # csv.Error on Python 3.10
-            CSV_ROW.replace("ET SCAN Nmap", "ET\rSCAN"),  # a bare CR in an unquoted field
+            # over the csv field limit
+            (CSV_ROW.replace("ET SCAN Nmap", "x" * 200_000), ["ET SCAN Nmap"] * 2),
+            # a NUL byte is read into its field like any other character
+            (CSV_ROW.replace("ET SCAN Nmap", "ET\0SCAN"), ["ET SCAN Nmap", "ET\0SCAN", "ET SCAN Nmap"]),
+            # a bare CR in an unquoted field
+            (CSV_ROW.replace("ET SCAN Nmap", "ET\rSCAN"), ["ET SCAN Nmap"] * 2),
         ],
         ids=["oversized-field", "nul-byte", "bare-cr"],
     )
-    def test_unreadable_row_skips_only_itself(self, bad):
+    def test_unreadable_row_skips_only_itself(self, bad, signatures):
         good_b = CSV_ROW.replace("10:00:00", "10:00:05")
         alerts, stats = parse_alerts(log(CSV_HEADER + CSV_ROW + bad + good_b), format="csv")
-        assert stats.total == 3
-        assert stats.parsed + stats.skipped == stats.total
-        kept = [a for a in alerts if a.signature == "ET SCAN Nmap"]
-        assert [a.timestamp.second for a in kept] == [0, 5]
+        parsed = len(signatures)
+        assert (stats.total, stats.parsed, stats.skipped) == (3, parsed, 3 - parsed)
+        assert [a.signature for a in alerts] == signatures
+        assert [a.timestamp.second for a in alerts] == [0] * (parsed - 1) + [5]
 
     @pytest.mark.parametrize("field", ["10.0.254.1", "10.0.0.1", "ET SCAN Nmap", "Misc"])
     def test_undecodable_byte_skips_only_its_row(self, field):
@@ -512,22 +524,6 @@ def test_parse_timestamp_variants(value):
     assert dt.microsecond == 148520
 
 
-_TZ_NO_COLON = re.compile(r"([+-]\d{2})(\d{2})$")
-
-
-def oracle_parse_timestamp(value: str) -> datetime:
-    """The regex form of ``parse_timestamp`` that slicing replaced."""
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    else:
-        text = _TZ_NO_COLON.sub(r"\1:\2", text)
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
-
-
 def outcome(fn, *args):
     """``fn(*args)``, or the type of the ``ValueError``/``OverflowError`` it raised."""
     try:
@@ -550,21 +546,13 @@ valid_timestamps = st.tuples(
     st.sampled_from(["", " ", "\n"]),
 ).map(lambda t: t[0].isoformat(timespec=t[1]) + t[2] + t[3])
 
-# text ending in a sign and four characters, some of them non-ASCII digits,
-# so the offset branch is taken or refused on purpose
+# text ending in a sign and four characters, some of them non-ASCII digits:
+# an offset without a colon, or text that only looks like one
 offset_like_text = st.tuples(
     st.one_of(st.text(max_size=30), valid_timestamps),
     st.sampled_from("+-"),
     st.text(alphabet="0123456789\u0660\u0661\u00b2\u06f3\uff11a:", min_size=4, max_size=4),
 ).map("".join)
-
-
-@given(st.one_of(valid_timestamps, offset_like_text, st.text()))
-def test_parse_timestamp_matches_regex_oracle(value):
-    result = outcome(parse_timestamp, value)
-    assert result == outcome(oracle_parse_timestamp, value)
-    if isinstance(result, datetime):
-        assert result.tzinfo is timezone.utc
 
 
 def record_outcome(fn, value):
@@ -633,6 +621,80 @@ def test_record_timestamp_matches_parse_timestamp(value):
         assert outcome[1] == timezone.utc
 
 
+def in_utc(dt: datetime) -> datetime:
+    """The instant ``dt`` names, in UTC; a naive ``dt`` is taken as UTC."""
+    return dt.replace(tzinfo=timezone.utc) if dt.tzinfo is None else dt.astimezone(timezone.utc)
+
+
+def iso_form(dt, basic, week, mark, digits, offset):
+    """``dt`` in one of the ISO 8601 forms ``fromisoformat`` reads: a calendar
+    or week date, extended or basic, ``.`` or ``,`` before 0-6 fraction digits."""
+    if week:
+        year, number, day = dt.isocalendar()
+        date = f"{year:04d}-W{number:02d}-{day}"
+    else:
+        date = f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}"
+    time = f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}"
+    if basic:
+        date, time = date.replace("-", ""), time.replace(":", "")
+    fraction = mark + f"{dt.microsecond:06d}"[:digits] if digits else ""
+    return f"{date}T{time}{fraction}{offset}"
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(
+        st.builds(
+            iso_form,
+            st.datetimes(),
+            st.booleans(),
+            st.booleans(),
+            st.sampled_from(".,"),
+            st.integers(min_value=0, max_value=6),
+            iso_offsets,
+        ),
+        iso_timestamps,
+        offset_like_text,
+        st.text(),
+    )
+)
+@example("2018-11-03T10:00:00+0000")
+@example("0001-01-01T00:00:00+0100")  # before year 1 in UTC
+def test_parse_timestamp_reads_what_fromisoformat_reads(value):
+    try:
+        dt = datetime.fromisoformat(value)
+    except ValueError:
+        return  # parse_timestamp may still read it, stripped or with "z"
+    result = outcome(parse_timestamp, value)
+    assert result == outcome(in_utc, dt)
+    if isinstance(result, datetime):
+        assert result.tzinfo is timezone.utc
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ("2018-11-03T10:00:00.1", datetime(2018, 11, 3, 10, 0, 0, 100000)),
+        ("20181103T100000", datetime(2018, 11, 3, 10)),
+        ("2018-W44-6T10:00:00", datetime(2018, 11, 3, 10)),
+        ("2018-11-03T10:00:00,5", datetime(2018, 11, 3, 10, 0, 0, 500000)),
+        ("2018-11-03T10:00:00.123+00", datetime(2018, 11, 3, 10, 0, 0, 123000)),
+    ],
+)
+def test_iso_forms_are_read_as_records(value, expected):
+    expected = expected.replace(tzinfo=timezone.utc)
+    assert parse_timestamp(value) == expected
+    assert eve_record_timestamp(value) == expected
+
+
+def test_four_digits_after_a_date_are_no_offset():
+    # "-0310" is not read as the offset "-03:10": the text is no timestamp
+    with pytest.raises(ValueError):
+        parse_timestamp("2018-11-0310")
+    with pytest.raises(ValueError, match="record skipped"):
+        eve_record_timestamp("2018-11-0310")
+
+
 def oracle_text(value, name):
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string")
@@ -667,7 +729,7 @@ def oracle_parse_eve(source: bytes):
                 raise ValueError("an address must be non-empty")
             category = alert.get("category")
             raw = RawAlert(
-                timestamp=oracle_parse_timestamp(record["timestamp"]),
+                timestamp=parse_timestamp(record["timestamp"]),
                 src_ip=addresses[0],
                 dst_ip=addresses[1],
                 dst_port=oracle_port(record.get("dest_port", 0)),
@@ -882,10 +944,12 @@ class TestMapping:
         raw = RawAlert(ts(0), "a", "b", 1, "GPL misc", category="Attempted Information Leak")
         assert map_alert(raw, cfg).stage == AttackStage.INFO_DISC
 
-    def test_no_catch_all_raises(self):
+    def test_rules_without_a_catch_all_get_one(self):
         cfg = MappingConfig(signature_rules=[("scan", AttackStage.SERVICE_DISC)])
-        with pytest.raises(ValueError):
-            cfg.stage_for("something else", "")
+        assert cfg.signature_rules == (("scan", AttackStage.SERVICE_DISC), ("*", AttackStage.SURFING))
+        assert cfg.stage_for("something else", "") == AttackStage.SURFING
+        own = (("*", AttackStage.VULN_DISC), ("scan", AttackStage.SERVICE_DISC))
+        assert MappingConfig(signature_rules=own).signature_rules == own
 
     def test_rules_cannot_change_behind_the_memo(self):
         rules = [("scan", AttackStage.SERVICE_DISC), ("*", AttackStage.SURFING)]
@@ -909,9 +973,9 @@ class TestMapping:
         with pytest.raises(FrozenInstanceError):
             setattr(cfg, name, getattr(cfg, name))
 
-    def test_load_signature_rules_appends_catch_all(self):
+    def test_load_signature_rules_returns_the_rules_as_read(self):
         rules = load_signature_rules(["# comment", "scan\tSERVICE_DISC", ""])
-        assert rules[-1] == ("*", AttackStage.SURFING)
+        assert rules == [("scan", AttackStage.SERVICE_DISC)]
 
     def test_load_signature_rules_names_the_line_of_an_unknown_stage(self):
         with pytest.raises(ValueError, match="rule line 2: unknown stage 'service_disc'"):
@@ -942,12 +1006,13 @@ class TestMapping:
 
 
 def oracle_stage_for(rules, signature, category):
-    """Plain first-match scan over ``rules``, with no memo."""
+    """Plain first-match scan over ``rules``, with no memo; SURFING when no
+    rule matches."""
     haystack = (signature + "\n" + category).lower()
     for pattern, stage in rules:
         if pattern == "*" or pattern.lower() in haystack:
             return stage
-    raise ValueError("mapping config has no catch-all rule")
+    return AttackStage.SURFING
 
 
 rule_lists = st.lists(
@@ -972,8 +1037,7 @@ def test_memoized_stage_for_matches_scan(first_rules, second_rules, before, afte
     for rules, pairs in ((first_rules, before), (second_rules, before + after)):
         cfg = replace(cfg, signature_rules=rules)  # a fresh memo: no answer carries over
         for signature, category in pairs + pairs:  # every pair is looked up again
-            expected = outcome(oracle_stage_for, rules, signature, category)
-            assert outcome(cfg.stage_for, signature, category) == expected
+            assert cfg.stage_for(signature, category) == oracle_stage_for(rules, signature, category)
 
 
 def dedup_oracle(alerts, t):

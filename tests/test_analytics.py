@@ -11,7 +11,6 @@ from alertgraphs.analytics import (
     TeamScore,
     graph_summary,
     rank_teams,
-    score_from_counts,
     shorter_repeat_ratio,
     workload_stats,
 )
@@ -64,23 +63,23 @@ PUBLISHED_RANKING = [
 
 
 class TestScoreFromCounts:
+    """``TeamScore.score``, worked out from the four counts it is built from."""
+
     @pytest.mark.parametrize("team,severe,medium,expected", PUBLISHED_RANKING)
     def test_published_rows(self, team, severe, medium, expected):
-        assert score_from_counts(severe, 70, medium, 148) == pytest.approx(
-            expected, abs=0.01
-        )
+        assert TeamScore(team, severe, medium, 70, 148).score == pytest.approx(expected, abs=0.01)
 
     def test_round_then_average_order(self):
         # 18/70 = 25.71% rounds to 26 before weighting; averaging first
         # would give 31.11 instead of 31.33
-        assert score_from_counts(18, 70, 62, 148) == 31.33
+        assert TeamScore("t", 18, 62, 70, 148).score == 31.33
 
     def test_full_ownership(self):
-        assert score_from_counts(10, 10, 5, 5) == 100.0
+        assert TeamScore("t", 10, 5, 10, 5).score == 100.0
 
     def test_half_up_rounding(self):
         # 21/40 = 52.5% must round up to 53
-        assert score_from_counts(21, 40, 0, 148) == pytest.approx((2 * 53 + 0) / 3, abs=0.005)
+        assert TeamScore("t", 21, 0, 40, 148).score == pytest.approx((2 * 53 + 0) / 3, abs=0.005)
 
     def test_integer_rounding_matches_decimal_quantize(self):
         # every numerator 2*sev% + med% from 0 to 300, against the Decimal
@@ -88,13 +87,15 @@ class TestScoreFromCounts:
         for sev_pct, med_pct in itertools.product(range(101), repeat=2):
             combined = Decimal(2 * sev_pct + med_pct) / Decimal(3)
             expected = float(combined.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
-            assert score_from_counts(sev_pct, 100, med_pct, 100) == expected
+            assert TeamScore("t", sev_pct, med_pct, 100, 100).score == expected
 
     def test_team_score_percentages_are_derived_not_stored(self):
-        sc = TeamScore("t1", 21, 18, 40, 70, score_from_counts(21, 40, 18, 70))
+        sc = TeamScore("t1", 21, 18, 40, 70)
         assert (sc.severe_pct, sc.medium_pct) == (53, 26)  # 52.5 rounds up, 25.71 down
         assert sc.score == pytest.approx((2 * 53 + 26) / 3, abs=0.005)
         assert "severe_pct" not in vars(sc) and "medium_pct" not in vars(sc)
+        with pytest.raises(TypeError):  # the score is the counts', never given
+            TeamScore("t1", 21, 18, 40, 70, 99.0)
 
 
 def aseq(attacker, victim, rows):

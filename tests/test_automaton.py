@@ -317,10 +317,21 @@ class TestSerialization:
             "alphabet\t\nroot\n0\t0\t0\t0\n",  # root line without its state
             "alphabet\tSURFING|x\nroot\t0\n0\t2\t0\t0\tSURFING|x->0:1\tSURFING|x->0:1\n",  # symbol named twice
             "alphabet\t\nroot\t0\n0\t0\t0\t2\n",  # sink field neither 0 nor 1
+            # a count, target or state id in a form to_text never writes
+            "alphabet\t\nroot\t0\n0\t05\t05\t0\n",  # leading zero
+            "alphabet\t\nroot\t0\n0\t+5\t+5\t0\n",  # sign
+            "alphabet\t\nroot\t0\n0\t 5\t 5\t0\n",  # space
+            "alphabet\t\nroot\t0\n0\t3\t-1\t0\n",  # negative
+            "alphabet\t\nroot\t00\n0\t0\t0\t0\n",  # root id
+            "alphabet\t\nroot\t0\n00\t0\t0\t0\n",  # state id
+            "alphabet\tSURFING|x\nroot\t0\n0\t1\t0\t0\tSURFING|x->00:1\n",  # target
+            "alphabet\tSURFING|x\nroot\t0\n0\t1\t0\t0\tSURFING|x->0:01\n",  # transition count
+            "alphabet\tSURFING|x\nroot\t0\n0\t1\t0\t0\tSURFING|x->0\n",  # transition without a count
+            "alphabet\t\nroot\t0\n0\t0\t0\n",  # state line short of its four fields
         ],
     )
     def test_inconsistent_text_rejected(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed automaton text"):
             SuffixPdfa.from_text(text)
 
     def test_empty_automaton_round_trip(self):

@@ -3,6 +3,7 @@
 import ast
 import re
 import tokenize
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,17 @@ def test_parameter_defaults_are_the_ones_callers_outside_the_tests_omit():
         # pipeline SYMBOL_ESCAPES; episodes.render_episode_dump omits it
         "episodes.escaped.table",
     }
+
+
+def test_ci_runs_the_lowest_python_the_package_accepts():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requires = tomllib.load(fh)["project"]["requires-python"]
+    floor = re.fullmatch(r">=(\d+)\.(\d+)", requires)
+    assert floor, f"requires-python {requires!r} is not >=X.Y"
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    matrix = re.search(r"python-version: \[(.*)\]", workflow)[1]
+    versions = [tuple(map(int, v.split("."))) for v in re.findall(r'"(\d+\.\d+)"', matrix)]
+    assert min(versions) == tuple(map(int, floor.groups()))
 
 
 if __name__ == "__main__":

@@ -787,9 +787,8 @@ def read_tsv(path: Path) -> list[list[str]]:
     return [line.split("\t") for line in text[:-1].split("\n")]
 
 
-# any text but a lone surrogate, which is no UTF-8, and NUL, which the csv
-# module rejects before Python 3.11
-names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=6)
+# any text but a lone surrogate, which is no UTF-8
+names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 STAGES_DRAWN = [AttackStage.SERVICE_DISC, AttackStage.PRIV_ESC, AttackStage.DATA_EXFILTRATION]
 
 
