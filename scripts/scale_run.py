@@ -10,10 +10,11 @@ min and max over the runs of the wall seconds, of the seconds of each stage
 and of the peak RSS (``VmHWM``, Linux only) in MB, plus the record count.
 ``learn_pdfa`` holds each learner call by the stage that made it (``learn``,
 and ``stats`` for the perplexity report's model): its seconds, and the
-rounds and the evaluated, reused and pruned pair scores summed from the
-learner's ``trace`` callback, and ``trie_states``, the states of the trie it
-learned from. ``episodes``, ``attempts``, ``pdfa_states``, ``sink_states``,
-``graphs`` and ``artifacts`` count the work of the run, read from its
+rounds, the evaluated, reused and pruned pair scores and the pair
+evaluations run (``calls``), summed from the learner's ``trace`` callback,
+and ``trie_states``, the states of the trie it learned from.
+``episodes``, ``attempts``, ``pdfa_states``, ``sink_states``, ``graphs``
+and ``artifacts`` count the work of the run, read from its
 ``PipelineResult``. ``stage_rss_mb`` holds, per stage, the live
 (``VmRSS``) and peak (``VmHWM``) resident size in MB as the stage ended,
 so a change in memory shows which stage moved it. ``gc_collections``
@@ -60,7 +61,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402  bench/workloads.py
 
 
-LEARNER_COUNTS = ("rounds", "evaluated", "reused", "pruned", "trie_states")
+LEARNER_COUNTS = ("rounds", "evaluated", "reused", "pruned", "calls", "trie_states")
 WORK_COUNTS = ("records", "parsed", "skipped", "episodes", "attempts", "pdfa_states",
                "sink_states", "graphs", "artifacts")
 
@@ -100,7 +101,7 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
 
         def count(step):
             call["rounds"] += 1
-            for key in ("evaluated", "reused", "pruned"):
+            for key in ("evaluated", "reused", "pruned", "calls"):
                 call[key] += step[key]
 
         start = time.perf_counter()

@@ -129,7 +129,7 @@ def rank_teams(tally: GraphTally) -> list[TeamScore]:
         raise ValueError("ranking requires both high- and medium-severity vertices")
     scores = [
         TeamScore(team, len(found & severe), len(found & medium), len(severe), len(medium))
-        for team, found in sorted(tally.found.items())
+        for team, found in tally.found.items()
     ]
     scores.sort(key=lambda s: (-s.score, s.team))
     return scores

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .episodes import (
@@ -151,43 +152,40 @@ class SuffixPdfa:
 
     @classmethod
     def from_text(cls, text: str) -> "SuffixPdfa":
-        lines = [ln for ln in text.split("\n") if ln.strip()]
-        if len(lines) < 2 or lines[0].split("\t")[0] != "alphabet":
-            raise ValueError("malformed automaton text: missing alphabet line")
-        alphabet = [parse_symbol(unescape_field(f)) for f in lines[0].split("\t")[1:] if f]
-        model = cls(_symbol_table([alphabet]), [], [], [], [], {})
-        label, _, root = lines[1].partition("\t")
-        if label != "root":
-            raise ValueError("malformed automaton text: missing root line")
-        model.root = _count(root)
-        for line in lines[2:]:
-            fields = line.split("\t")
-            if len(fields) < 4:
-                raise ValueError(f"malformed automaton text: state line {line!r} is short")
-            q, total, final, sink, *edges = fields
-            if _count(q) != len(model):
-                raise ValueError(f"malformed automaton text: state {q} out of order")
-            model.total.append(_count(total))
-            model.final.append(_count(final))
-            if sink not in ("0", "1"):
-                raise ValueError(f"malformed automaton text: state {q} has sink field {sink!r}")
-            model.sink.append(sink == "1")
-            trans = {}
-            for item in edges:
-                name, _, rest = item.rpartition("->")
-                tgt, _, cnt = rest.rpartition(":")
-                sid = model.ids.get(parse_symbol(unescape_field(name)))
-                if sid is None:
-                    raise ValueError(f"malformed automaton text: {name!r} is not in the alphabet")
-                if sid in trans:
-                    raise ValueError(f"malformed automaton text: state {q} names {name!r} twice")
-                trans[sid] = (_count(tgt), _count(cnt))
-            model.trans.append(trans)
+        """The model ``text`` holds; the text must be exactly what that
+        model's ``to_text`` writes, with every count at least 0, every target
+        a state, and each state's ``total`` its ``final`` plus its transition
+        counts. Anything else raises ``ValueError``."""
+        lines = text.split("\n")
+        try:
+            alphabet = [parse_symbol(unescape_field(f)) for f in lines[0].split("\t")[1:] if f]
+            model = cls(_symbol_table([alphabet]), [], [], [], [], {})
+            for line in filter(None, lines[2:]):
+                _, total, final, sink, *edges = line.split("\t")
+                model.total.append(int(total))
+                model.final.append(int(final))
+                model.sink.append(sink == "1")
+                trans = {}
+                for item in edges:
+                    name, _, rest = item.rpartition("->")
+                    tgt, _, cnt = rest.rpartition(":")
+                    trans[model.ids[parse_symbol(unescape_field(name))]] = (int(tgt), int(cnt))
+                model.trans.append(trans)
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"malformed automaton text: {exc!r}") from None
+        for n, (line, back) in enumerate(zip_longest(lines, model.to_text().split("\n")), 1):
+            if line != back:
+                raise ValueError(f"malformed automaton text: line {n} {line!r} reads back as {back!r}")
+        if not model.total:
+            raise ValueError("malformed automaton text: no state")
         states = range(len(model))
-        if model.root not in states or any(
-            tgt not in states for trans in model.trans for tgt, _ in trans.values()
-        ):
-            raise ValueError("malformed automaton text: the root or a target is not a state")
+        for q, trans in enumerate(model.trans):
+            counts = [model.final[q], *(cnt for _, cnt in trans.values())]
+            if min(counts) < 0 or sum(counts) != model.total[q] or any(
+                tgt not in states for tgt, _ in trans.values()
+            ):
+                raise ValueError(f"malformed automaton text: state {q} has a negative count, "
+                                 "a target that is not a state or counts that do not add up")
         return model
 
     def to_dot(self) -> str:
@@ -223,14 +221,6 @@ def dot_quote(*lines: str) -> str:
         return '"' + lines[0] + '"'  # nothing to escape
     escaped = (line.replace("\\", "\\\\").replace('"', '\\"') for line in lines)
     return '"' + "\\n".join(escaped) + '"'
-
-
-def _count(field: str) -> int:
-    """A count, target or state id of automaton text, in the one form
-    ``to_text`` writes it: ASCII digits, no sign, no leading zero."""
-    if not (field.isascii() and field.isdigit()) or (field.startswith("0") and field != "0"):
-        raise ValueError(f"malformed automaton text: {field!r} is not a count")
-    return int(field)
 
 
 def _smoothed_log2(count: int, total: int, alphabet_size: int) -> float:
@@ -295,7 +285,8 @@ def learn_pdfa(
     ``trace``, when given, is called once per round with a dict: ``fringe``
     (blue states), ``evaluated``, ``reused`` and ``pruned`` (pair scores
     computed, taken from the cache, and given up below the floor; together,
-    fringe times non-root reds), and either
+    fringe times non-root reds), ``calls`` (pair evaluations run; a pair
+    kept pruned from the last round takes none), and either
     ``merge: (red, blue, score)`` or ``promote: blue``. State ids there are
     the merger's own, trie ids before the final renumbering.
     """

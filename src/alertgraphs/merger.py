@@ -266,10 +266,11 @@ class _Merger:
                     (ready if valid and entry[3] else rest).append(
                         (-entry[1], red, blue, valid and entry)
                     )
-            best, floor = (math.inf,), -math.inf
+            best, floor, calls = (math.inf,), -math.inf, 0
             for _, red, blue, entry in ready + sorted(rest):
                 if not entry or not entry[3] and entry[1] >= floor:
                     entry = (self.merges, *self._evaluate(red, blue, floor))
+                    calls += 1
                 scores[red, blue] = entry
                 if (-entry[1], red, blue) < best:
                     best, floor = (-entry[1], red, blue), entry[1] - self.margin
@@ -285,4 +286,4 @@ class _Merger:
             if trace is not None:
                 done = sum(entry[3] for entry in scores.values())
                 trace({"fringe": len(fringe), "evaluated": done - len(ready), "reused": len(ready),
-                       "pruned": len(scores) - done, **step})
+                       "pruned": len(scores) - done, "calls": calls, **step})

@@ -328,6 +328,19 @@ class TestSerialization:
             "alphabet\tSURFING|x\nroot\t0\n0\t1\t0\t0\tSURFING|x->0:01\n",  # transition count
             "alphabet\tSURFING|x\nroot\t0\n0\t1\t0\t0\tSURFING|x->0\n",  # transition without a count
             "alphabet\t\nroot\t0\n0\t0\t0\n",  # state line short of its four fields
+            "alphabet\t\nroot\t0\n0\t3\t0\t0\n",  # counts that do not add up
+            "alphabet\t\nroot\t0\n0\t-1\t-1\t0\n",  # negative counts that add up and read back
+            "alphabet\tSURFING|x\nroot\t0\n0\t1\t0\t0\tSURFING|x->-1:1\n",  # target -1
+            "alphabet\tSURFING|x\nroot\t0\n0\t1\t0\t0\tSURFING|x0:1\n",  # transition without ->
+            "alphabet\t\nroot\t0\n",  # no state
+            # forms to_text never writes, each read back differently
+            "alphabet\tSURFING|x\nroot\t0\n0\t1\t0\t0\tSURFING|x->1:1\n\n1\t1\t1\t0\n",  # blank line
+            "alphabet\tSURFING|x\nroot\t0\n0\t1\t0\t0\tSURFING|x->1:1\n1\t1\t1\t0",  # no final newline
+            "alphabet\tSURFING|b\tSURFING|a\nroot\t0\n"  # alphabet out of order
+            "0\t2\t0\t0\tSURFING|a->1:1\tSURFING|b->1:1\n1\t2\t2\t0\n",
+            "alphabet\tSURFING|a\tSURFING|b\nroot\t0\n"  # transitions out of order
+            "0\t2\t0\t0\tSURFING|b->1:1\tSURFING|a->1:1\n1\t2\t2\t0\n",
+            "alphabet\tSURFING|x\nroot\t1\n0\t1\t0\t0\tSURFING|x->1:1\n1\t1\t1\t0\n",  # root 1
         ],
     )
     def test_inconsistent_text_rejected(self, text):
@@ -369,6 +382,60 @@ def test_text_round_trip_for_any_service(corpus, count):
     back = SuffixPdfa.from_text(text)
     assert back.to_text() == text
     assert back.to_dot() == model.to_dot()
+
+
+def _edit(text, edit, rng):
+    """``text`` with one edit applied; unchanged where the edit has no place."""
+    lines = text.split("\n")
+    state = rng.randrange(2, len(lines) - 1)  # a state line
+    if edit == "blank line":
+        lines.insert(rng.randrange(1, len(lines)), "")
+    elif edit == "no final newline":
+        lines.pop()
+    elif edit == "swap transitions":
+        wide = [i for i, line in enumerate(lines[2:], 2) if line.count("\t") >= 5]
+        if wide:
+            i = rng.choice(wide)
+            fields = lines[i].split("\t")
+            fields[4], fields[5] = fields[5], fields[4]
+            lines[i] = "\t".join(fields)
+    elif edit == "reverse alphabet":
+        label, *names = lines[0].split("\t")
+        lines[0] = "\t".join([label, *reversed(names)])
+    elif edit == "leading zero":
+        fields = lines[state].split("\t")
+        count = rng.choice([1, 2])  # total or final
+        fields[count] = "0" + fields[count]
+        lines[state] = "\t".join(fields)
+    elif edit == "root":
+        lines[1] = f"root\t{rng.randrange(1, len(lines) - 2)}"  # 1 is not a state of a one-state model
+    elif edit == "duplicate state":
+        lines.insert(state, lines[state])
+    return "\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(any_service_symbols, min_size=1, max_size=4), min_size=1, max_size=12),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(["blank line", "no final newline", "swap transitions", "reverse alphabet",
+                     "leading zero", "root", "duplicate state"]),
+    st.randoms(use_true_random=False),
+)
+def test_text_that_loads_reads_back_unchanged(corpus, count, edit, rng):
+    model = learn_pdfa(build_suffix_tree(corpus), LearnParams(count, count, count))
+    text = _edit(model.to_text(), edit, rng)
+    try:
+        back = SuffixPdfa.from_text(text)
+    except ValueError as exc:
+        assert "malformed automaton text" in str(exc)
+    else:
+        assert back.to_text() == text
+
+
+def test_committed_golden_automaton_reads_back_byte_for_byte():
+    data = (Path(__file__).parent / "golden" / "automaton.txt").read_bytes()
+    assert SuffixPdfa.from_text(data.decode("utf-8")).to_text().encode("utf-8") == data
 
 
 def test_automaton_dot_colors_by_incoming_severity():
@@ -666,9 +733,11 @@ def test_learner_trace_accounts_for_every_pair(params):
     steps = []
     model = learn_pdfa(tree, params, trace=steps.append)
     assert learn_pdfa(tree, params).to_text() == model.to_text()
-    reds = 0  # non-root reds: one per promotion so far
+    reds = pairs = 0  # non-root reds: one per promotion so far
     for step in steps:
         assert step["evaluated"] + step["reused"] + step["pruned"] == step["fringe"] * reds
+        assert step["evaluated"] <= step["calls"] <= step["evaluated"] + step["pruned"]
+        pairs += step["fringe"] * reds
         assert ("merge" in step) != ("promote" in step)
         if "promote" in step:
             reds += 1
@@ -680,6 +749,8 @@ def test_learner_trace_accounts_for_every_pair(params):
         assert sum(step["reused"] for step in steps) > 0
     if params == LearnParams():
         assert sum(step["pruned"] for step in steps) > 0
+    if params == LearnParams(0, 0, 0, alpha=0.5):
+        assert sum(step["calls"] for step in steps) < pairs
 
 
 # Many corpora drawn from few distinct sequences: equal count ratios, where a
