@@ -16,11 +16,11 @@ import functools
 import io
 import itertools
 import json
-from dataclasses import dataclass, field
+import pkgutil
 from datetime import datetime, timedelta, timezone
-from importlib import resources
 from operator import ge, gt, itemgetter
-from typing import Callable, Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .stages import AttackStage
 
@@ -84,15 +84,18 @@ _new_record = tuple.__new__
 _TIMESTAMP = itemgetter(0)  # of either record
 
 
-@dataclass
-class ParseStats:
+class ParseStats(NamedTuple):
     total: int = 0
     parsed: int = 0
     skipped: int = 0
 
 
-@dataclass(frozen=True)
-class MappingConfig:
+class _MappingFields(NamedTuple):
+    signature_rules: tuple[tuple[str, AttackStage], ...] = ()
+    port_service: Mapping[int, str] = MappingProxyType({})
+
+
+class MappingConfig(_MappingFields):
     """Ordered signature rules plus a port->service registry.
 
     Each rule is ``(pattern, stage)``; the first rule whose pattern occurs
@@ -100,18 +103,15 @@ class MappingConfig:
     pattern ``*`` matches everything; a catch-all ``*`` rule mapping to
     SURFING is appended when the rules hold none.
 
-    A config is frozen, and ``signature_rules`` is stored as a tuple, so the
-    rules cannot change under the memo of ``stage_for``, which keeps the
-    stage of each ``(signature, category)`` pair it has seen;
-    ``dataclasses.replace`` makes a changed copy with a memo of its own.
+    A config is a named tuple, and ``signature_rules`` is stored as a tuple,
+    so the rules cannot change under the memo of ``stage_for``, which keeps
+    the stage of each ``(signature, category)`` pair it has seen; a changed
+    copy, such as one ``_replace`` makes, is built anew with a memo of its own.
     """
 
-    signature_rules: tuple[tuple[str, AttackStage], ...] = ()
-    port_service: dict[int, str] = field(default_factory=dict)
-    _stages: _Memo = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        rules = tuple(self.signature_rules)
+    def __new__(cls, *args, **kwargs):
+        rules, ports = _MappingFields(*args, **kwargs)
+        rules = tuple(rules)
         if not any(pattern == CATCH_ALL_PATTERN for pattern, _ in rules):
             rules += ((CATCH_ALL_PATTERN, DEFAULT_STAGE),)
         # the catch-all becomes the empty pattern, which every haystack contains
@@ -124,8 +124,14 @@ class MappingConfig:
                 if pattern in haystack:
                     return stage
 
-        object.__setattr__(self, "signature_rules", rules)
+        self = super().__new__(cls, rules, ports)
         object.__setattr__(self, "_stages", _Memo(scan))
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __setattr__(self, name, value):  # the memo is as fixed as the fields
+        raise AttributeError(f"cannot assign {name!r} of a MappingConfig")
 
     def stage_for(self, signature: str, category: str) -> AttackStage:
         return self._stages[signature, category]
@@ -193,13 +199,12 @@ def load_port_services(lines: Iterable[str]) -> dict[int, str]:
 
 def default_mapping_config() -> MappingConfig:
     """Mapping config backed by the bundled rule file and service registry."""
-    data = resources.files("alertgraphs.data")
-    rules = load_signature_rules(
-        data.joinpath("signature_rules.tsv").read_text(encoding="utf-8").splitlines()
-    )
-    ports = load_port_services(
-        data.joinpath("service_names.csv").read_text(encoding="utf-8").splitlines()
-    )
+    # pkgutil, not importlib.resources, which from Python 3.12 imports inspect
+    def lines(name: str) -> list[str]:
+        return pkgutil.get_data(__package__, "data/" + name).decode("utf-8").splitlines()
+
+    rules = load_signature_rules(lines("signature_rules.tsv"))
+    ports = load_port_services(lines("service_names.csv"))
     return MappingConfig(signature_rules=rules, port_service=ports)
 
 

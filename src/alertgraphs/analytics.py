@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .alerts import Alert
 from .episodes import Episode, EpisodeSequence, EpisodeSubSequence
@@ -20,8 +19,7 @@ from .graphs import AttackGraph, IndexRow, VertexKey, simplicity
 from .stages import Severity
 
 
-@dataclass
-class TeamStats:
+class TeamStats(NamedTuple):
     team: str
     raw_alerts: int
     filtered_alerts: int
@@ -31,21 +29,17 @@ class TeamStats:
     ag_count: int
 
 
-@dataclass
-class TeamScore:
+class TeamScore(NamedTuple):
     """A team's share of the severe and medium vertices and its weighted
     discovery score: the shares are rounded to whole percent first, then
-    (2*sev% + med%) / 3 is rounded half-up to two decimals, in integers."""
+    (2*sev% + med%) / 3 is rounded half-up to two decimals, in integers.
+    The shares and the score are worked out from the four counts, never given."""
 
     team: str
     severe_vertices: int
     medium_vertices: int
     severe_total: int
     medium_total: int
-    score: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.score = (200 * (2 * self.severe_pct + self.medium_pct) + 3) // 6 / 100
 
     @property
     def severe_pct(self) -> int:
@@ -56,6 +50,10 @@ class TeamScore:
     def medium_pct(self) -> int:
         """Share of all medium vertices this team found, in whole percent."""
         return _round_half_up(100.0 * self.medium_vertices / self.medium_total)
+
+    @property
+    def score(self) -> float:
+        return (200 * (2 * self.severe_pct + self.medium_pct) + 3) // 6 / 100
 
 
 def _round_half_up(value: float) -> int:

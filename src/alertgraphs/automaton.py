@@ -20,9 +20,8 @@ and the S-PDFA, whose walks fall off the automaton on a miss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .episodes import (
     TSV_ESCAPES,
@@ -41,8 +40,14 @@ OUT_OF_MODEL = -1  # state id assigned when replay falls off the automaton
 SymbolT = Hashable
 
 
-@dataclass(frozen=True)
-class LearnParams:
+class _LearnFields(NamedTuple):
+    symbol_count: int = 5
+    state_count: int = 5
+    sink_count: int = 5
+    alpha: float = 0.05
+
+
+class LearnParams(_LearnFields):
     """Thresholds steering the state-merging search.
 
     ``symbol_count``: minimum frequency for a symbol (or ending) to take part
@@ -51,16 +56,17 @@ class LearnParams:
     below which a state becomes a sink (kept, but never merged or promoted).
     """
 
-    symbol_count: int = 5
-    state_count: int = 5
-    sink_count: int = 5
-    alpha: float = 0.05
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.symbol_count, self.state_count, self.sink_count) < 0:
             raise ValueError("counts must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
 class SuffixPdfa:
@@ -137,8 +143,12 @@ class SuffixPdfa:
         """Lossless text form: one state per line, transitions inline.
 
         Symbols are rendered with backslash, tab, LF and CR escaped, so any
-        service name keeps its line and field.
+        service name keeps its line and field. The form holds no
+        ``fallback`` table, so a model with one, such as the Markov
+        baseline, raises ``ValueError``.
         """
+        if self.fallback:
+            raise ValueError("a model with a fallback table has no text form")
         names = [render_symbol(sym).translate(TSV_ESCAPES) for sym in self.symbols]
         lines = ["alphabet\t" + "\t".join(names[self.ids[sym]] for sym in self.alphabet)]
         lines.append(f"root\t{self.root}")
@@ -313,8 +323,7 @@ def learn_pdfa(
     )
 
 
-@dataclass
-class AnnotatedSequence:
+class AnnotatedSequence(NamedTuple):
     """Episode sequence augmented with the automaton state of each episode."""
 
     attacker: str

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .alerts import FORMATS
@@ -15,30 +14,31 @@ from .pipeline import STAGES, PipelineConfig, StageError, run_pipeline
 def build_parser() -> argparse.ArgumentParser:
     # each option's dest is the name of a PipelineConfig or LearnParams field, and
     # every default is read from that field (None where none is set)
+    config, learn = PipelineConfig._field_defaults, LearnParams._field_defaults
     parser = argparse.ArgumentParser(
         prog="alertgraphs",
         description="Transform raw IDS alerts into per-victim, per-objective attack graphs.",
     )
     parser.add_argument("--alerts", nargs="+", required=True, type=Path, metavar="PATH",
                         help="alert log file(s)")
-    parser.add_argument("--format", choices=FORMATS, default=PipelineConfig.format)
+    parser.add_argument("--format", choices=FORMATS, default=config["format"])
     parser.add_argument("--sig-map", type=Path, metavar="PATH",
                         help="signature rule file (PATTERN<TAB>STAGE per line)")
     parser.add_argument("--port-map", type=Path, metavar="PATH",
                         help="IANA-format service-names CSV")
-    parser.add_argument("--t", type=float, default=PipelineConfig.t, metavar="SECS",
+    parser.add_argument("--t", type=float, default=config["t"], metavar="SECS",
                         help="duplicate-suppression window (default %(default)s)")
-    parser.add_argument("--w", type=float, default=PipelineConfig.w, metavar="SECS",
+    parser.add_argument("--w", type=float, default=config["w"], metavar="SECS",
                         help="episode aggregation window (default %(default)s)")
     for name in ("symbol_count", "state_count", "sink_count"):
         parser.add_argument("--" + name.replace("_", "-"), type=int, metavar="N",
-                            default=getattr(LearnParams, name),
+                            default=learn[name],
                             help="merge-test threshold (default %(default)s)")
-    parser.add_argument("--alpha", type=float, default=LearnParams.alpha, metavar="F",
+    parser.add_argument("--alpha", type=float, default=learn["alpha"], metavar="F",
                         help="significance level of the merge test (default %(default)s)")
-    parser.add_argument("--split", type=float, default=PipelineConfig.split, metavar="F",
+    parser.add_argument("--split", type=float, default=config["split"], metavar="F",
                         help="train fraction for the perplexity report (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=PipelineConfig.seed, metavar="N",
+    parser.add_argument("--seed", type=int, default=config["seed"], metavar="N",
                         help="seed for the train/test shuffle (default %(default)s)")
     parser.add_argument("--out", dest="out_dir", required=True, type=Path, metavar="DIR")
     parser.add_argument("--stop-after", choices=STAGES)
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
     options = dict(vars(args))
-    learn = LearnParams(**{f.name: options.pop(f.name) for f in fields(LearnParams)})
+    learn = LearnParams(*map(options.pop, LearnParams._fields))
     return PipelineConfig(**options, learn=learn)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
 from itertools import accumulate, chain, compress, count, islice
@@ -84,15 +83,13 @@ class Episode(NamedTuple):
     victim: str
 
 
-@dataclass
-class EpisodeSequence:
+class EpisodeSequence(NamedTuple):
     attacker: str
     victim: str
     episodes: list[Episode]
 
 
-@dataclass
-class EpisodeSubSequence:
+class EpisodeSubSequence(NamedTuple):
     parent: Pair
     index: int
     episodes: list[Episode]

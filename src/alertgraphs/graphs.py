@@ -10,7 +10,6 @@ its own path ending at the variant it reached.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime
 from itertools import compress, count, product
 from operator import attrgetter, itemgetter
@@ -25,19 +24,25 @@ VertexKey = tuple[AttackStage, str, int]  # (stage, service, state id)
 Attempt = tuple[str, int, list[tuple[Episode, int]]]  # (team, 1-based number, entries)
 
 
-@dataclass(frozen=True, order=True)
-class ObjectiveKey:
+class _ObjectiveFields(NamedTuple):
     victim: str
     stage: AttackStage
     service: str
 
-    def __post_init__(self):
+
+class ObjectiveKey(_ObjectiveFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.stage.severity != Severity.HIGH:
             raise ValueError(f"objective stage must be high severity: {self.stage}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
-@dataclass
-class AgVertex:
+class AgVertex(NamedTuple):
     stage: AttackStage
     service: str
     sid: int
@@ -55,15 +60,13 @@ class AgEdge(NamedTuple):
     seconds_since_first_alert: int
 
 
-@dataclass
-class AttemptPath:
+class AttemptPath(NamedTuple):
     team: str
     index: int  # 1-based per (team, sequence)
     vertices: list[VertexKey]
 
 
-@dataclass
-class AttackGraph:
+class AttackGraph(NamedTuple):
     key: ObjectiveKey
     vertices: dict[VertexKey, AgVertex]
     edges: list[AgEdge]
@@ -131,7 +134,9 @@ def extract_ag(
     sequences, as ``team_start_times`` gives it; an edge's label is the time
     from it to the end of the latest episode drawn at the edge's source.
     """
-    vertices: dict[VertexKey, AgVertex] = {}
+    # each vertex's fields as a list, its flags set in place as its paths are
+    # drawn; each becomes an AgVertex once the graph is whole
+    fields: dict[VertexKey, list] = {}
     edges: list[AgEdge] = []
     paths: list[AttemptPath] = []
     for team, number, entries in attempts:
@@ -145,23 +150,24 @@ def extract_ag(
                 latest = episode
                 continue
             source, triple = triple, current
-            vertex = vertices.get(triple)
+            vertex = fields.get(triple)
             if vertex is None:
-                vertex = vertices[triple] = AgVertex(
-                    stage, service, sid, False, sid == OUT_OF_MODEL or sid in sink_ids
-                )
+                vertex = fields[triple] = [
+                    stage, service, sid, False, sid == OUT_OF_MODEL or sid in sink_ids, False
+                ]
             if source is None:
-                vertex.is_path_start = True
+                vertex[5] = True  # is_path_start
             else:
                 seconds = int((latest.et - start).total_seconds())
                 edges.append(_new_record(AgEdge, (source, triple, team, seconds)))
             path.append(triple)
             latest = episode
         if path:
-            vertex.is_objective_variant = True
-        paths.append(AttemptPath(team, number, path))
+            vertex[3] = True  # is_objective_variant
+        paths.append(_new_record(AttemptPath, (team, number, path)))
+    vertices = {triple: _new_record(AgVertex, vertex) for triple, vertex in fields.items()}
     teams = tuple(sorted({p.team for p in paths}))
-    return AttackGraph(key=key, vertices=vertices, edges=edges, attempts=paths, teams=teams)
+    return _new_record(AttackGraph, (key, vertices, edges, paths, teams))
 
 
 def simplicity(vertices: int, edges: int) -> float | None:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass, field, replace
 from itertools import chain, groupby
-from operator import itemgetter
+from operator import add, itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import alerts as alerts_mod
 from . import analytics
@@ -83,8 +82,7 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class _PipelineFields(NamedTuple):
     alerts: list[Path]
     out_dir: Path
     format: str = "eve-json"
@@ -97,8 +95,13 @@ class PipelineConfig:
     seed: int = 0
     stop_after: str | None = None
 
+
+class PipelineConfig(_PipelineFields):
+    __slots__ = ()
+
     # checked when built, so every config that exists is valid
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # written so that NaN, which compares false with everything, is rejected
         if not self.t > 0:
             raise ValueError("t must be > 0")
@@ -110,21 +113,26 @@ class PipelineConfig:
             raise ValueError(f"unknown format: {self.format!r}")
         if self.stop_after is not None and self.stop_after not in STAGES:
             raise ValueError(f"unknown stage: {self.stop_after!r}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
-@dataclass
 class PipelineResult:
-    parse_stats: ParseStats
-    mapped_alerts: list[Alert] = field(default_factory=list)
-    filtered_alerts: list[Alert] = field(default_factory=list)
-    sequences: list[EpisodeSequence] = field(default_factory=list)
-    subsequences: list[EpisodeSubSequence] = field(default_factory=list)
-    corpus: list = field(default_factory=list)
-    model: SuffixPdfa | None = None
-    annotated: list[AnnotatedSequence] = field(default_factory=list)
-    ags: list[IndexRow] = field(default_factory=list)  # sorted by file name
-    tally: analytics.GraphTally = field(default_factory=analytics.GraphTally)
-    artifacts: list[Path] = field(default_factory=list)
+    """What the stages of a run produced; each stage fills in its part."""
+
+    def __init__(self):
+        self.parse_stats = ParseStats()
+        self.mapped_alerts: list[Alert] = []
+        self.filtered_alerts: list[Alert] = []
+        self.sequences: list[EpisodeSequence] = []
+        self.subsequences: list[EpisodeSubSequence] = []
+        self.corpus: list = []
+        self.model: SuffixPdfa | None = None
+        self.annotated: list[AnnotatedSequence] = []
+        self.ags: list[IndexRow] = []  # sorted by file name
+        self.tally = analytics.GraphTally()
+        self.artifacts: list[Path] = []
 
 
 class _StageWriter:
@@ -168,7 +176,7 @@ def _load_mapping(cfg: PipelineConfig) -> MappingConfig:
     if cfg.port_map is not None:
         with open(cfg.port_map, encoding="utf-8-sig") as fh:
             changes["port_service"] = alerts_mod.load_port_services(fh)
-    return replace(alerts_mod.default_mapping_config(), **changes)
+    return alerts_mod.default_mapping_config()._replace(**changes)
 
 
 def _remove_owned_outputs(out_dir: Path) -> None:
@@ -197,7 +205,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         _remove_owned_outputs(cfg.out_dir)
     except OSError as exc:
         raise StageError(stages[0], exc) from exc
-    result = PipelineResult(parse_stats=ParseStats())
+    result = PipelineResult()
 
     collecting = gc.isenabled()
     gc.disable()
@@ -224,9 +232,7 @@ def _stage_ingest(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
     for path in cfg.alerts:
         with open(path, "rb") as fh:
             raws, stats = alerts_mod.parse_alerts(fh, format=cfg.format)
-        result.parse_stats.total += stats.total
-        result.parse_stats.parsed += stats.parsed
-        result.parse_stats.skipped += stats.skipped
+        result.parse_stats = ParseStats(*map(add, result.parse_stats, stats))
         # map in input order, letting each raw record go as it is mapped
         raws.reverse()
         pop, map_alert = raws.pop, alerts_mod.map_alert
@@ -370,8 +376,8 @@ def _render_stats(team_stats, scores, ranking_note, repeat, summary) -> str:
 
 def _render_summary_json(team_stats, scores, repeat, summary) -> str:
     payload = {
-        "workload": [vars(ts) for ts in team_stats],
-        "ranking": [vars(sc) for sc in scores],
+        "workload": [ts._asdict() for ts in team_stats],
+        "ranking": [{**sc._asdict(), "score": sc.score} for sc in scores],
         "shorter_repeat_pct": repeat,
         "graphs": summary,
     }

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from types import SimpleNamespace
 
 from alertgraphs.alerts import (
     ParseStats,
@@ -80,7 +81,7 @@ def raw_from_csv_row(row: dict, checked: Checked) -> RawAlert:
 
 
 def oracle_parse_alerts(source: bytes, format: str) -> tuple[list[RawAlert], ParseStats]:
-    stats = ParseStats()
+    stats = SimpleNamespace(total=0, parsed=0, skipped=0)  # counted in place
     alerts: list[RawAlert] = []
     checked = Checked()
     if format == "eve-json":
@@ -101,7 +102,7 @@ def oracle_parse_alerts(source: bytes, format: str) -> tuple[list[RawAlert], Par
             else:
                 alerts.append(raw)
                 stats.parsed += 1
-        return alerts, stats
+        return alerts, ParseStats(**vars(stats))
     lines = io.TextIOWrapper(
         io.BytesIO(source), encoding="utf-8-sig", errors="surrogateescape", newline="\n"
     )
@@ -127,4 +128,4 @@ def oracle_parse_alerts(source: bytes, format: str) -> tuple[list[RawAlert], Par
         else:
             alerts.append(raw)
             stats.parsed += 1
-    return alerts, stats
+    return alerts, ParseStats(**vars(stats))

@@ -93,9 +93,11 @@ class TestScoreFromCounts:
         sc = TeamScore("t1", 21, 18, 40, 70)
         assert (sc.severe_pct, sc.medium_pct) == (53, 26)  # 52.5 rounds up, 25.71 down
         assert sc.score == pytest.approx((2 * 53 + 26) / 3, abs=0.005)
-        assert "severe_pct" not in vars(sc) and "medium_pct" not in vars(sc)
+        assert "severe_pct" not in sc._asdict() and "medium_pct" not in sc._asdict()
         with pytest.raises(TypeError):  # the score is the counts', never given
             TeamScore("t1", 21, 18, 40, 70, 99.0)
+        with pytest.raises(TypeError):
+            TeamScore("t1", 21, 18, 40, 70, score=99.0)
 
 
 def aseq(attacker, victim, rows):

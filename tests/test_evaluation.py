@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alertgraphs.automaton import LearnParams, _smoothed_log2, build_suffix_tree, learn_pdfa
+from alertgraphs.episodes import Symbol
 from alertgraphs.evaluation import learn_markov_chain, perplexity, split_sequences
+from alertgraphs.stages import AttackStage
 
 
 def sequence_probability(model, seq):
@@ -136,6 +138,16 @@ class TestMarkovChain:
         rng = random.Random(6)
         corpus = [[rng.choice("abcd") for _ in range(rng.randrange(1, 7))] for _ in range(20)]
         assert bigram_counts(learn_markov_chain(corpus)) == bigram_oracle(corpus)
+
+    def test_chain_has_no_text_form(self):
+        # the text form holds no fallback table: read back, this chain's
+        # unseen bigram a<-a would fall off the automaton, and [a, a, b]
+        # would score -6.007 instead of -5.229
+        a, b = Symbol(AttackStage.SERVICE_DISC, "ssh"), Symbol(AttackStage.DATA_EXFILTRATION, "ssh")
+        chain = learn_markov_chain([[a, b]] * 3 + [[b, a]])
+        assert chain.log2_probability([a, a, b]) == pytest.approx(-5.229, abs=1e-3)
+        with pytest.raises(ValueError, match="fallback"):
+            chain.to_text()
 
 
 # Reference: the bigram-dict Markov chain the automaton form replaced. It

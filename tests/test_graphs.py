@@ -85,7 +85,7 @@ def oracle_extract_ag(key, annotated, sink_ids):
         if seq.victim == key.victim
         and any(ep.stage == key.stage and ep.service == key.service for ep, _ in seq.entries)
     ]
-    vertices, edges, attempts = {}, [], []
+    flags, edges, attempts = {}, [], []  # flags: each vertex's AgVertex flags
     for seq in sorted(qualifying, key=lambda e: e.attacker):
         team = seq.attacker
         attempt, attempt_no = [], 0
@@ -101,19 +101,19 @@ def oracle_extract_ag(key, annotated, sink_ids):
                     path.append(triple)
                 last_episode[len(path) - 1] = ep
             for pos, triple in enumerate(path):
-                if triple not in vertices:
+                if triple not in flags:
                     is_sink = triple[2] == OUT_OF_MODEL or triple[2] in sink_ids
-                    vertices[triple] = AgVertex(*triple, is_sink=is_sink)
-                v = vertices[triple]
+                    flags[triple] = {"is_sink": is_sink}
                 if pos == 0:
-                    v.is_path_start = True
+                    flags[triple]["is_path_start"] = True
                 if pos == len(path) - 1:
-                    v.is_objective_variant = True
+                    flags[triple]["is_objective_variant"] = True
                 if pos > 0:
                     seconds = int((last_episode[pos - 1].et - starts[team]).total_seconds())
                     edges.append(AgEdge(path[pos - 1], triple, team, seconds))
             attempts.append(AttemptPath(team=team, index=attempt_no, vertices=path))
             attempt = []
+    vertices = {triple: AgVertex(*triple, **kwargs) for triple, kwargs in flags.items()}
     teams = tuple(sorted({a.team for a in attempts}))
     return AttackGraph(key=key, vertices=vertices, edges=edges, attempts=attempts, teams=teams)
 
@@ -159,6 +159,10 @@ class TestFindObjectives:
     def test_low_stage_key_rejected(self):
         with pytest.raises(ValueError):
             ObjectiveKey("v", SCAN, "ssh")
+        with pytest.raises(ValueError):
+            ObjectiveKey._make(("v", SCAN, "ssh"))
+        with pytest.raises(ValueError):
+            ObjectiveKey("v", EXFIL, "ssh")._replace(stage=SCAN)
 
 
 class TestExtractAg:

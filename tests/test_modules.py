@@ -1,7 +1,10 @@
 """Limits on the source itself."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import tokenize
 import tomllib
 from pathlib import Path
@@ -108,6 +111,19 @@ def test_parameter_defaults_are_the_ones_callers_outside_the_tests_omit():
         # pipeline SYMBOL_ESCAPES; episodes.render_episode_dump omits it
         "episodes.escaped.table",
     }
+
+
+def test_import_loads_no_heavy_standard_modules():
+    # dataclasses and importlib.resources (from Python 3.12) pull these in,
+    # which every run pays for at import; a fresh interpreter shows what the
+    # package loads, since pytest has loaded them all already
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, alertgraphs, alertgraphs.cli; print(*sorted(set({heavy}) & set(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert loaded == []
 
 
 def test_ci_runs_the_lowest_python_the_package_accepts():

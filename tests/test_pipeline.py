@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
-from dataclasses import FrozenInstanceError, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 from types import FunctionType, ModuleType
@@ -346,6 +346,10 @@ class TestErrors:
         # checked when built: a config that exists is valid
         with pytest.raises(ValueError):
             config(tmp_path, t=0.0)
+        with pytest.raises(ValueError):  # a changed copy is built, and checked, anew
+            config(tmp_path)._replace(t=0)
+        with pytest.raises(ValueError):
+            PipelineConfig._make([[FIXTURE], tmp_path, "xml"])
         for window in ("t", "w"):
             with pytest.raises(ValueError):
                 config(tmp_path, **{window: math.nan})
@@ -357,10 +361,10 @@ class TestErrors:
         with pytest.raises(ValueError):
             config(tmp_path, format="xml")
 
-    @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
+    @pytest.mark.parametrize("name", PipelineConfig._fields)
     def test_config_fields_cannot_be_assigned(self, tmp_path, name):
         cfg = config(tmp_path)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(cfg, name, getattr(cfg, name))
 
 
@@ -571,17 +575,19 @@ class TestCli:
         )
         assert config_from_args(args) == expected
         # every option is parsed above, each at a value other than its default
-        learn_fields = {f.name for f in fields(LearnParams)}
-        config_fields = {f.name for f in fields(PipelineConfig)} - {"learn"}
+        learn_fields = set(LearnParams._fields)
+        config_fields = set(PipelineConfig._fields) - {"learn"}
         assert {a.dest for a in parser._actions} - {"help"} == config_fields | learn_fields
-        for f in fields(PipelineConfig):
-            assert getattr(expected, f.name) != f.default, f.name
-        for f in fields(LearnParams):
-            assert getattr(expected.learn, f.name) != f.default, f.name
+        for name, default in PipelineConfig._field_defaults.items():
+            assert getattr(expected, name) != default, name
+        for name, default in LearnParams._field_defaults.items():
+            assert getattr(expected.learn, name) != default, name
 
     def test_config_learn_params(self):
         with pytest.raises(ValueError):
             LearnParams(alpha=0.0)
+        with pytest.raises(ValueError):
+            LearnParams()._replace(alpha=2.0)
         with pytest.raises(ValueError):
             LearnParams(symbol_count=-1)
 
@@ -710,9 +716,7 @@ def oracle_ingest(cfg: PipelineConfig) -> tuple[ParseStats, list[OracleAlert], l
     for path in cfg.alerts:
         with open(path, "rb") as fh:
             parsed, file_stats = parse_alerts(fh, format=cfg.format)
-        stats.total += file_stats.total
-        stats.parsed += file_stats.parsed
-        stats.skipped += file_stats.skipped
+        stats = ParseStats(*(a + b for a, b in zip(stats, file_stats)))
         raws = [
             OracleRawAlert(r.timestamp, r.src_ip, r.dst_ip, r.dst_port, r.signature, r.category)
             for r in parsed
@@ -733,7 +737,7 @@ def oracle_ingest(cfg: PipelineConfig) -> tuple[ParseStats, list[OracleAlert], l
 
 
 def assert_ingest_matches_oracle(cfg: PipelineConfig) -> PipelineResult:
-    result = PipelineResult(parse_stats=ParseStats())
+    result = PipelineResult()
     pipeline._stage_ingest(cfg, result, pipeline._StageWriter(cfg.out_dir))
     stats, mapped, filtered = oracle_ingest(cfg)
     assert result.parse_stats == stats
@@ -818,7 +822,8 @@ def test_names_round_trip_through_episode_files(attackers, victims, services, ro
         mk_alert(seconds, pick(attackers, a), pick(victims, v), stage, pick(services, s))
         for seconds, a, v, stage, s in sorted(rows, key=lambda row: row[0])
     ]
-    result = PipelineResult(parse_stats=ParseStats(), filtered_alerts=alerts)
+    result = PipelineResult()
+    result.filtered_alerts = alerts
     with tempfile.TemporaryDirectory() as tmp:
         cfg = PipelineConfig(alerts=[], out_dir=Path(tmp), w=60.0)
         pipeline._stage_episodes(cfg, result, pipeline._StageWriter(Path(tmp)))
