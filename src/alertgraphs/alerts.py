@@ -84,6 +84,22 @@ _new_record = tuple.__new__
 _TIMESTAMP = itemgetter(0)  # of either record
 
 
+def checked(cls):
+    """Run ``cls._check`` on each named tuple built: by a call, ``_make``, ``_replace``,
+    a copy or an unpickling at pickle's default protocol, all through ``__new__``."""
+    new = cls.__new__
+
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    __new__.__wrapped__ = new  # so help() shows the fields
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+    return cls
+
+
 class ParseStats(NamedTuple):
     total: int = 0
     parsed: int = 0
@@ -128,6 +144,7 @@ class MappingConfig(_MappingFields):
         object.__setattr__(self, "_stages", _Memo(scan))
         return self
 
+    __new__.__wrapped__ = _MappingFields.__new__  # so help() shows the fields
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __setattr__(self, name, value):  # the memo is as fixed as the fields

@@ -23,6 +23,7 @@ import math
 from itertools import zip_longest
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
+from .alerts import checked
 from .episodes import (
     TSV_ESCAPES,
     Episode,
@@ -40,14 +41,8 @@ OUT_OF_MODEL = -1  # state id assigned when replay falls off the automaton
 SymbolT = Hashable
 
 
-class _LearnFields(NamedTuple):
-    symbol_count: int = 5
-    state_count: int = 5
-    sink_count: int = 5
-    alpha: float = 0.05
-
-
-class LearnParams(_LearnFields):
+@checked
+class LearnParams(NamedTuple):
     """Thresholds steering the state-merging search.
 
     ``symbol_count``: minimum frequency for a symbol (or ending) to take part
@@ -56,17 +51,16 @@ class LearnParams(_LearnFields):
     below which a state becomes a sink (kept, but never merged or promoted).
     """
 
-    __slots__ = ()
+    symbol_count: int = 5
+    state_count: int = 5
+    sink_count: int = 5
+    alpha: float = 0.05
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if min(self.symbol_count, self.state_count, self.sink_count) < 0:
             raise ValueError("counts must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        return self
-
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
 class SuffixPdfa:

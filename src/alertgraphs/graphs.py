@@ -15,7 +15,7 @@ from itertools import compress, count, product
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .alerts import _new_record
+from .alerts import _new_record, checked
 from .automaton import OUT_OF_MODEL, AnnotatedSequence, dot_quote
 from .episodes import TEAM_ESCAPES, Episode, escaped
 from .stages import AttackStage, Severity
@@ -24,22 +24,17 @@ VertexKey = tuple[AttackStage, str, int]  # (stage, service, state id)
 Attempt = tuple[str, int, list[tuple[Episode, int]]]  # (team, 1-based number, entries)
 
 
-class _ObjectiveFields(NamedTuple):
+@checked
+class ObjectiveKey(NamedTuple):
+    """A high-severity stage at a victim's service: one attack graph each."""
+
     victim: str
     stage: AttackStage
     service: str
 
-
-class ObjectiveKey(_ObjectiveFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.stage.severity != Severity.HIGH:
             raise ValueError(f"objective stage must be high severity: {self.stage}")
-        return self
-
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
 class AgVertex(NamedTuple):

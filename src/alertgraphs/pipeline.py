@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 from itertools import chain, groupby
 from operator import add, itemgetter
 from pathlib import Path
@@ -82,7 +83,10 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-class _PipelineFields(NamedTuple):
+@alerts_mod.checked
+class PipelineConfig(NamedTuple):
+    """The inputs, output directory and settings of a run, checked when built."""
+
     alerts: list[Path]
     out_dir: Path
     format: str = "eve-json"
@@ -95,13 +99,7 @@ class _PipelineFields(NamedTuple):
     seed: int = 0
     stop_after: str | None = None
 
-
-class PipelineConfig(_PipelineFields):
-    __slots__ = ()
-
-    # checked when built, so every config that exists is valid
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         # written so that NaN, which compares false with everything, is rejected
         if not self.t > 0:
             raise ValueError("t must be > 0")
@@ -113,9 +111,6 @@ class PipelineConfig(_PipelineFields):
             raise ValueError(f"unknown format: {self.format!r}")
         if self.stop_after is not None and self.stop_after not in STAGES:
             raise ValueError(f"unknown stage: {self.stop_after!r}")
-        return self
-
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
 class PipelineResult:
@@ -179,9 +174,20 @@ def _load_mapping(cfg: PipelineConfig) -> MappingConfig:
     return alerts_mod.default_mapping_config()._replace(**changes)
 
 
-def _remove_owned_outputs(out_dir: Path) -> None:
-    """Delete the artifacts an earlier run left in ``out_dir``; other files stay."""
+def _remove_owned_outputs(cfg: PipelineConfig) -> None:
+    """Delete the artifacts an earlier run left in ``out_dir``; other files stay.
+
+    An input that is one of them, by its name there or through a symlink or
+    a hard link, raises ``ValueError`` before anything is deleted.
+    """
+    out_dir = cfg.out_dir
     owned = [out_dir / name for name in OUTPUT_FILES] + list(out_dir.glob(AG_FILE_GLOB))
+    inputs = [path for path in (*cfg.alerts, cfg.sig_map, cfg.port_map)
+              if path is not None and os.path.exists(path)]
+    for path in owned:
+        for source in inputs:
+            if path.exists() and os.path.samefile(source, path):
+                raise ValueError(f"input {source} is the output {path} this run replaces")
     for path in owned:
         if not path.is_dir():
             path.unlink(missing_ok=True)
@@ -191,7 +197,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Run the configured stages in order and return what they produced.
 
     An ``out_dir`` that cannot be made or cleared, such as a path naming a
-    file, fails as the first stage, before anything is read.
+    file, or an input that is one of its outputs, fails as the first stage,
+    before anything is read.
 
     The stages run with the cyclic garbage collector paused, and its state
     is restored after. Every alert stays tracked (its ``AttackStage`` is),
@@ -202,8 +209,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     stages = STAGES[: STAGES.index(cfg.stop_after) + 1] if cfg.stop_after else STAGES
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        _remove_owned_outputs(cfg.out_dir)
-    except OSError as exc:
+        _remove_owned_outputs(cfg)
+    except (OSError, ValueError) as exc:
         raise StageError(stages[0], exc) from exc
     result = PipelineResult()
 

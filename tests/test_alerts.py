@@ -1,10 +1,13 @@
+import copy
 import io
 import json
 import math
+import pickle
 import random
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +26,7 @@ from alertgraphs.alerts import (
     parse_timestamp,
     ParseStats,
     RawAlert,
+    checked,
 )
 from alertgraphs.stages import AttackStage, Severity
 
@@ -870,6 +874,31 @@ def test_memo_keeps_colliding_values_apart(order):
 @given(st.permutations(MEMO_COLLISIONS))
 def test_bool_port_skipped_wherever_it_appears(collisions):
     assert_collisions_parse(collisions)
+
+
+CHECKED_VALUES = []
+
+
+@checked
+class Checked(NamedTuple):
+    value: int = 0
+
+    def _check(self):
+        CHECKED_VALUES.append(self.value)
+
+
+def test_every_way_of_building_a_checked_tuple_runs_its_check():
+    one = Checked(1)
+    CHECKED_VALUES.clear()
+    Checked._make([2])
+    one._replace(value=3)
+    copy.copy(one)
+    pickle.loads(pickle.dumps(one))
+    expected = [2, 3, 1, 1]
+    if hasattr(copy, "replace"):  # from Python 3.13
+        copy.replace(one, value=4)
+        expected.append(4)
+    assert CHECKED_VALUES == expected
 
 
 class TestByteOrderMark:

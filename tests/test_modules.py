@@ -1,6 +1,8 @@
 """Limits on the source itself."""
 
 import ast
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -124,6 +126,28 @@ def test_import_loads_no_heavy_standard_modules():
         capture_output=True, text=True, check=True,
     ).stdout.split()
     assert loaded == []
+
+
+def named_tuples():
+    """Each class of the package that has ``_fields``, as ``(module.name, class)``."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem.startswith("__"):
+            continue  # __init__ defines nothing, and importing __main__ runs the CLI
+        module = importlib.import_module(f"alertgraphs.{path.stem}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and hasattr(obj, "_fields") and obj.__module__ == module.__name__:
+                yield f"{path.stem}.{name}", obj
+
+
+NAMED_TUPLES = dict(named_tuples())
+
+
+@pytest.mark.parametrize("cls", NAMED_TUPLES.values(), ids=list(NAMED_TUPLES))
+def test_signature_shows_the_fields_and_their_defaults(cls):
+    # a checking __new__ of (*args, **kwargs) hides them from help() and editors
+    parameters = inspect.signature(cls).parameters.values()
+    assert [p.name for p in parameters] == list(cls._fields)
+    assert {p.name: p.default for p in parameters if p.default is not p.empty} == cls._field_defaults
 
 
 def test_ci_runs_the_lowest_python_the_package_accepts():

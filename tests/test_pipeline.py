@@ -342,6 +342,36 @@ class TestErrors:
         assert isinstance(excinfo.value.cause, OSError)
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("field,name", [
+        ("alerts", "episodes.tsv"), ("alerts", "attack-graph-x.dot"), ("sig_map", "summary.json"),
+    ])
+    def test_input_that_is_an_output_fails_and_stays(self, tmp_path, field, name):
+        # the run would delete it as an earlier run's artifact, then fail to read it
+        out = tmp_path / "out"
+        out.mkdir()
+        source = out / name
+        data = FIXTURE.read_bytes() if field == "alerts" else b"*\tSURFING\n"
+        source.write_bytes(data)
+        inputs = {"alerts": [FIXTURE], field: [source] if field == "alerts" else source}
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(PipelineConfig(out_dir=out, **inputs))
+        assert excinfo.value.stage == "ingest"
+        assert str(source) in str(excinfo.value)
+        assert source.read_bytes() == data
+
+    @pytest.mark.parametrize("link", ["symlink_to", "hardlink_to"])
+    def test_input_linked_to_an_output_fails_and_stays(self, tmp_path, link):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "episodes.tsv").write_bytes(FIXTURE.read_bytes())
+        source = tmp_path / "alerts.jsonl"
+        getattr(source, link)(out / "episodes.tsv")
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(PipelineConfig(alerts=[source], out_dir=out))
+        assert excinfo.value.stage == "ingest"
+        assert str(source) in str(excinfo.value)
+        assert source.read_bytes() == FIXTURE.read_bytes()
+
     def test_config_validation(self, tmp_path):
         # checked when built: a config that exists is valid
         with pytest.raises(ValueError):
