@@ -61,7 +61,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402  bench/workloads.py
 
 
-LEARNER_COUNTS = ("rounds", "evaluated", "reused", "pruned", "calls", "trie_states")
+LEARNER_COUNTS = ("rounds", "evaluated", "reused", "pruned", "bounds", "calls", "trie_states")
 WORK_COUNTS = ("records", "parsed", "skipped", "episodes", "attempts", "pdfa_states",
                "sink_states", "graphs", "artifacts")
 
@@ -101,7 +101,7 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
 
         def count(step):
             call["rounds"] += 1
-            for key in ("evaluated", "reused", "pruned", "calls"):
+            for key in ("evaluated", "reused", "pruned", "bounds", "calls"):
                 call[key] += step[key]
 
         start = time.perf_counter()

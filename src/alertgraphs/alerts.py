@@ -86,7 +86,7 @@ _TIMESTAMP = itemgetter(0)  # of either record
 
 def checked(cls):
     """Run ``cls._check`` on each named tuple built: by a call, ``_make``, ``_replace``,
-    a copy or an unpickling at pickle's default protocol, all through ``__new__``."""
+    a copy or an unpickling at any protocol, all through ``__new__``."""
     new = cls.__new__
 
     def __new__(cls, *args, **kwargs):
@@ -96,8 +96,16 @@ def checked(cls):
 
     __new__.__wrapped__ = new  # so help() shows the fields
     cls.__new__ = __new__
-    cls._make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+    cls._make, cls.__reduce__ = _checked_make(cls._make), _reduce
     return cls
+
+
+def _checked_make(make):  # a named tuple's _make refuses a wrong count; so _replace checks too
+    return classmethod(lambda cls, values: cls(*make(values)))
+
+
+def _reduce(self):  # a copy or unpickling calls the class: protocols 0 and 1 would not
+    return type(self), tuple(self)
 
 
 class ParseStats(NamedTuple):
@@ -145,7 +153,7 @@ class MappingConfig(_MappingFields):
         return self
 
     __new__.__wrapped__ = _MappingFields.__new__  # so help() shows the fields
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+    _make, __reduce__ = _checked_make(_MappingFields._make), _reduce
 
     def __setattr__(self, name, value):  # the memo is as fixed as the fields
         raise AttributeError(f"cannot assign {name!r} of a MappingConfig")

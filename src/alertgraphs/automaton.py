@@ -289,8 +289,10 @@ def learn_pdfa(
     ``trace``, when given, is called once per round with a dict: ``fringe``
     (blue states), ``evaluated``, ``reused`` and ``pruned`` (pair scores
     computed, taken from the cache, and given up below the floor; together,
-    fringe times non-root reds), ``calls`` (pair evaluations run; a pair
-    kept pruned from the last round takes none), and either
+    fringe times non-root reds), ``bounds`` (pairs given a bound from their
+    own two states, as no entry of theirs could be reused), ``calls`` (pair
+    evaluations run; a pair kept pruned, or pruned by its bound, takes
+    none), and either
     ``merge: (red, blue, score)`` or ``promote: blue``. State ids there are
     the merger's own, trie ids before the final renumbering.
     """

@@ -1,10 +1,10 @@
 """Red-blue state merging: the search ``automaton.learn_pdfa`` runs.
 
 ``_Merger`` folds a copy of a suffix trie's counts into a compact
-deterministic automaton. It reuses work no merge has touched and stops
-scoring a (red, blue) pair as soon as the pair cannot win; its docstring
-argues why both leave every merge, and so every learned automaton, as
-scoring each pair in full would.
+deterministic automaton. It reuses work no merge has touched, bounds each
+other (red, blue) pair from the two states' own counts, and scores a pair
+only while it can still win; its docstring argues why this leaves every
+merge, and so every learned automaton, as scoring each pair in full would.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ if TYPE_CHECKING:
     from .automaton import LearnParams, SuffixPdfa
 
 END = -1  # symbol id of the ending in the count tables
-# a pair scored in no earlier round: stale, as every stamp is at least 0, and
-# evaluated first, as a new blue state often makes the best pair
-_UNSCORED = (-1, math.inf, (0,), False)
 # a state's count table: rows, frequent symbols, their summed count
 _Table = tuple[dict[int, tuple], set[int], int]
 
@@ -70,13 +67,13 @@ class _Merger:
       states it stamps and why that is enough), and an entry is reused while
       every state it read is older. A pruned entry holds its partial score
       and stays pruned, unscored, while that is below the round's floor.
-      An entry pruned while still in its top (red, blue) state pair records
-      only those two states as its reads, not the child pairs it looked at
-      there: its partial score, and the bound checked before it, sum terms
-      of the counts of red and blue alone (a row's target only decides which
-      child pairs come later). A merge that stamps neither leaves that score
-      as it was, and by the argument below it still bounds the pair's final
-      score, whatever the child pairs now hold.
+      An entry pruned by its bound, or while still in its top (red, blue)
+      state pair, records only those two states as its reads, not the child
+      pairs it looked at there: the bound, and a partial score there, sum
+      terms of the counts of red and blue alone (a row's target only decides
+      which child pairs come later). A merge that stamps neither leaves that
+      score as it was, and by the argument below it still bounds the pair's
+      final score, whatever the child pairs now hold.
 
     Pruning is exact. By the log-sum inequality no term of a score is
     positive in exact arithmetic. With ``u = 2**-53``, pooled count ``c`` and
@@ -93,14 +90,26 @@ class _Merger:
     log2(W))``, a quarter of ``margin`` or less; the rest of ``margin``
     covers rounding the floor, the round's best score minus ``margin``. A
     pair whose partial score falls below the floor cannot reach the best,
-    and a pair that ties the best never falls below it. Before a state
-    pair's terms, the terms of the red side's frequent symbols that the
-    other state lacks sum, exactly, to ``-M * log2(n/n1)`` with ``M`` their
-    summed count, so the running score minus ``M * log2(n/n1)`` bounds the
-    final score as the running score does, and a pair stops as soon as it
-    falls below the floor; rounding it takes less than a sixteenth of
-    ``margin``. Reusable results come first, then pairs never scored, then
-    the rest by their last score, best first, so the floor rises early.
+    and a pair that ties the best never falls below it.
+
+    Each round, every pair whose entry is stale, or missing, first gets a
+    bound from its top state pair alone (``_bounds``): the terms of the
+    tested symbols the blue carries, computed as ``_evaluate`` computes
+    them, plus those of the red's frequent symbols the blue lacks, which
+    sum, exactly, to ``-M * log2(n/n1)`` with ``M`` their summed count. A
+    Hoeffding test that fails there fails in ``_evaluate`` too, so the bound
+    is -inf. Else it is within half of ``margin`` of the partial score after
+    the top pair, which adds the same terms, and the red-only ones one by
+    one, in another order. Each of the two is within ``16*u*n*(1 +
+    log2(n))`` of the exact sum by the rounding of its terms (the closed
+    form's is that of a term of count ``M``), and within ``u*(len(trie) +
+    1)*3*n*log2(n)`` by its summation: it adds fewer than ``len(trie) + 2``
+    values, whose sizes add up to at most ``3*n*log2(n)``, as each of a
+    term's three ``c*log2(c/n)`` is at most ``c*log2(n)`` in size. With the
+    quarter above, a pair whose bound is below the floor cannot reach the
+    best. Reusable results come first, then the rest best bound first, so
+    the floor rises early, and a pair is scored in full only while its
+    bound reaches it.
     """
 
     def __init__(self, tree: SuffixPdfa, params: LearnParams):
@@ -148,8 +157,7 @@ class _Merger:
         """Merge score when the pair passes the Hoeffding test, else -inf;
         the states of the state pairs the evaluation read; and whether the
         score is complete. It is not when the pair was pruned: the running
-        score, or the bound checked before a state pair's terms, fell below
-        ``floor``, and that value is returned.
+        score fell below ``floor``, and that value is returned.
 
         The test covers every symbol (and the ending) frequent enough in
         either state and recurses into child pairs that both carry at least
@@ -167,12 +175,8 @@ class _Merger:
             n1, n2 = total[q1], total[q2]
             n = n1 + n2
             bound = threshold * (1.0 / sqrt(n1) + 1.0 / sqrt(n2))
-            rows1, freq1, mass1 = tables[q1] or self._table(q1)
+            rows1, freq1, _ = tables[q1] or self._table(q1)
             rows2 = (tables[q2] or self._table(q2))[0]
-            # a bound on the final score: see the class docstring
-            cap = score - (mass1 - sum([rows1[s][1] for s in rows2 if s in freq1])) * log2(n / n1)
-            if cap < floor:
-                return cap, reads, False
             for sym in sorted(freq1.union(rows2)):
                 e1, e2 = rows1.get(sym), rows2.get(sym)
                 if e2 is None:  # frequent in the red-side state, absent from the other
@@ -248,6 +252,34 @@ class _Merger:
                         stack.append((entry[0], s_tgt))
             trans[source] = {}  # unreachable from now on
 
+    def _bounds(self, red_id: int, blue_ids: list[int]) -> list[float]:
+        """For each blue, a bound on the (red, blue) pair's score from the
+        counts of the two states alone, or -inf when the Hoeffding test of a
+        symbol the blue carries fails there; see the class docstring."""
+        total, tables, log2, sqrt = self.total, self.tables, math.log2, math.sqrt
+        rows1, freq1, mass1 = tables[red_id] or self._table(red_id)
+        n1 = total[red_id]
+        spread1 = 1.0 / sqrt(n1)  # the red's part of each Hoeffding bound
+        bounds = []
+        for blue in blue_ids:
+            n = n1 + total[blue]
+            limit = self.threshold * (spread1 + 1.0 / sqrt(total[blue]))
+            rows2, freq2, _ = tables[blue] or self._table(blue)
+            score, mass = 0.0, mass1  # mass: of the red's frequent symbols the blue lacks
+            for sym in freq1.intersection(rows2):
+                _, c1, r1, b1 = rows1[sym]
+                _, c2, r2, b2 = rows2[sym]
+                mass, c = mass - c1, c1 + c2
+                score += c * log2(c / n) - (b1 + b2) if abs(r1 - r2) < limit else -math.inf
+            for sym in freq2.difference(freq1):  # tested: frequent in the blue
+                _, c, diff, b = rows2[sym]
+                if sym in rows1:
+                    _, c1, r1, b1 = rows1[sym]
+                    c, diff, b = c1 + c, abs(r1 - diff), b1 + b
+                score += c * log2(c / n) - b if diff < limit else -math.inf
+            bounds.append(score - mass * log2(n / n1))
+        return bounds
+
     def run(self, trace: Callable[[dict], None] | None) -> None:
         stamp = self.stamp
         scores: dict[tuple[int, int], tuple] = {}
@@ -255,20 +287,25 @@ class _Merger:
             fringe = self._blue_fringe()
             if not fringe:
                 return
-            reds = sorted(self.red - {self.root})
+            blues = sorted(fringe)
             last, scores = scores, {}
-            ready, rest = [], []
-            for blue in sorted(fringe):
-                for red in reds:
-                    # a stale entry still orders the pair, by its last score
-                    entry = last.get((red, blue), _UNSCORED)
-                    valid = max(map(stamp.__getitem__, entry[2])) <= entry[0]
-                    (ready if valid and entry[3] else rest).append(
-                        (-entry[1], red, blue, valid and entry)
-                    )
+            ready, rest, bounds = [], [], 0
+            for red in sorted(self.red - {self.root}):
+                stale = []
+                for blue in blues:
+                    entry = last.get((red, blue))
+                    if entry is None or max(map(stamp.__getitem__, entry[2])) > entry[0]:
+                        stale.append(blue)
+                    else:
+                        (ready if entry[3] else rest).append((-entry[1], red, blue, entry))
+                # a stale pair is ordered, and may stay pruned, by its bound
+                for blue, bound in zip(stale, self._bounds(red, stale)):
+                    rest.append((-bound, red, blue, (self.merges, bound, (red, blue), False)))
+                bounds += len(stale)
             best, floor, calls = (math.inf,), -math.inf, 0
             for _, red, blue, entry in ready + sorted(rest):
-                if not entry or not entry[3] and entry[1] >= floor:
+                # a pruned entry at -inf failed its Hoeffding test: final
+                if not entry[3] and -math.inf < entry[1] >= floor:
                     entry = (self.merges, *self._evaluate(red, blue, floor))
                     calls += 1
                 scores[red, blue] = entry
@@ -286,4 +323,4 @@ class _Merger:
             if trace is not None:
                 done = sum(entry[3] for entry in scores.values())
                 trace({"fringe": len(fringe), "evaluated": done - len(ready), "reused": len(ready),
-                       "pruned": len(scores) - done, "calls": calls, **step})
+                       "pruned": len(scores) - done, "bounds": bounds, "calls": calls, **step})

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import stat
 from itertools import chain, groupby
 from operator import add, itemgetter
 from pathlib import Path
@@ -178,19 +179,29 @@ def _remove_owned_outputs(cfg: PipelineConfig) -> None:
     """Delete the artifacts an earlier run left in ``out_dir``; other files stay.
 
     An input that is one of them, by its name there or through a symlink or
-    a hard link, raises ``ValueError`` before anything is deleted.
+    a hard link, raises ``ValueError`` before anything is deleted. Each path
+    is looked up once, and two that agree in device and inode are one file.
     """
     out_dir = cfg.out_dir
     owned = [out_dir / name for name in OUTPUT_FILES] + list(out_dir.glob(AG_FILE_GLOB))
-    inputs = [path for path in (*cfg.alerts, cfg.sig_map, cfg.port_map)
-              if path is not None and os.path.exists(path)]
-    for path in owned:
-        for source in inputs:
-            if path.exists() and os.path.samefile(source, path):
-                raise ValueError(f"input {source} is the output {path} this run replaces")
-    for path in owned:
-        if not path.is_dir():
+    found = list(map(_file_id, owned))
+    # built last to first, so each file maps to the first input that names it
+    inputs = {_file_id(path): path for path in (cfg.port_map, cfg.sig_map, *cfg.alerts[::-1]) if path}
+    for path, key in zip(owned, found):
+        if key and key in inputs:
+            raise ValueError(f"input {inputs[key]} is the output {path} this run replaces")
+    for path, key in zip(owned, found):
+        if not (key and stat.S_ISDIR(key[2])):
             path.unlink(missing_ok=True)
+
+
+def _file_id(path: Path) -> tuple[int, int, int] | None:
+    """Device, inode and mode of the file at ``path``; None where ``os.path.exists`` is False."""
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    return st.st_dev, st.st_ino, st.st_mode
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:

@@ -28,6 +28,7 @@ from alertgraphs.alerts import (
     RawAlert,
     checked,
 )
+from alertgraphs.automaton import LearnParams
 from alertgraphs.stages import AttackStage, Severity
 
 from alerts_oracle import oracle_parse_alerts
@@ -899,6 +900,32 @@ def test_every_way_of_building_a_checked_tuple_runs_its_check():
         copy.replace(one, value=4)
         expected.append(4)
     assert CHECKED_VALUES == expected
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_unpickling_a_checked_tuple_runs_its_check_at_every_protocol(protocol):
+    data = pickle.dumps(Checked(1), protocol)
+    CHECKED_VALUES.clear()
+    assert type(loaded := pickle.loads(data)) is Checked and loaded == (1,)
+    assert CHECKED_VALUES == [1]
+    rules = MappingConfig((("scan", AttackStage.SERVICE_DISC),), {22: "ssh"})
+    again = pickle.loads(pickle.dumps(rules, protocol))
+    assert again == rules and again.stage_for("port scan", "") == AttackStage.SERVICE_DISC
+
+
+def test_an_edited_pickle_is_refused():
+    # protocols 0 and 1 rebuild a tuple subclass past __new__ unless the
+    # class says how to build it
+    data = pickle.dumps(LearnParams(5, 5, 5, 0.5), protocol=0)
+    assert b"F0.5" in data
+    with pytest.raises(ValueError, match="alpha"):
+        pickle.loads(data.replace(b"F0.5", b"F2.0"))
+
+
+@pytest.mark.parametrize("cls, values", [(Checked, []), (Checked, [1, 2]), (LearnParams, [1]), (MappingConfig, [()])])
+def test_make_refuses_a_wrong_count_as_a_named_tuple_does(cls, values):
+    with pytest.raises(TypeError, match=f"^Expected {len(cls._fields)} arguments, got {len(values)}$"):
+        cls._make(values)
 
 
 class TestByteOrderMark:

@@ -18,7 +18,7 @@ from alertgraphs.automaton import (
     learn_pdfa,
 )
 from alertgraphs.episodes import EpisodeSequence, Symbol, partition_subsequences, to_symbols
-from alertgraphs.merger import _Merger
+from alertgraphs.merger import END, _Merger
 from alertgraphs.pipeline import PipelineConfig, run_pipeline
 from alertgraphs.stages import AttackStage
 
@@ -744,13 +744,28 @@ def test_learner_trace_accounts_for_every_pair(params):
         else:
             red, blue, score = step["merge"]
             assert isinstance(score, float) and red != blue
+        # a pair is bounded when it has no entry to reuse or keep
+        assert step["reused"] + step["bounds"] <= step["fringe"] * reds
     assert 1 + reds == len(model) - len(model.sink_ids())
+    assert sum(step["bounds"] for step in steps) > 0
     if params.state_count == 0:
         assert sum(step["reused"] for step in steps) > 0
     if params == LearnParams():
         assert sum(step["pruned"] for step in steps) > 0
     if params == LearnParams(0, 0, 0, alpha=0.5):
         assert sum(step["calls"] for step in steps) < pairs
+
+
+low_thresholds = st.one_of(
+    st.sampled_from([LearnParams(1, 1, 1, 0.2), LearnParams(0, 0, 0, 0.5)]),
+    st.builds(
+        LearnParams,
+        symbol_count=st.integers(min_value=0, max_value=2),
+        state_count=st.integers(min_value=0, max_value=2),
+        sink_count=st.integers(min_value=0, max_value=2),
+        alpha=st.sampled_from([0.2, 0.5, 0.9]),
+    ),
+)
 
 
 # Many corpora drawn from few distinct sequences: equal count ratios, where a
@@ -763,16 +778,7 @@ def test_learner_trace_accounts_for_every_pair(params):
         min_size=1,
         max_size=10,
     ),
-    st.one_of(
-        st.sampled_from([LearnParams(1, 1, 1, 0.2), LearnParams(0, 0, 0, 0.5)]),
-        st.builds(
-            LearnParams,
-            symbol_count=st.integers(min_value=0, max_value=2),
-            state_count=st.integers(min_value=0, max_value=2),
-            sink_count=st.integers(min_value=0, max_value=2),
-            alpha=st.sampled_from([0.2, 0.5, 0.9]),
-        ),
-    ),
+    low_thresholds,
 )
 def test_pruned_learner_matches_str_keyed_oracle_at_low_thresholds(draws, params):
     tree = build_suffix_tree([seq for seq, copies in draws for _ in range(copies)])
@@ -831,3 +837,40 @@ def test_pair_pruned_in_its_top_state_pair_reads_only_red_and_blue():
             assert not done and pruned_reads == [red, blue]
             checked += 1
     assert checked >= 3
+
+
+def top_pair_gain(merger: _Merger, red: int, blue: int) -> float:
+    """The pooling gain of the tested counts of the (red, blue) state pair
+    alone, summed as the str-keyed oracle sums it."""
+    counts = [
+        {END: merger.final[q], **{sym: c for sym, (_, c) in merger.trans[q].items()}}
+        for q in (red, blue)
+    ]
+    n1, n2 = merger.total[red], merger.total[blue]
+    gain = 0.0
+    for sym in sorted(counts[0].keys() | counts[1].keys()):
+        c1, c2 = counts[0].get(sym, 0), counts[1].get(sym, 0)
+        if max(c1, c2) >= merger.p.symbol_count:
+            gain += _pool_gain(c1, n1, c2, n2)
+    return gain
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 99), st.integers(10, 120), low_thresholds)
+def test_bound_of_every_pair_covers_its_score(seed, n, params):
+    # At the start of every round, the bound of each (red, blue) pair is at
+    # least its full score less the margin, and -inf only where that score
+    # is -inf; a finite bound is the gain of the pair's own tested counts.
+    merger = _Merger(build_suffix_tree(merge_heavy_corpus(seed, n)), params)
+    margin = merger.margin
+
+    def check(step):
+        blues = sorted(merger._blue_fringe())
+        for red in sorted(merger.red - {merger.root}):
+            for blue, bound in zip(blues, merger._bounds(red, blues)):
+                score = merger._evaluate(red, blue, -math.inf)[0]
+                assert bound >= score - margin
+                assert bound > -math.inf or score == -math.inf
+                assert bound == -math.inf or abs(bound - top_pair_gain(merger, red, blue)) <= margin
+
+    merger.run(check)

@@ -379,7 +379,7 @@ class TestErrors:
         with pytest.raises(ValueError):  # a changed copy is built, and checked, anew
             config(tmp_path)._replace(t=0)
         with pytest.raises(ValueError):
-            PipelineConfig._make([[FIXTURE], tmp_path, "xml"])
+            PipelineConfig._make([[FIXTURE], tmp_path, "xml", *config(tmp_path)[3:]])
         for window in ("t", "w"):
             with pytest.raises(ValueError):
                 config(tmp_path, **{window: math.nan})
