@@ -10,9 +10,11 @@ min and max over the runs of the wall seconds, of the seconds of each stage
 and of the peak RSS (``VmHWM``, Linux only) in MB, plus the record count.
 ``learn_pdfa`` holds each learner call by the stage that made it (``learn``,
 and ``stats`` for the perplexity report's model): its seconds, and the
-rounds, the evaluated, reused and pruned pair scores and the pair
-evaluations run (``calls``), summed from the learner's ``trace`` callback,
-and ``trie_states``, the states of the trie it learned from.
+rounds, the pair bounds reused from the last round (``reused``) and made
+anew (``bounds``), the pairs scored in full (``evaluated``) and not
+(``pruned``) and the pair evaluations run (``calls``), summed from the
+learner's ``trace`` callback, and ``trie_states``, the states of the trie
+it learned from.
 ``episodes``, ``attempts``, ``pdfa_states``, ``sink_states``, ``graphs``
 and ``artifacts`` count the work of the run, read from its
 ``PipelineResult``. ``stage_rss_mb`` holds, per stage, the live

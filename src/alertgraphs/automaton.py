@@ -287,14 +287,14 @@ def learn_pdfa(
     from a breadth-first renumbering from the root.
 
     ``trace``, when given, is called once per round with a dict: ``fringe``
-    (blue states), ``evaluated``, ``reused`` and ``pruned`` (pair scores
-    computed, taken from the cache, and given up below the floor; together,
-    fringe times non-root reds), ``bounds`` (pairs given a bound from their
-    own two states, as no entry of theirs could be reused), ``calls`` (pair
-    evaluations run; a pair kept pruned, or pruned by its bound, takes
-    none), and either
-    ``merge: (red, blue, score)`` or ``promote: blue``. State ids there are
-    the merger's own, trie ids before the final renumbering.
+    (blue states); ``reused`` and ``bounds`` (pairs whose bound was kept from
+    the last round, and pairs given a new one); ``evaluated`` and ``pruned``
+    (pairs scored in full, and pairs not: given up below the floor, or left
+    unscored as their bound was below it); each of the two sums is fringe
+    times non-root reds. Then ``calls`` (pair evaluations run, given up or
+    not), and either ``merge: (red, blue, score)`` or ``promote: blue``.
+    State ids there are the merger's own, trie ids before the final
+    renumbering.
     """
     merger = _Merger(tree, params)
     merger.run(trace)

@@ -1,10 +1,11 @@
 """Red-blue state merging: the search ``automaton.learn_pdfa`` runs.
 
 ``_Merger`` folds a copy of a suffix trie's counts into a compact
-deterministic automaton. It reuses work no merge has touched, bounds each
-other (red, blue) pair from the two states' own counts, and scores a pair
-only while it can still win; its docstring argues why this leaves every
-merge, and so every learned automaton, as scoring each pair in full would.
+deterministic automaton. It bounds each (red, blue) pair from the two
+states' own counts, keeps that bound while neither state changes, and
+scores a pair only while it can still win; its docstring argues why this
+leaves every merge, and so every learned automaton, as scoring each pair in
+full would.
 """
 
 from __future__ import annotations
@@ -43,37 +44,18 @@ class _Merger:
     score bit-identical: the terms that are added keep their order. The
     ending is the row of symbol id ``END``, which sorts first.
 
-    Work no merge has touched is reused, with two caches:
-
-    - a count table per state, built the first time the state is read:
-      ``{symbol id: (target, c, c/n, c*log2(c/n))}``, the set of its
-      frequent symbols and their summed count. ``_merge`` drops the table of
-      every state it changes.
-      Each score term runs the IEEE operations of the expressions it stands
-      for, ``abs(c1/n1 - c2/n2)`` and ``c*log2(c/n) - (b1 + b2)``, where
-      ``b = c*log2(c/n_side)`` or 0.0 for an absent symbol. A symbol of the
-      red-side state only tests ``r1 >= bound`` and adds
-      ``c1*log2(c1/n) - b1``; one of the blue-side state only tests
-      ``r2 >= bound`` and adds ``c2*log2(c2/n) - b2``. These are exact:
-      ``r - 0.0 == r``, ``abs(0.0 - r) == r`` and ``b + 0.0 == 0.0 + b == b``,
-      as ``b`` is never ``-0.0`` (every count is at least 1). An ending
-      counted in neither state adds 0.0 and is left out;
-    - the result of each (red, blue) pair of the current round, with the
-      merge count when it ran and the states of the state pairs it read: the
-      pairs it visited and the child pairs whose ``total`` the
-      ``state_count`` test looked at (a shared symbol's test comes first, so
-      a pair that fails there has not read that child pair). ``stamp[q]`` is
-      the count of the last merge that stamped ``q`` (``_merge`` says which
-      states it stamps and why that is enough), and an entry is reused while
-      every state it read is older. A pruned entry holds its partial score
-      and stays pruned, unscored, while that is below the round's floor.
-      An entry pruned by its bound, or while still in its top (red, blue)
-      state pair, records only those two states as its reads, not the child
-      pairs it looked at there: the bound, and a partial score there, sum
-      terms of the counts of red and blue alone (a row's target only decides
-      which child pairs come later). A merge that stamps neither leaves that
-      score as it was, and by the argument below it still bounds the pair's
-      final score, whatever the child pairs now hold.
+    Each state's count table is built the first time the state is read:
+    ``{symbol id: (target, c, c/n, c*log2(c/n))}``, the set of its frequent
+    symbols and their summed count. ``_merge`` drops the table of every
+    state it changes. Each score term runs the IEEE operations of the
+    expressions it stands for, ``abs(c1/n1 - c2/n2)`` and
+    ``c*log2(c/n) - (b1 + b2)``, where ``b = c*log2(c/n_side)`` or 0.0 for
+    an absent symbol. A symbol of the red-side state only tests
+    ``r1 >= bound`` and adds ``c1*log2(c1/n) - b1``; one of the blue-side
+    state only tests ``r2 >= bound`` and adds ``c2*log2(c2/n) - b2``. These
+    are exact: ``r - 0.0 == r``, ``abs(0.0 - r) == r`` and
+    ``b + 0.0 == 0.0 + b == b``, as ``b`` is never ``-0.0`` (every count is
+    at least 1). An ending counted in neither state adds 0.0 and is left out.
 
     Pruning is exact. By the log-sum inequality no term of a score is
     positive in exact arithmetic. With ``u = 2**-53``, pooled count ``c`` and
@@ -92,24 +74,25 @@ class _Merger:
     pair whose partial score falls below the floor cannot reach the best,
     and a pair that ties the best never falls below it.
 
-    Each round, every pair whose entry is stale, or missing, first gets a
-    bound from its top state pair alone (``_bounds``): the terms of the
-    tested symbols the blue carries, computed as ``_evaluate`` computes
-    them, plus those of the red's frequent symbols the blue lacks, which
-    sum, exactly, to ``-M * log2(n/n1)`` with ``M`` their summed count. A
-    Hoeffding test that fails there fails in ``_evaluate`` too, so the bound
-    is -inf. Else it is within half of ``margin`` of the partial score after
-    the top pair, which adds the same terms, and the red-only ones one by
-    one, in another order. Each of the two is within ``16*u*n*(1 +
-    log2(n))`` of the exact sum by the rounding of its terms (the closed
-    form's is that of a term of count ``M``), and within ``u*(len(trie) +
-    1)*3*n*log2(n)`` by its summation: it adds fewer than ``len(trie) + 2``
-    values, whose sizes add up to at most ``3*n*log2(n)``, as each of a
-    term's three ``c*log2(c/n)`` is at most ``c*log2(n)`` in size. With the
-    quarter above, a pair whose bound is below the floor cannot reach the
-    best. Reusable results come first, then the rest best bound first, so
-    the floor rises early, and a pair is scored in full only while its
-    bound reaches it.
+    Each (red, blue) pair gets a bound from its top state pair alone
+    (``_bounds``): the terms of the tested symbols the blue carries, computed
+    as ``_evaluate`` computes them, plus those of the red's frequent symbols
+    the blue lacks, which sum, exactly, to ``-M * log2(n/n1)`` with ``M``
+    their summed count. A Hoeffding test that fails there fails in
+    ``_evaluate`` too, so the bound is -inf. Else it is within half of
+    ``margin`` of the partial score after the top pair, which adds the same
+    terms, and the red-only ones one by one, in another order. Each of the
+    two is within ``16*u*n*(1 + log2(n))`` of the exact sum by the rounding
+    of its terms (the closed form's is that of a term of count ``M``), and
+    within ``u*(len(trie) + 1)*3*n*log2(n)`` by its summation: it adds fewer
+    than ``len(trie) + 2`` values, whose sizes add up to at most
+    ``3*n*log2(n)``, as each of a term's three ``c*log2(c/n)`` is at most
+    ``c*log2(n)`` in size. With the quarter above, a pair whose bound is
+    below the floor cannot reach the best. A bound is reused while
+    ``tables[red]`` and ``tables[blue]`` are the objects it was computed
+    from, as it reads only those two states' counts. Pairs go best bound
+    first, so the floor rises early, and a pair is scored in full only while
+    its bound reaches it.
     """
 
     def __init__(self, tree: SuffixPdfa, params: LearnParams):
@@ -118,9 +101,8 @@ class _Merger:
         self.final = list(tree.final)
         # the trie's own dicts until a merge changes them; see _merge
         self.trans = list(tree.trans)
+        self.shared = tree.trans
         self.tables: list[_Table | None] = [None] * len(tree)
-        self.stamp = [0] * len(tree)
-        self.merges = 0
         self.root = tree.root
         self.red: set[int] = {self.root}
         self.threshold = math.sqrt(0.5 * math.log(2.0 / params.alpha))
@@ -153,11 +135,9 @@ class _Merger:
         table = self.tables[q] = (rows, frequent, sum([rows[s][1] for s in frequent]))
         return table
 
-    def _evaluate(self, red_id: int, blue_id: int, floor: float) -> tuple[float, list[int], bool]:
+    def _evaluate(self, red_id: int, blue_id: int, floor: float) -> float | None:
         """Merge score when the pair passes the Hoeffding test, else -inf;
-        the states of the state pairs the evaluation read; and whether the
-        score is complete. It is not when the pair was pruned: the running
-        score fell below ``floor``, and that value is returned.
+        None once the running score falls below ``floor``.
 
         The test covers every symbol (and the ending) frequent enough in
         either state and recurses into child pairs that both carry at least
@@ -168,8 +148,7 @@ class _Merger:
         symbol_count, state_count = self.p.symbol_count, self.p.state_count
         log2, sqrt, threshold = math.log2, math.sqrt, self.threshold
         score = 0.0
-        stack, reads = [(red_id, blue_id)], [red_id, blue_id]
-        top = True  # still in the (red, blue) state pair itself
+        stack = [(red_id, blue_id)]
         while stack:
             q1, q2 = stack.pop()
             n1, n2 = total[q1], total[q2]
@@ -188,58 +167,38 @@ class _Merger:
                 else:
                     ch1, c1, r1, b1 = e1
                     ch2, c2, r2, b2 = e2
-                    c, diff, b = c1 + c2, abs(r1 - r2), b1 + b2
-                    tested = c1 >= symbol_count or c2 >= symbol_count
-                    # tested before the child pair is read: a failed pair's
-                    # reads, and so what can make it stale, stay few
-                    if tested and diff >= bound:
-                        return -math.inf, reads, True
-                    if ch1 != ch2:
-                        pair = (ch1, ch2)
-                        reads += pair
-                        if total[ch1] >= state_count and total[ch2] >= state_count:
-                            stack.append(pair)
-                    if not tested:
+                    if ch1 != ch2 and total[ch1] >= state_count and total[ch2] >= state_count:
+                        stack.append((ch1, ch2))
+                    if c1 < symbol_count and c2 < symbol_count:
                         continue
+                    c, diff, b = c1 + c2, abs(r1 - r2), b1 + b2
                 if diff >= bound:
-                    return -math.inf, reads, True
+                    return -math.inf
                 score += c * log2(c / n) - b
                 if score < floor:
-                    # pruned in the top pair, the score read only its tables
-                    return score, reads[:2] if top else reads, False
-            top = False
-        return score, reads, True
+                    return None
+        return score
 
     def _merge(self, red_id: int, blue_id: int, parent: int, via: int) -> None:
         """Fold ``blue_id``'s subtree into ``red_id``, determinizing as we go.
 
-        Every target and ``blue_id`` get a new stamp, and every state whose
-        counts or transitions change loses its table. No other stamp is
-        needed. ``parent`` keeps its counts, and an evaluation reads its
-        redirected target only through a symbol shared with the other side,
-        which put the child pair holding ``blue_id`` in its reads. A source
-        below the blue is reachable only through the blue, and the pair of
-        ``blue_id`` itself is never asked for again, as it leaves the fringe.
-
-        The trie's dicts are never written: ``parent``'s is replaced, and a
+        Every state whose counts or transitions change loses its table. The
+        trie's dicts are never written: ``parent``'s is replaced, and a
         target's is copied the first time it changes.
         """
-        total, final, trans, tables, stamp = (
-            self.total, self.final, self.trans, self.tables, self.stamp
+        total, final, trans, tables, shared = (
+            self.total, self.final, self.trans, self.tables, self.shared
         )
-        self.merges += 1
         trans[parent] = {**trans[parent], via: (red_id, trans[parent][via][1])}
         tables[parent] = None
-        stamp[blue_id] = self.merges
         stack = [(red_id, blue_id)]
         while stack:
             target, source = stack.pop()
             total[target] += total[source]
             final[target] += final[source]
             tables[target] = tables[source] = None
-            if not stamp[target]:  # first change: stop sharing the trie's dict
+            if trans[target] is shared[target]:  # first change: stop sharing the trie's dict
                 trans[target] = dict(trans[target])
-            stamp[target] = self.merges
             ttrans, strans = trans[target], trans[source]
             for sym in sorted(strans):
                 s_tgt, s_cnt = strans[sym]
@@ -281,36 +240,37 @@ class _Merger:
         return bounds
 
     def run(self, trace: Callable[[dict], None] | None) -> None:
-        stamp = self.stamp
-        scores: dict[tuple[int, int], tuple] = {}
+        tables = self.tables
+        bounds: dict[tuple[int, int], tuple] = {}  # (red, blue): (red's table, blue's table, bound)
         while True:
             fringe = self._blue_fringe()
             if not fringe:
                 return
             blues = sorted(fringe)
-            last, scores = scores, {}
-            ready, rest, bounds = [], [], 0
+            last, bounds, fresh = bounds, {}, 0
             for red in sorted(self.red - {self.root}):
                 stale = []
                 for blue in blues:
                     entry = last.get((red, blue))
-                    if entry is None or max(map(stamp.__getitem__, entry[2])) > entry[0]:
-                        stale.append(blue)
+                    if entry and entry[0] is tables[red] and entry[1] is tables[blue]:
+                        bounds[red, blue] = entry
                     else:
-                        (ready if entry[3] else rest).append((-entry[1], red, blue, entry))
-                # a stale pair is ordered, and may stay pruned, by its bound
+                        stale.append(blue)
                 for blue, bound in zip(stale, self._bounds(red, stale)):
-                    rest.append((-bound, red, blue, (self.merges, bound, (red, blue), False)))
-                bounds += len(stale)
-            best, floor, calls = (math.inf,), -math.inf, 0
-            for _, red, blue, entry in ready + sorted(rest):
-                # a pruned entry at -inf failed its Hoeffding test: final
-                if not entry[3] and -math.inf < entry[1] >= floor:
-                    entry = (self.merges, *self._evaluate(red, blue, floor))
-                    calls += 1
-                scores[red, blue] = entry
-                if (-entry[1], red, blue) < best:
-                    best, floor = (-entry[1], red, blue), entry[1] - self.margin
+                    bounds[red, blue] = (tables[red], tables[blue], bound)
+                fresh += len(stale)
+            best, floor, calls, done = (math.inf,), -math.inf, 0, 0
+            for key, red, blue in sorted((-entry[2], *pair) for pair, entry in bounds.items()):
+                # a bound at -inf failed a Hoeffding test; later bounds are no
+                # higher, and only a score moves the floor
+                if not -math.inf < -key >= floor:
+                    break
+                score = self._evaluate(red, blue, floor)
+                calls += 1
+                if score is not None:
+                    done += 1
+                    if (-score, red, blue) < best:
+                        best, floor = (-score, red, blue), score - self.margin
             if best[0] == math.inf:
                 blue = min(fringe)
                 self.red.add(blue)
@@ -321,6 +281,5 @@ class _Merger:
                 parent, via = fringe[blue]
                 self._merge(red, blue, parent, via)
             if trace is not None:
-                done = sum(entry[3] for entry in scores.values())
-                trace({"fringe": len(fringe), "evaluated": done - len(ready), "reused": len(ready),
-                       "pruned": len(scores) - done, "bounds": bounds, "calls": calls, **step})
+                trace({"fringe": len(fringe), "evaluated": done, "reused": len(bounds) - fresh,
+                       "pruned": len(bounds) - done, "bounds": fresh, "calls": calls, **step})

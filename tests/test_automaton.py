@@ -700,11 +700,12 @@ def test_learner_matches_str_keyed_oracle_when_merge_heavy(params):
     assert learned.to_text() == oracle_learn_pdfa(tree, params).to_text()
 
 
-# Small merge-heavy cases where a stale cached score or count table changes
-# the learned automaton. Each id names the step of ``_merge`` or ``_evaluate``
-# whose removal the case was picked to catch: the stamp on the merged blue,
-# the reads of child pairs the ``state_count`` test did not push, and
-# dropping the tables of the redirected parent and of every merge target.
+# Small merge-heavy cases where a stale bound or count table changes the
+# learned automaton. Each id names the step of ``_merge`` or ``run`` whose
+# removal the case catches: dropping the table of the redirected parent
+# (with every threshold at zero, and with the thresholds of the third
+# case), reusing a bound only while the red's table stands, and dropping
+# the table of every merge target.
 @pytest.mark.parametrize(
     "seed, n, params",
     [
@@ -714,8 +715,8 @@ def test_learner_matches_str_keyed_oracle_when_merge_heavy(params):
         (21, 30, LearnParams(1, 4, 1, alpha=0.9)),
     ],
     ids=[
-        "stamp-on-merged-blue",
-        "reads-of-unpushed-child-totals",
+        "parent-table-dropped-at-zero",
+        "red-table-identity",
         "parent-table-dropped",
         "target-table-dropped",
     ],
@@ -735,8 +736,9 @@ def test_learner_trace_accounts_for_every_pair(params):
     assert learn_pdfa(tree, params).to_text() == model.to_text()
     reds = pairs = 0  # non-root reds: one per promotion so far
     for step in steps:
-        assert step["evaluated"] + step["reused"] + step["pruned"] == step["fringe"] * reds
-        assert step["evaluated"] <= step["calls"] <= step["evaluated"] + step["pruned"]
+        # every pair has a bound, reused or fresh, and is scored in full or not
+        assert step["reused"] + step["bounds"] == step["evaluated"] + step["pruned"] == step["fringe"] * reds
+        assert step["evaluated"] <= step["calls"]
         pairs += step["fringe"] * reds
         assert ("merge" in step) != ("promote" in step)
         if "promote" in step:
@@ -744,11 +746,9 @@ def test_learner_trace_accounts_for_every_pair(params):
         else:
             red, blue, score = step["merge"]
             assert isinstance(score, float) and red != blue
-        # a pair is bounded when it has no entry to reuse or keep
-        assert step["reused"] + step["bounds"] <= step["fringe"] * reds
     assert 1 + reds == len(model) - len(model.sink_ids())
     assert sum(step["bounds"] for step in steps) > 0
-    if params.state_count == 0:
+    if params != LearnParams():  # low thresholds: most states outlive a round unchanged
         assert sum(step["reused"] for step in steps) > 0
     if params == LearnParams():
         assert sum(step["pruned"] for step in steps) > 0
@@ -789,54 +789,24 @@ def test_pair_within_margin_of_the_best_is_never_pruned():
     # after the seventh merge, a score term of pair (3, 54) rounds up by
     # 3.6e-15, so its partial score dips below its final score
     merger = _Merger(build_suffix_tree(merge_heavy_corpus(13, 120)), LearnParams(2, 3, 2, 0.2))
+    merges = 0
 
     class Stop(Exception):
         pass
 
     def stop_after_seventh_merge(step):
-        if merger.merges == 7:
+        nonlocal merges
+        merges += "merge" in step
+        if merges == 7:
             raise Stop
 
     with pytest.raises(Stop):
         merger.run(stop_after_seventh_merge)
-    score, reads, done = merger._evaluate(3, 54, -math.inf)
-    assert done
+    score = merger._evaluate(3, 54, -math.inf)
+    assert -math.inf < score < 0
     # pruned below a floor that equals its score: a tie needs the margin
-    partial, _, done = merger._evaluate(3, 54, score)
-    assert partial < score and not done
-    assert merger._evaluate(3, 54, score - merger.margin) == (score, reads, True)
-
-
-def test_pair_pruned_in_its_top_state_pair_reads_only_red_and_blue():
-    # A pruned entry stays pruned while no state it read changes. Pruned in the
-    # (red, blue) pair itself, its partial score sums terms of those two
-    # states' counts only; pruned in a child pair, it summed that pair's terms
-    # too, so its reads must keep the child pairs it descended into.
-    tree = build_suffix_tree(merge_heavy_corpus(9, 200))
-    params = LearnParams(2, 2, 2, 0.5)
-    merger = _Merger(tree, params)
-    # the same search with every child pair below state_count: only the top
-    # pair's terms are summed
-    top_only = _Merger(tree, LearnParams(2, 10**9, 2, 0.5))
-    depth_one = sorted(target for target, _ in tree.trans[tree.root].values())
-    checked = 0
-    for red in depth_one:
-        for blue in depth_one:
-            if red == blue:
-                continue
-            final, reads, done = merger._evaluate(red, blue, -math.inf)
-            top, _, _ = top_only._evaluate(red, blue, -math.inf)
-            if not (done and -math.inf < final < top < 0 and len(reads) > 2):
-                continue
-            # the running score falls below this floor only after the top pair
-            partial, pruned_reads, done = merger._evaluate(red, blue, (final + top) / 2)
-            assert not done and partial < (final + top) / 2
-            assert len(pruned_reads) > 2 and pruned_reads == reads[: len(pruned_reads)]
-            # and below this one while still in it
-            partial, pruned_reads, done = merger._evaluate(red, blue, top / 2)
-            assert not done and pruned_reads == [red, blue]
-            checked += 1
-    assert checked >= 3
+    assert merger._evaluate(3, 54, score) is None
+    assert merger._evaluate(3, 54, score - merger.margin) == score
 
 
 def top_pair_gain(merger: _Merger, red: int, blue: int) -> float:
@@ -868,7 +838,7 @@ def test_bound_of_every_pair_covers_its_score(seed, n, params):
         blues = sorted(merger._blue_fringe())
         for red in sorted(merger.red - {merger.root}):
             for blue, bound in zip(blues, merger._bounds(red, blues)):
-                score = merger._evaluate(red, blue, -math.inf)[0]
+                score = merger._evaluate(red, blue, -math.inf)
                 assert bound >= score - margin
                 assert bound > -math.inf or score == -math.inf
                 assert bound == -math.inf or abs(bound - top_pair_gain(merger, red, blue)) <= margin
