@@ -9,12 +9,15 @@ pipeline's own and not the generator's. Prints one JSON line: the median,
 min and max over the runs of the wall seconds, of the seconds of each stage
 and of the peak RSS (``VmHWM``, Linux only) in MB, plus the record count.
 ``learn_pdfa`` holds each learner call by the stage that made it (``learn``,
-and ``stats`` for the perplexity report's model): its seconds, and the
+and ``stats`` for the perplexity report's model): its wall seconds (``s``)
+and its CPU seconds in the worker process (``cpu_s``, from
+``time.process_time``), each a median, min and max over the runs, and the
 rounds, the pair bounds reused from the last round (``reused``) and made
 anew (``bounds``), the pairs scored in full (``evaluated``) and not
 (``pruned``) and the pair evaluations run (``calls``), summed from the
 learner's ``trace`` callback, and ``trie_states``, the states of the trie
-it learned from.
+it learned from. Learner versions are best compared by ``cpu_s``, which
+another process on the host does not add to.
 ``episodes``, ``attempts``, ``pdfa_states``, ``sink_states``, ``graphs``
 and ``artifacts`` count the work of the run, read from its
 ``PipelineResult``. ``stage_rss_mb`` holds, per stage, the live
@@ -106,11 +109,12 @@ def _run(alerts: str, fmt: str, out_dir: str) -> dict:
             for key in ("evaluated", "reused", "pruned", "bounds", "calls"):
                 call[key] += step[key]
 
-        start = time.perf_counter()
+        start, cpu = time.perf_counter(), time.process_time()
         try:
             return learn(tree, params, trace=count)
         finally:
             call["s"] = time.perf_counter() - start
+            call["cpu_s"] = time.process_time() - cpu
 
     for stage, fn in list(pipeline._STAGE_FUNCS.items()):
         pipeline._STAGE_FUNCS[stage] = timed(stage, fn)
@@ -223,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         },
         "learn_pdfa": {
             stage: {
-                "s": _spread([r["learn_pdfa"][stage]["s"] for r in records]),
+                **{key: _spread([r["learn_pdfa"][stage][key] for r in records])
+                   for key in ("s", "cpu_s")},
                 **{key: call[key] for key in LEARNER_COUNTS},
             }
             for stage, call in first["learn_pdfa"].items()

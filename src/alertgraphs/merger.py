@@ -33,9 +33,17 @@ class _Merger:
 
     The merger works on the trie's symbol ids: each id is the symbol's
     position in ``str`` order, so plain int order is ``str`` order, not
-    tuple or rendered order. The visiting order, ``sorted(freq1 | t2)``,
-    fixes the float summation order of merge scores, which decides ties
-    between candidates, and the breadth-first state ids of the result.
+    tuple or rendered order. Only these orders decide the automaton: the
+    pair sort by ``(-bound, red, blue)``, the least ``(-score, red, blue)``
+    and ``min(fringe)`` pick a round's step; ``_evaluate``'s
+    ``sorted(freq1.union(rows2))`` fixes each score's float summation order,
+    which decides ties; ``_merge``'s ``sorted(strans)`` picks which folded
+    state keeps its id where a red has two rows into one red; and
+    ``learn_pdfa``'s breadth-first walk fixes the state ids. A fold empties
+    each state it moves rows out of and a merge points the blue's row at a
+    red, so the states outside the red core stay trees hanging off the reds:
+    none has a row into a red, each blue has one ``(parent, via)`` row, and
+    the fringe is the same map in any visiting order.
 
     ``_evaluate`` visits only the red-side state's frequent symbols (count at
     least ``symbol_count``) plus all of the blue-side state's symbols. A
@@ -112,17 +120,14 @@ class _Merger:
         self.margin = len(tree) * weight * weight.bit_length() * 2**-45
 
     def _blue_fringe(self) -> dict[int, tuple[int, int]]:
-        fringe: dict[int, tuple[int, int]] = {}
-        for r in sorted(self.red):
-            trans = self.trans[r]
-            for sym in sorted(trans):
-                tgt = trans[sym][0]
-                if tgt in self.red or tgt in fringe:
-                    continue
-                if self.total[tgt] < self.p.sink_count:
-                    continue  # sink: retained but never a merge candidate
-                fringe[tgt] = (r, sym)
-        return fringe
+        """Each blue state and its one ``(parent, via)`` row; sinks are left out."""
+        red, total, sink_count = self.red, self.total, self.p.sink_count
+        return {
+            tgt: (r, sym)
+            for r in red
+            for sym, (tgt, _) in self.trans[r].items()
+            if tgt not in red and total[tgt] >= sink_count
+        }
 
     def _table(self, q: int) -> _Table:
         n, log2 = self.total[q], math.log2
@@ -246,11 +251,10 @@ class _Merger:
             fringe = self._blue_fringe()
             if not fringe:
                 return
-            blues = sorted(fringe)
             last, bounds, fresh = bounds, {}, 0
-            for red in sorted(self.red - {self.root}):
+            for red in self.red - {self.root}:
                 stale = []
-                for blue in blues:
+                for blue in fringe:
                     entry = last.get((red, blue))
                     if entry and entry[0] is tables[red] and entry[1] is tables[blue]:
                         bounds[red, blue] = entry

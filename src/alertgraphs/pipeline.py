@@ -84,6 +84,9 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+_PATH = (str, os.PathLike)  # what a path field of PipelineConfig may hold
+
+
 @alerts_mod.checked
 class PipelineConfig(NamedTuple):
     """The inputs, output directory and settings of a run, checked when built."""
@@ -112,6 +115,16 @@ class PipelineConfig(NamedTuple):
             raise ValueError(f"unknown format: {self.format!r}")
         if self.stop_after is not None and self.stop_after not in STAGES:
             raise ValueError(f"unknown stage: {self.stop_after!r}")
+        # open() takes an int as a file descriptor, and a str as alerts would
+        # name one file per character
+        if not (isinstance(self.alerts, (list, tuple)) and all(isinstance(p, _PATH) for p in self.alerts)):
+            raise ValueError("alerts must be a list of paths")
+        if not isinstance(self.out_dir, Path):
+            raise ValueError("out_dir must be a Path")
+        if not all(isinstance(p, _PATH) for p in (self.sig_map, self.port_map) if p is not None):
+            raise ValueError("sig_map and port_map must each be a path or None")
+        if not isinstance(self.learn, LearnParams):
+            raise ValueError("learn must be a LearnParams")
 
 
 class PipelineResult:

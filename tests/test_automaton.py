@@ -844,3 +844,43 @@ def test_bound_of_every_pair_covers_its_score(seed, n, params):
                 assert bound == -math.inf or abs(bound - top_pair_gain(merger, red, blue)) <= margin
 
     merger.run(check)
+
+
+def sorted_blue_fringe(merger: _Merger) -> dict[int, tuple[int, int]]:
+    """Oracle: the fringe by a sorted scan, each red in id order and each of
+    its rows in symbol order, where the first row into a state wins."""
+    fringe: dict[int, tuple[int, int]] = {}
+    for r in sorted(merger.red):
+        trans = merger.trans[r]
+        for sym in sorted(trans):
+            tgt = trans[sym][0]
+            if tgt in merger.red or tgt in fringe:
+                continue
+            if merger.total[tgt] < merger.p.sink_count:
+                continue
+            fringe[tgt] = (r, sym)
+    return fringe
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 99), st.integers(10, 120), low_thresholds)
+def test_blue_fringe_needs_no_order(seed, n, params):
+    # Before every round, each state outside the red core that a red row
+    # reaches is reached by that one row, no state outside the core has a
+    # row into a red, and so the unsorted fringe equals the sorted scan.
+    merger = _Merger(build_suffix_tree(merge_heavy_corpus(seed, n)), params)
+
+    def check(step):
+        red = merger.red
+        rows_into = Counter(tgt for r in red for tgt, _ in merger.trans[r].values() if tgt not in red)
+        assert set(rows_into.values()) <= {1}
+        assert not any(
+            tgt in red
+            for q, trans in enumerate(merger.trans)
+            if q not in red
+            for tgt, _ in trans.values()
+        )
+        assert merger._blue_fringe() == sorted_blue_fringe(merger)
+
+    check(None)
+    merger.run(check)

@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -390,6 +391,30 @@ class TestErrors:
             config(tmp_path, stop_after="nonsense")
         with pytest.raises(ValueError):
             config(tmp_path, format="xml")
+        # a path field of the wrong type: a bare path or str as alerts, a str
+        # as out_dir, an int (a file descriptor to open()) or bytes as a path
+        for fields in (
+            {"alerts": FIXTURE},
+            {"alerts": "a"},
+            {"alerts": [FIXTURE, 0]},
+            {"alerts": [str(FIXTURE).encode()]},
+            {"out_dir": "o"},
+            {"sig_map": 0},
+            {"port_map": 0},
+            {"port_map": b"ports.csv"},
+            {"learn": tuple(LearnParams())},
+        ):
+            with pytest.raises(ValueError):
+                PipelineConfig(**{"alerts": [FIXTURE], "out_dir": tmp_path / "out", **fields})
+        PipelineConfig(alerts=(str(FIXTURE),), out_dir=tmp_path, sig_map="rules.tsv")
+        read_end, write_end = os.pipe()
+        os.close(write_end)  # a read of it ends at once, should the run read it
+        try:
+            with pytest.raises(ValueError):
+                run_pipeline(config(tmp_path, sig_map=read_end))
+            os.fstat(read_end)  # still open
+        finally:
+            os.close(read_end)
 
     @pytest.mark.parametrize("name", PipelineConfig._fields)
     def test_config_fields_cannot_be_assigned(self, tmp_path, name):
