@@ -12,15 +12,14 @@ Supported input formats:
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
 import pkgutil
-from datetime import datetime, timedelta, timezone
-from operator import ge, gt, itemgetter
+from datetime import datetime, timezone
+from operator import gt, itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .stages import AttackStage
 
@@ -437,42 +436,10 @@ def map_alert(raw: RawAlert, cfg: MappingConfig) -> Alert:
     return _new_record(Alert, (timestamp, src_ip, dst_ip, stage, service))
 
 
-_MAX_US = timedelta.max // timedelta.resolution  # the largest timedelta, in microseconds
-
-
-@functools.cache  # a run uses one window and one duplicate gap, but many pairs
-def least_gap(op: Callable[[float, float], bool], seconds: float) -> timedelta | None:
-    """The least timedelta ``d >= timedelta(0)`` with ``op(d.total_seconds(),
-    seconds)``, or None when no timedelta has it; ``op`` is ``operator.gt``
-    or ``operator.ge``.
-
-    ``total_seconds()`` is the correctly rounded quotient ``us / 10**6`` of
-    a gap's whole microseconds, which never falls as ``us`` grows. So the
-    gaps that pass the test are exactly those from the one returned up, and
-    comparing a gap with it gives the float test's answer without the float.
-    A bisection over the integer microseconds of every timedelta finds it.
-    NaN, an infinite ``seconds`` or one beyond ``timedelta.max`` passes no
-    gap or every gap, as the float test does.
-    """
-
-    def reached(us: int) -> bool:
-        return op(us / 10**6, seconds)
-
-    lo, hi = -1, _MAX_US  # lo lies below every gap; reached(hi) must hold
-    if not reached(hi):
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reached(mid):
-            hi = mid
-        else:
-            lo = mid
-    return timedelta(microseconds=hi)
-
-
 def filter_duplicates(alerts: list[Alert], t: float) -> list[Alert]:
     """Drop alerts repeating an identical (attacker, victim, stage, service)
-    less than ``t`` seconds after the last *retained* alert of that key.
+    less than ``t`` seconds, by the gap's ``total_seconds()``, after the last
+    *retained* alert of that key.
 
     Input must be sorted by timestamp ascending; order is preserved. ``t``
     must be a positive number; NaN is rejected, since no gap is below it.
@@ -481,15 +448,13 @@ def filter_duplicates(alerts: list[Alert], t: float) -> list[Alert]:
         raise ValueError("t must be positive")
     if any(map(gt, map(_TIMESTAMP, alerts), map(_TIMESTAMP, itertools.islice(alerts, 1, None)))):
         raise ValueError("alerts must be sorted by timestamp ascending")
-    # a repeat is kept exactly when its gap reaches the limit: see least_gap
-    limit = least_gap(ge, t)
     last_kept: dict[tuple[str, str, AttackStage, str], datetime] = {}
     kept: list[Alert] = []
     for alert in alerts:
         timestamp = alert[0]
         key = alert[1:]  # (attacker, victim, stage, service)
         last = last_kept.get(key)
-        if last is not None and (limit is None or timestamp - last < limit):
+        if last is not None and (timestamp - last).total_seconds() < t:
             continue
         last_kept[key] = timestamp
         kept.append(alert)

@@ -10,14 +10,14 @@ high-severity one, marking the start of a new attack attempt.
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
-from datetime import datetime
+from collections import Counter
+from datetime import datetime, timedelta
 from functools import partial
-from itertools import accumulate, chain, compress, count, islice
+from itertools import chain, compress, count, groupby, islice, repeat
 from operator import gt, itemgetter, sub
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .alerts import Alert, _Memo, _new_record, least_gap
+from .alerts import Alert, _Memo, _new_record
 from .stages import AttackStage
 
 Pair = tuple[str, str]  # (attacker, victim)
@@ -100,10 +100,10 @@ _STAGE_ORDER = {stage: (stage.severity, stage.value) for stage in AttackStage}
 
 
 def _episode_order(episode: Episode):
-    """(start, severity, service, stage acronym): a total order, as one
-    stage's episodes of one pair never start at the same instant."""
+    """(attacker, victim, start, severity, service, stage acronym): a total
+    order, as one stage's episodes of one pair never start at the same instant."""
     severity, acronym = _STAGE_ORDER[episode[2]]
-    return (episode[0], severity, episode[3], acronym)
+    return (episode[5], episode[6], episode[0], severity, episode[3], acronym)
 
 
 def _mode_service(services: list[str]) -> str:
@@ -115,73 +115,59 @@ def _mode_service(services: list[str]) -> str:
     return min(counts, key=lambda s: (-counts[s], s))
 
 
-_TIMESTAMP, _PAIR, _SERVICE = itemgetter(0), itemgetter(1, 2), itemgetter(4)  # of an Alert
+_TIMESTAMP, _SERVICE = itemgetter(0), itemgetter(4)  # of an Alert
 _STAGE, _STAGE_SERVICE = itemgetter(2), itemgetter(2, 3)  # of an Episode
+_EPISODE_PAIR = itemgetter(5, 6)  # (attacker, victim) of an Episode
 _new_symbol = partial(_new_record, Symbol)  # from a (stage, service) tuple
 
 
 def aggregate_episodes(alerts: list[Alert], w: float) -> list[Episode]:
-    """Group one (attacker, victim) pair's alerts into episodes, in order of
-    (start, severity, service, stage acronym).
+    """Group time-sorted alerts, of any number of (attacker, victim) pairs,
+    into episodes, in order of (attacker, victim, start, severity, service,
+    stage acronym).
 
-    Per attack stage independently, alerts are split into maximal runs whose
-    consecutive gaps are <= ``w`` seconds. Each run yields one episode with
-    st/et the first/last timestamp and the run's most frequent service.
-    ``w`` may be ``math.inf`` to force a single episode per stage; NaN is
+    Per pair and attack stage, alerts are split into maximal runs whose
+    consecutive gaps are <= ``w`` seconds, each gap read by its
+    ``total_seconds()``. Each run yields one episode with st/et the
+    first/last timestamp and the run's most frequent service. ``w`` may be
+    ``math.inf`` to force a single episode per pair and stage; NaN is
     rejected, since no gap exceeds it.
     """
     if not w > 0:
         raise ValueError("w must be positive")
-    if not alerts:
-        return []
-    # Columns are read in C where the loop allows: in a Python loop, a named
-    # tuple's field costs more to read than a slotted attribute.
-    pairs = set(map(_PAIR, alerts))
-    if len(pairs) != 1:
-        raise ValueError(f"alerts span multiple (attacker, victim) pairs: {sorted(pairs)}")
-    attacker, victim = pairs.pop()
     if any(map(gt, map(_TIMESTAMP, alerts), map(_TIMESTAMP, islice(alerts, 1, None)))):
         raise ValueError("alerts must be sorted by timestamp ascending")
-    # a gap splits a run exactly when it reaches limit: see least_gap
-    limit = least_gap(gt, w)
-
-    by_stage: dict[AttackStage, list[Alert]] = defaultdict(list)
+    groups: dict[tuple[str, str, AttackStage], list[Alert]] = {}
     for alert in alerts:
-        by_stage[alert[3]].append(alert)  # by stage
-    # the stages' alerts one after the other: a run ends where its stage's
-    # alerts end, or at a gap that reaches the limit, found in C
-    groups = by_stage.values()
-    grouped = list(chain.from_iterable(groups))
-    times = list(map(_TIMESTAMP, grouped))
-    services = list(map(_SERVICE, grouped))
-    ends = set(accumulate(map(len, groups)))
-    if limit is not None:
-        ends.update(compress(count(1), map(limit.__le__, map(sub, islice(times, 1, None), times))))
-
+        groups.setdefault(alert[1:4], []).append(alert)  # by (attacker, victim, stage)
     episodes = []
-    start = 0  # of the current run
-    for end in sorted(ends):
-        episodes.append(_new_record(Episode, (
-            times[start],
-            times[end - 1],
-            grouped[start][3],  # the run's stage
-            _mode_service(services[start:end]),
-            end - start,
-            attacker,
-            victim,
-        )))
-        start = end
+    for (attacker, victim, stage), group in groups.items():
+        times = list(map(_TIMESTAMP, group))
+        # a run ends at each gap beyond the window, found in C, and at the group's end
+        gaps = map(timedelta.total_seconds, map(sub, islice(times, 1, None), times))
+        start = 0
+        for end in chain(compress(count(1), map(gt, gaps, repeat(w))), (len(times),)):
+            episodes.append(_new_record(Episode, (
+                times[start],
+                times[end - 1],
+                stage,
+                _mode_service(list(map(_SERVICE, group[start:end]))),
+                end - start,
+                attacker,
+                victim,
+            )))
+            start = end
     episodes.sort(key=_episode_order)
     return episodes
 
 
-def build_sequences(episodes_by_pair: Mapping[Pair, list[Episode]]) -> list[EpisodeSequence]:
-    """One episode sequence per (attacker, victim) pair, in pair order, each
-    keeping its episodes, which must be non-empty, in the order given: the
+def build_sequences(episodes: list[Episode]) -> list[EpisodeSequence]:
+    """One episode sequence per (attacker, victim) pair of ``episodes``, in
+    the order given, which must hold each pair's episodes together: the
     order ``aggregate_episodes`` returns."""
     return [
-        EpisodeSequence(attacker=attacker, victim=victim, episodes=episodes)
-        for (attacker, victim), episodes in sorted(episodes_by_pair.items())
+        EpisodeSequence(attacker, victim, list(run))
+        for (attacker, victim), run in groupby(episodes, _EPISODE_PAIR)
     ]
 
 

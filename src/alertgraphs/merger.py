@@ -55,8 +55,8 @@ class _Merger:
     Each state's count table is built the first time the state is read:
     ``{symbol id: (target, c, c/n, c*log2(c/n))}``, the set of its frequent
     symbols and their summed count. ``_merge`` drops the table of every
-    state it changes. Each score term runs the IEEE operations of the
-    expressions it stands for, ``abs(c1/n1 - c2/n2)`` and
+    state whose counts it changes. Each score term runs the IEEE operations
+    of the expressions it stands for, ``abs(c1/n1 - c2/n2)`` and
     ``c*log2(c/n) - (b1 + b2)``, where ``b = c*log2(c/n_side)`` or 0.0 for
     an absent symbol. A symbol of the red-side state only tests
     ``r1 >= bound`` and adds ``c1*log2(c1/n) - b1``; one of the blue-side
@@ -187,15 +187,18 @@ class _Merger:
     def _merge(self, red_id: int, blue_id: int, parent: int, via: int) -> None:
         """Fold ``blue_id``'s subtree into ``red_id``, determinizing as we go.
 
-        Every state whose counts or transitions change loses its table. The
-        trie's dicts are never written: ``parent``'s is replaced, and a
-        target's is copied the first time it changes.
+        Every state whose counts change loses its table; ``parent``'s keeps
+        its table, with the one row's target patched, so the bounds made from
+        it stay. The trie's dicts are never written: ``parent``'s is
+        replaced, and a target's is copied the first time it changes.
         """
         total, final, trans, tables, shared = (
             self.total, self.final, self.trans, self.tables, self.shared
         )
         trans[parent] = {**trans[parent], via: (red_id, trans[parent][via][1])}
-        tables[parent] = None
+        if tables[parent] is not None:  # its counts stay: only the row's target moves
+            rows = tables[parent][0]
+            rows[via] = (red_id, *rows[via][1:])
         stack = [(red_id, blue_id)]
         while stack:
             target, source = stack.pop()

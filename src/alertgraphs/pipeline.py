@@ -119,6 +119,8 @@ class PipelineConfig(NamedTuple):
         # name one file per character
         if not (isinstance(self.alerts, (list, tuple)) and all(isinstance(p, _PATH) for p in self.alerts)):
             raise ValueError("alerts must be a list of paths")
+        if not self.alerts:  # a run of no log would replace every artifact with an empty one
+            raise ValueError("alerts must name at least one log")
         if not isinstance(self.out_dir, Path):
             raise ValueError("out_dir must be a Path")
         if not all(isinstance(p, _PATH) for p in (self.sig_map, self.port_map) if p is not None):
@@ -274,13 +276,7 @@ def _stage_ingest(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
 
 
 def _stage_episodes(cfg: PipelineConfig, result: PipelineResult, writer: _StageWriter) -> None:
-    by_pair: dict[tuple[str, str], list[Alert]] = {}
-    for alert in result.filtered_alerts:
-        by_pair.setdefault(alert[1:3], []).append(alert)  # by (attacker, victim)
-    episodes_by_pair = {
-        pair: aggregate_episodes(pair_alerts, cfg.w) for pair, pair_alerts in by_pair.items()
-    }
-    result.sequences = build_sequences(episodes_by_pair)
+    result.sequences = build_sequences(aggregate_episodes(result.filtered_alerts, cfg.w))
     result.subsequences = [
         ess for es in result.sequences for ess in partition_subsequences(es)
     ]

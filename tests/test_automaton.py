@@ -702,10 +702,11 @@ def test_learner_matches_str_keyed_oracle_when_merge_heavy(params):
 
 # Small merge-heavy cases where a stale bound or count table changes the
 # learned automaton. Each id names the step of ``_merge`` or ``run`` whose
-# removal the case catches: dropping the table of the redirected parent
-# (with every threshold at zero, and with the thresholds of the third
-# case), reusing a bound only while the red's table stands, and dropping
-# the table of every merge target.
+# removal the case catches: updating the table of the redirected parent,
+# which once was dropped and now has its one row's target patched (with
+# every threshold at zero, and with the thresholds of the third case),
+# reusing a bound only while the red's table stands, and dropping the table
+# of every merge target.
 @pytest.mark.parametrize(
     "seed, n, params",
     [
@@ -883,4 +884,22 @@ def test_blue_fringe_needs_no_order(seed, n, params):
         assert merger._blue_fringe() == sorted_blue_fringe(merger)
 
     check(None)
+    merger.run(check)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 99), st.integers(10, 120), low_thresholds)
+def test_kept_tables_match_the_counts(seed, n, params):
+    # After every round, each count table the merger keeps equals one built
+    # anew from the state's rows, total and ending count: a merge patches
+    # the redirected row of the blue's parent in place, and drops the rest.
+    merger = _Merger(build_suffix_tree(merge_heavy_corpus(seed, n)), params)
+
+    def check(step):
+        for q, table in enumerate(merger.tables):
+            if table is not None:
+                merger.tables[q] = None
+                assert merger._table(q) == table
+                merger.tables[q] = table
+
     merger.run(check)

@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from datetime import datetime, timedelta, timezone
 from itertools import accumulate
-from operator import ge, gt
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import episodes_oracle as oracle
-from alertgraphs.alerts import Alert, _MAX_US, _Memo, filter_duplicates, least_gap
+from alertgraphs.alerts import Alert, _Memo, filter_duplicates
 from alertgraphs.automaton import AnnotatedSequence, dot_quote
 from alertgraphs.episodes import (
     Episode,
@@ -26,6 +25,7 @@ from alertgraphs.episodes import (
     _episode_order,
     _mode_service,
     aggregate_episodes,
+    build_sequences,
     render_episode_dump,
 )
 from alertgraphs.graphs import (
@@ -76,26 +76,49 @@ def window_and_alerts(draw, windows=WINDOWS, names=("ssh", "http", "ftp")):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from([gt, ge]),
-    st.one_of(st.sampled_from(WINDOWS), st.floats(allow_nan=True), st.integers(-5, 10**14)),
-    st.data(),
-)
-def test_least_gap_decides_as_total_seconds(op, seconds, data):
-    limit = least_gap(op, seconds)
-    around = round(seconds * 10**6) if math.isfinite(seconds) and abs(seconds) < 10**14 else 0
-    candidates = [0, 1, _MAX_US, data.draw(st.integers(0, _MAX_US))]
-    candidates += [us for us in range(around - 3, around + 4) if 0 <= us <= _MAX_US]
-    for us in candidates:
-        gap = timedelta(microseconds=us)
-        assert (limit is not None and gap >= limit) == op(gap.total_seconds(), seconds)
-
-
-@settings(max_examples=300, deadline=None)
 @given(window_and_alerts())
 def test_aggregate_episodes_matches_replaced_path(drawn):
     w, alerts = drawn
     assert aggregate_episodes(alerts, w) == oracle.aggregate_episodes(alerts, w)
+
+
+@st.composite
+def window_and_pairs(draw):
+    """A window and the time-sorted alerts of 2-3 pairs, interleaved, each
+    pair's gaps drawn around the window; ties across pairs keep the order
+    the pairs were drawn in."""
+    w = draw(st.sampled_from(WINDOWS))
+    pair = st.tuples(st.sampled_from(ODD_NAMES[:4]), st.sampled_from(ODD_NAMES[4:7]))
+    pairs = draw(st.lists(pair, min_size=2, max_size=3, unique=True))
+    alerts = []
+    for attacker, victim in pairs:
+        rows = draw(st.lists(
+            st.tuples(gaps_near(w), st.sampled_from(STAGES), st.sampled_from(("ssh", "http"))),
+            min_size=1,
+            max_size=12,
+        ))
+        offsets = accumulate(gap for gap, _, _ in rows)
+        alerts += [
+            Alert(BASE + timedelta(microseconds=us), attacker, victim, stage, service)
+            for us, (_, stage, service) in zip(offsets, rows)
+        ]
+    alerts.sort(key=lambda alert: alert.timestamp)
+    return w, sorted(pairs), alerts
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_and_pairs())
+def test_aggregate_episodes_of_many_pairs_matches_replaced_path_per_pair(drawn):
+    w, pairs, alerts = drawn
+    per_pair = [
+        oracle.aggregate_episodes([alert for alert in alerts if alert[1:3] == pair], w)
+        for pair in pairs
+    ]
+    episodes = aggregate_episodes(alerts, w)
+    assert episodes == [episode for run in per_pair for episode in run]
+    sequences = build_sequences(episodes)
+    assert [(es.attacker, es.victim) for es in sequences] == pairs
+    assert [es.episodes for es in sequences] == per_pair
 
 
 @settings(max_examples=300, deadline=None)
@@ -109,10 +132,17 @@ def test_filter_duplicates_matches_replaced_path(drawn, attackers):
     assert filter_duplicates(alerts, t) == oracle.filter_duplicates(alerts, t)
 
 
-@given(st.sampled_from(list(AttackStage)), st.sampled_from(ODD_NAMES), st.integers(0, 10**6))
-def test_episode_order_key_matches_replaced_path(stage, service, us):
-    episode = Episode(BASE + timedelta(microseconds=us), BASE, stage, service, 1, "a", "v")
-    assert _episode_order(episode) == oracle.episode_order(episode)
+@given(
+    st.sampled_from(list(AttackStage)),
+    st.sampled_from(ODD_NAMES),
+    st.integers(0, 10**6),
+    st.sampled_from(ODD_NAMES),
+    st.sampled_from(ODD_NAMES),
+)
+def test_episode_order_key_matches_replaced_path(stage, service, us, attacker, victim):
+    # the replaced path ordered one pair's episodes, and the pairs by name
+    episode = Episode(BASE + timedelta(microseconds=us), BASE, stage, service, 1, attacker, victim)
+    assert _episode_order(episode) == (attacker, victim, *oracle.episode_order(episode))
 
 
 @given(st.lists(st.sampled_from(ODD_NAMES[:4]), min_size=1, max_size=12))

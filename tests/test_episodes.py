@@ -112,10 +112,21 @@ class TestAggregateEpisodes:
         with pytest.raises(ValueError):
             aggregate_episodes([mk_alert(0.0), mk_alert(10_000.0)], w)
 
-    def test_mixed_pairs_rejected(self):
-        alerts = [mk_alert(0.0, attacker="a1"), mk_alert(1.0, attacker="a2")]
-        with pytest.raises(ValueError):
-            aggregate_episodes(alerts, 150.0)
+    def test_pairs_are_kept_apart(self):
+        # one stage and service, all within the window: one episode per pair,
+        # in pair order, whatever order the pairs' alerts come in
+        alerts = [
+            mk_alert(0.0, attacker="a2"),
+            mk_alert(1.0, attacker="a1"),
+            mk_alert(2.0, attacker="a2"),
+            mk_alert(3.0, attacker="a1", victim="v0"),
+        ]
+        episodes = aggregate_episodes(alerts, 150.0)
+        assert [(e.attacker, e.victim, e.st, e.et, e.alert_count) for e in episodes] == [
+            ("a1", "10.0.0.1", ts(1.0), ts(1.0), 1),
+            ("a1", "v0", ts(3.0), ts(3.0), 1),
+            ("a2", "10.0.0.1", ts(0.0), ts(2.0), 2),
+        ]
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
@@ -147,12 +158,16 @@ def test_alert_count_conservation(rows):
 
 class TestBuildSequences:
     def test_one_sequence_per_pair(self):
-        eps = {
-            ("a1", "v1"): [mk_episode(0.0, attacker="a1", victim="v1")],
-            ("a2", "v1"): [mk_episode(5.0, attacker="a2", victim="v1")],
-        }
+        eps = [
+            mk_episode(0.0, attacker="a1", victim="v1"),
+            mk_episode(9.0, attacker="a1", victim="v1"),
+            mk_episode(5.0, attacker="a2", victim="v1"),
+        ]
         sequences = build_sequences(eps)
-        assert [(s.attacker, s.victim) for s in sequences] == [("a1", "v1"), ("a2", "v1")]
+        assert [(s.attacker, s.victim, s.episodes) for s in sequences] == [
+            ("a1", "v1", eps[:2]),
+            ("a2", "v1", eps[2:]),
+        ]
 
     def test_tie_break_low_severity_first(self):
         # build_sequences keeps the order aggregate_episodes gives
@@ -162,7 +177,7 @@ class TestBuildSequences:
         ]
         high = mk_episode(0.0, stage=AttackStage.DATA_EXFILTRATION)
         low = mk_episode(0.0, stage=AttackStage.SERVICE_DISC)
-        es, = build_sequences({("10.0.254.1", "10.0.0.1"): aggregate_episodes(alerts, 150.0)})
+        es, = build_sequences(aggregate_episodes(alerts, 150.0))
         assert es.episodes == [low, high]
 
     def test_shuffled_fixture_matches_sort_oracle(self):
@@ -176,7 +191,7 @@ class TestBuildSequences:
             for _ in range(12)
         ]
         alerts.sort(key=lambda a: a.timestamp)  # stable: equal instants stay shuffled
-        es, = build_sequences({("10.0.254.1", "10.0.0.1"): aggregate_episodes(alerts, 0.5)})
+        es, = build_sequences(aggregate_episodes(alerts, 0.5))
         oracle = sorted(
             es.episodes, key=lambda e: (e.st, e.stage.severity, e.service, e.stage.value)
         )

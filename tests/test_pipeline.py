@@ -416,6 +416,18 @@ class TestErrors:
         finally:
             os.close(read_end)
 
+    def test_config_without_a_log_is_refused(self, tmp_path):
+        # a run of no log would replace every artifact of the last run with an empty one
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig(alerts=[FIXTURE], out_dir=out))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        for alerts in ([], ()):
+            with pytest.raises(ValueError, match="at least one log"):
+                run_pipeline(PipelineConfig(alerts=alerts, out_dir=out))
+        with pytest.raises(ValueError, match="at least one log"):
+            config(tmp_path)._replace(alerts=[])
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     @pytest.mark.parametrize("name", PipelineConfig._fields)
     def test_config_fields_cannot_be_assigned(self, tmp_path, name):
         cfg = config(tmp_path)
@@ -880,7 +892,7 @@ def test_names_round_trip_through_episode_files(attackers, victims, services, ro
     result = PipelineResult()
     result.filtered_alerts = alerts
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = PipelineConfig(alerts=[], out_dir=Path(tmp), w=60.0)
+        cfg = PipelineConfig(alerts=[Path(tmp) / "unread.jsonl"], out_dir=Path(tmp), w=60.0)
         pipeline._stage_episodes(cfg, result, pipeline._StageWriter(Path(tmp)))
         episode_rows = read_tsv(Path(tmp) / pipeline.EPISODE_DUMP)
         corpus_rows = read_tsv(Path(tmp) / pipeline.ATTEMPT_CORPUS)
