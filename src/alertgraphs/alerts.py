@@ -246,7 +246,8 @@ class _Memo(dict):
     ``_raw_alert`` checks a ``bool`` port without its memo. A
     ``MappingConfig`` keeps one more, of the stage of each ``(signature,
     category)`` pair; the text artifacts keep one of each name's escapes
-    (``episodes.escaped``) and of each DOT vertex's text (``graphs.vertex_texts``).
+    (``episodes.escaped``) and of each DOT vertex's text (``graphs.vertex_texts``);
+    ``episodes.to_symbols`` keeps one ``Symbol`` per (stage, service).
     """
 
     __slots__ = ("check",)

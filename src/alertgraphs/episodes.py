@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from datetime import datetime, timedelta
+from datetime import datetime
 from functools import partial
-from itertools import chain, compress, count, groupby, islice, repeat
-from operator import gt, itemgetter, sub
+from itertools import groupby, islice
+from operator import gt, itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .alerts import Alert, _Memo, _new_record
-from .stages import AttackStage
+from .stages import AttackStage, Severity
 
 Pair = tuple[str, str]  # (attacker, victim)
 
@@ -95,6 +95,13 @@ class EpisodeSubSequence(NamedTuple):
     episodes: list[Episode]
 
 
+# the stages at either side of a cut; the cutting loops test membership, as a
+# ``stage.severity`` read per episode is slower
+_LOW_STAGES = frozenset(stage for stage in AttackStage if stage.severity == Severity.LOW)
+_HIGH_STAGES = frozenset(stage for stage in AttackStage if stage.severity == Severity.HIGH)
+# one Symbol per (stage, service), shared by every sub-sequence that holds it
+_SYMBOLS = _Memo(partial(_new_record, Symbol))
+
 # per stage, what the episode order reads of it: its severity and acronym
 _STAGE_ORDER = {stage: (stage.severity, stage.value) for stage in AttackStage}
 
@@ -116,9 +123,15 @@ def _mode_service(services: list[str]) -> str:
 
 
 _TIMESTAMP, _SERVICE = itemgetter(0), itemgetter(4)  # of an Alert
-_STAGE, _STAGE_SERVICE = itemgetter(2), itemgetter(2, 3)  # of an Episode
+_STAGE_SERVICE = itemgetter(2, 3)  # of an Episode
 _EPISODE_PAIR = itemgetter(5, 6)  # (attacker, victim) of an Episode
-_new_symbol = partial(_new_record, Symbol)  # from a (stage, service) tuple
+
+
+def _episode(run: list[Alert]) -> Episode:
+    """The episode of one run of an (attacker, victim, stage)'s alerts."""
+    st, attacker, victim, stage, _ = run[0]
+    service = _mode_service(list(map(_SERVICE, run)))
+    return _new_record(Episode, (st, run[-1][0], stage, service, len(run), attacker, victim))
 
 
 def aggregate_episodes(alerts: list[Alert], w: float) -> list[Episode]:
@@ -137,26 +150,17 @@ def aggregate_episodes(alerts: list[Alert], w: float) -> list[Episode]:
         raise ValueError("w must be positive")
     if any(map(gt, map(_TIMESTAMP, alerts), map(_TIMESTAMP, islice(alerts, 1, None)))):
         raise ValueError("alerts must be sorted by timestamp ascending")
-    groups: dict[tuple[str, str, AttackStage], list[Alert]] = {}
+    open_runs: dict[tuple[str, str, AttackStage], list[Alert]] = {}  # by (attacker, victim, stage)
+    runs = []  # in order of their first alert
     for alert in alerts:
-        groups.setdefault(alert[1:4], []).append(alert)  # by (attacker, victim, stage)
-    episodes = []
-    for (attacker, victim, stage), group in groups.items():
-        times = list(map(_TIMESTAMP, group))
-        # a run ends at each gap beyond the window, found in C, and at the group's end
-        gaps = map(timedelta.total_seconds, map(sub, islice(times, 1, None), times))
-        start = 0
-        for end in chain(compress(count(1), map(gt, gaps, repeat(w))), (len(times),)):
-            episodes.append(_new_record(Episode, (
-                times[start],
-                times[end - 1],
-                stage,
-                _mode_service(list(map(_SERVICE, group[start:end]))),
-                end - start,
-                attacker,
-                victim,
-            )))
-            start = end
+        run = open_runs.get(alert[1:4])
+        if run is None or (alert[0] - run[-1][0]).total_seconds() > w:
+            run = open_runs[alert[1:4]] = [alert]
+            runs.append(run)
+        else:
+            run.append(alert)
+    episodes = list(map(_episode, runs))
+    del open_runs, runs  # before the sort builds every episode's key
     episodes.sort(key=_episode_order)
     return episodes
 
@@ -171,11 +175,6 @@ def build_sequences(episodes: list[Episode]) -> list[EpisodeSequence]:
     ]
 
 
-# one letter per stage, by severity: an attempt ends at each "HL" in a sequence
-_SEVERITY_LETTER = {stage: "LMH"[stage.severity] for stage in AttackStage}
-_NEW_ATTEMPT = re.compile("HL")
-
-
 def partition_subsequences(es: EpisodeSequence) -> list[EpisodeSubSequence]:
     """Cut an episode sequence into attack attempts.
 
@@ -186,8 +185,11 @@ def partition_subsequences(es: EpisodeSequence) -> list[EpisodeSubSequence]:
     episodes = es.episodes
     if not episodes:
         raise ValueError("episode sequence is empty")
-    letters = "".join(map(_SEVERITY_LETTER.__getitem__, map(_STAGE, episodes)))
-    bounds = [0, *[match.end() - 1 for match in _NEW_ATTEMPT.finditer(letters)], len(episodes)]
+    n = len(episodes)
+    cuts = [
+        i for i in range(1, n) if episodes[i - 1][2] in _HIGH_STAGES and episodes[i][2] in _LOW_STAGES
+    ]
+    bounds = [0, *cuts, n]
     parent = (es.attacker, es.victim)
     return [
         EpisodeSubSequence(parent=parent, index=i, episodes=episodes[start:end])
@@ -199,7 +201,7 @@ def to_symbols(ess: EpisodeSubSequence) -> list[Symbol]:
     """Project a sub-sequence onto its (stage, service) symbols, order preserved."""
     if not ess.episodes:
         raise ValueError("episode sub-sequence is empty")
-    return list(map(_new_symbol, map(_STAGE_SERVICE, ess.episodes)))
+    return list(map(_SYMBOLS.__getitem__, map(_STAGE_SERVICE, ess.episodes)))
 
 
 def render_episode_dump(sequences: Iterable[EpisodeSequence]) -> Iterator[str]:

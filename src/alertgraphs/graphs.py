@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import re
 from datetime import datetime
-from itertools import compress, count, product
-from operator import attrgetter, itemgetter
+from itertools import product
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .alerts import _new_record, checked
 from .automaton import OUT_OF_MODEL, AnnotatedSequence, dot_quote
-from .episodes import TEAM_ESCAPES, Episode, escaped
+from .episodes import _HIGH_STAGES, TEAM_ESCAPES, Episode, escaped
 from .stages import AttackStage, Severity
 
 VertexKey = tuple[AttackStage, str, int]  # (stage, service, state id)
@@ -72,9 +72,6 @@ class AttackGraph(NamedTuple):
 # (file name, key, vertex count, edge count, sorted teams)
 IndexRow = tuple[str, ObjectiveKey, int, int, tuple[str, ...]]
 
-_HIGH_STAGES = frozenset(stage for stage in AttackStage if stage.severity == Severity.HIGH)
-_EPISODE, _STAGE = itemgetter(0), itemgetter(2)  # of an entry, of an Episode
-
 
 def find_objectives(annotated: Iterable[AnnotatedSequence]) -> dict[ObjectiveKey, list[Attempt]]:
     """Every attempt at every objective present in the data, in key order.
@@ -91,15 +88,14 @@ def find_objectives(annotated: Iterable[AnnotatedSequence]) -> dict[ObjectiveKey
     for seq in sorted(annotated, key=attrgetter("attacker")):
         entries = seq.entries
         cuts: dict[tuple[AttackStage, str], tuple[int, int]] = {}  # -> (start, attempts so far)
-        # the end of each entry whose episode is of high severity, found in C
-        high = map(_HIGH_STAGES.__contains__, map(_STAGE, map(_EPISODE, entries)))
-        for end in compress(count(1), high):
-            objective = entries[end - 1][0][2:4]  # (stage, service)
-            start, number = cuts.get(objective, (0, 0))
-            cuts[objective] = (end, number + 1)
-            found.setdefault((seq.victim, *objective), []).append(
-                (seq.attacker, number + 1, entries[start:end])
-            )
+        for end, (episode, _) in enumerate(entries, 1):
+            if episode[2] in _HIGH_STAGES:
+                objective = episode[2:4]  # (stage, service)
+                start, number = cuts.get(objective, (0, 0))
+                cuts[objective] = (end, number + 1)
+                found.setdefault((seq.victim, *objective), []).append(
+                    (seq.attacker, number + 1, entries[start:end])
+                )
     return {ObjectiveKey(*key): found[key] for key in sorted(found)}
 
 

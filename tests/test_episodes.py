@@ -254,6 +254,8 @@ def test_partition_properties(letters):
         for prev, cur in zip(part.episodes, part.episodes[1:]):
             assert not (prev.stage.severity == Severity.HIGH and cur.stage.severity == Severity.LOW)
     assert [p.index for p in parts] == list(range(len(parts)))
+    # and the cuts are exactly the rule's: after each High directly followed by Low
+    assert [len(p.episodes) for p in parts] == [len(s) for s in cut_oracle(letters)]
 
 
 class TestToSymbols:
@@ -293,6 +295,21 @@ class TestToSymbols:
             assert to_symbols(part) == [
                 Symbol(ep.stage, ep.service) for ep in part.episodes
             ]
+
+
+def test_one_symbol_object_per_stage_and_service():
+    """Sub-sequences of different pairs that hold one (stage, service) share
+    its one ``Symbol`` object, as the corpus of a run repeats a few symbols."""
+    first, second = (
+        partition_subsequences(EpisodeSequence(attacker, "v", [
+            mk_episode(0.0, stage=AttackStage.VULN_DISC, service="http"),
+            mk_episode(1.0, stage=AttackStage.PRIV_ESC, service="ssh"),
+        ]))[0]
+        for attacker in ("a", "b")
+    )
+    for symbol, again in zip(to_symbols(first), to_symbols(second), strict=True):
+        assert symbol is again
+        assert type(symbol) is Symbol
 
 
 def test_symbol_text_round_trip():
