@@ -5,9 +5,9 @@ Takes a workload shape from ``bench/workloads.py`` (imported from the
 ``bench`` directory, never edited), enlarges it with ``dataclasses.replace``,
 writes its log under a temporary directory and runs ``run_pipeline`` on that
 log ``--runs`` times, each in a fresh process, so the peak RSS is the
-pipeline's own and not the generator's. Prints one JSON line: the median,
-min and max over the runs of the wall seconds, of the seconds of each stage
-and of the peak RSS (``VmHWM``, Linux only) in MB, plus the record count.
+pipeline's own and not the generator's. Prints the run's record as one JSON
+line. It holds the record count and the median, min and max over the runs of
+the wall seconds, each stage's seconds and the peak RSS (``VmHWM``) in MB.
 ``learn_pdfa`` holds each learner call by the stage that made it (``learn``,
 and ``stats`` for the perplexity report's model): its wall seconds (``s``)
 and its CPU seconds in the worker process (``cpu_s``, from
@@ -26,12 +26,13 @@ so a change in memory shows which stage moved it. ``gc_collections``
 holds, per stage, the most cyclic garbage collections any run made while
 that stage ran, counted through ``gc.callbacks``; ``run_pipeline`` pauses
 the collector, so each should be 0. Each run writes into an output
-directory of its own, empty when the run starts.
-``--json PATH`` also writes that record to ``PATH``, with the commit of the
-checkout, the Python version, ``nproc`` and ``PYTHONDONTWRITEBYTECODE``
-(null when unset), which change what a run costs, and ``src_lines``, the
-line count of ``src/alertgraphs/*.py``, the size of the code that ran.
-Exits 1 when the record or skip count of any run differs from the
+directory of its own, empty when the run starts. The record also holds the
+commit of the checkout, the Python version, ``nproc`` and
+``PYTHONDONTWRITEBYTECODE`` (null when unset), which change what a run
+costs, and ``src_lines``, the line count of ``src/alertgraphs/*.py``, the
+size of the code that ran. ``--json PATH`` also writes it to ``PATH``.
+Exits 1, naming each problem on stderr, when ``check_record`` finds one in
+the record, when the record or skip count of any run differs from the
 generator's ground truth, or when any count, of the work or of a learner
 call, differs between runs. Run from anywhere:
 
@@ -69,6 +70,41 @@ import workloads  # noqa: E402  bench/workloads.py
 LEARNER_COUNTS = ("rounds", "evaluated", "reused", "pruned", "bounds", "calls", "trie_states")
 WORK_COUNTS = ("records", "parsed", "skipped", "episodes", "attempts", "pdfa_states",
                "sink_states", "graphs", "artifacts")
+FIELDS = ("workload", "seed", "teams", "victims", "log_mb", "runs", *WORK_COUNTS, "wall_s", "stage_s",
+          "stage_rss_mb", "learn_pdfa", "gc_collections", "vmhwm_mb",
+          "commit", "python", "nproc", "PYTHONDONTWRITEBYTECODE", "src_lines")
+
+
+def check_record(record: dict) -> list[str]:
+    """What a record lacks or holds wrong, one line per problem: a stage with no
+    live or peak RSS or with a garbage collection, a learner call whose pairs
+    do not each get one bound and one verdict, or, on ``campaign``, one that
+    pruned, evaluated or bounded no pair or took no CPU time. So a lost pruning
+    path, bound step or collector pause fails without a timing gate."""
+    problems = [f"no {key}" for key in FIELDS if key not in record]
+    if problems:
+        return problems
+    sizes = {"vmhwm_mb": record["vmhwm_mb"]}
+    for stage in record["stage_s"]:
+        for name in ("VmRSS", "VmHWM"):
+            sizes[f"stage_rss_mb.{stage}.{name}"] = record["stage_rss_mb"].get(stage, {}).get(name, {})
+    problems += [f"{name} is not above 0" for name, mb in sizes.items() if not mb.get("median", 0) > 0]
+    problems += [f"gc_collections.{stage} is {n}" for stage, n in record["gc_collections"].items() if n]
+    calls, campaign = record["learn_pdfa"], record["workload"] == "campaign"
+    if campaign and sorted(calls) != ["learn", "stats"]:
+        problems.append(f"learn_pdfa holds {sorted(calls)}, not the learn and stats calls")
+    for stage, call in calls.items():
+        missing = [key for key in (*LEARNER_COUNTS, "s", "cpu_s") if key not in call]
+        if missing:
+            problems.append(f"learn_pdfa.{stage} has no {missing}")
+            continue
+        if call["reused"] + call["bounds"] != call["evaluated"] + call["pruned"]:
+            problems.append(f"learn_pdfa.{stage}: reused + bounds != evaluated + pruned")
+        if campaign:
+            positive = {key: call[key] for key in ("pruned", "calls", "bounds")}
+            positive["cpu_s"] = call["cpu_s"]["median"]
+            problems += [f"learn_pdfa.{stage}.{key} is not above 0" for key, n in positive.items() if not n > 0]
+    return problems
 
 
 def _run(alerts: str, fmt: str, out_dir: str) -> dict:
@@ -235,38 +271,31 @@ def main(argv: list[str] | None = None) -> int:
         },
         "gc_collections": {stage: max(r["gc_collections"][stage] for r in records) for stage in first["stage_s"]},
         "vmhwm_mb": _spread([r["vmhwm_mb"] for r in records]),
+        "commit": _commit(),
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "src_lines": sum(  # as wc -l counts them
+            path.read_bytes().count(b"\n") for path in (ROOT / "src" / "alertgraphs").glob("*.py")
+        ),
     }
     print(json.dumps(record))
     if args.json is not None:
-        args.json.write_text(json.dumps({
-            **record,
-            "commit": _commit(),
-            "python": platform.python_version(),
-            "nproc": len(os.sched_getaffinity(0)),
-            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-            "src_lines": sum(  # as wc -l counts them
-                path.read_bytes().count(b"\n") for path in (ROOT / "src" / "alertgraphs").glob("*.py")
-            ),
-        }, indent=2) + "\n", encoding="utf-8")
-    wrong = [
-        f"run {i + 1}: {key}"
-        for i, record in enumerate(records)
+        args.json.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    problems = check_record(record) + [
+        f"run {i}: {key} differs from the generator's"
+        for i, r in enumerate(records, 1)
         for key in ("records", "skipped")
-        if record[key] != truth[key]
-    ]
-    if wrong:
-        print(f"ingest counts differ from the generator's: {wrong}", file=sys.stderr)
-        return 1
-    varying = [key for key in WORK_COUNTS if len({r[key] for r in records}) > 1] + [
-        f"learn_pdfa.{stage}.{key}"
+        if r[key] != truth[key]
+    ] + [f"{key} differs between runs" for key in WORK_COUNTS if len({r[key] for r in records}) > 1] + [
+        f"learn_pdfa.{stage}.{key} differs between runs"
         for stage in first["learn_pdfa"]
         for key in LEARNER_COUNTS
         if len({r["learn_pdfa"][stage][key] for r in records}) > 1
     ]
-    if varying:
-        print(f"counts differ between runs: {varying}", file=sys.stderr)
-        return 1
-    return 0
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

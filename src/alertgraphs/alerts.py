@@ -35,19 +35,25 @@ def parse_timestamp(value: str) -> datetime:
     Accepts what ``datetime.fromisoformat`` accepts, such as a ``+0000``
     offset (Suricata's default), with surrounding whitespace and a ``Z`` or
     ``z`` suffix, which is read as ``+00:00``. Naive timestamps are assumed
-    to be UTC.
+    to be UTC. Most timestamps take one ``fromisoformat`` call; only what it
+    rejects is stripped and its ``z`` rewritten, which reads the same
+    instant wherever both parse.
     """
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
+    try:
+        dt = _fromisoformat(value)
+    except (ValueError, TypeError):
+        text = value.strip()
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        dt = _fromisoformat(text)
+    tzinfo = dt.tzinfo
+    if tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)
     # astimezone would return an already-UTC result unchanged
-    return dt if dt.tzinfo is timezone.utc else dt.astimezone(timezone.utc)
+    return dt if tzinfo is timezone.utc else dt.astimezone(timezone.utc)
 
 
-# one global lookup per record in _raw_alert, not a global and an attribute
+# one global lookup per record, not a global and an attribute
 _fromisoformat = datetime.fromisoformat
 
 
@@ -80,7 +86,6 @@ class Alert(NamedTuple):
 # builds a record from a tuple of all its fields without the Python-level
 # __new__ of a named tuple, in the per-record loops
 _new_record = tuple.__new__
-_TIMESTAMP = itemgetter(0)  # of either record
 
 
 def checked(cls):
@@ -291,25 +296,11 @@ def _port(value) -> int:
 
 def _raw_alert(timestamp, src_ip, dst_ip, port, signature, category, memo) -> RawAlert:
     """One checked record from its six field values, as ``parse_timestamp``
-    and the field checks would give it; ``memo`` holds the ``_Memo`` of the
-    addresses, ports, signatures and categories of one parse.
-
-    ``fromisoformat`` reads most timestamps in one C call; what it rejects,
-    such as surrounding whitespace, a lowercase ``z`` or a non-string, goes
-    to ``parse_timestamp``, which gives the same result wherever both parse."""
+    and the field checks give it; ``memo`` holds the ``_Memo`` of the
+    addresses, ports, signatures and categories of one parse."""
     addresses, ports, signatures, categories = memo
-    try:
-        timestamp = _fromisoformat(timestamp)
-    except (ValueError, TypeError):
-        timestamp = parse_timestamp(timestamp)
-    else:
-        tzinfo = timestamp.tzinfo
-        if tzinfo is None:
-            timestamp = timestamp.replace(tzinfo=timezone.utc)
-        elif tzinfo is not timezone.utc:
-            timestamp = timestamp.astimezone(timezone.utc)
     return _new_record(RawAlert, (
-        timestamp,
+        parse_timestamp(timestamp),
         addresses[src_ip],
         addresses[dst_ip],
         _port(port) if type(port) is bool else ports[port],
@@ -437,6 +428,15 @@ def map_alert(raw: RawAlert, cfg: MappingConfig) -> Alert:
     return _new_record(Alert, (timestamp, src_ip, dst_ip, stage, service))
 
 
+_TIMESTAMP = itemgetter(0)  # of either record
+
+
+def _check_sorted(alerts: list) -> None:
+    """Refuse records, raw or mapped, that are not sorted by timestamp ascending."""
+    if any(map(gt, map(_TIMESTAMP, alerts), map(_TIMESTAMP, itertools.islice(alerts, 1, None)))):
+        raise ValueError("alerts must be sorted by timestamp ascending")
+
+
 def filter_duplicates(alerts: list[Alert], t: float) -> list[Alert]:
     """Drop alerts repeating an identical (attacker, victim, stage, service)
     less than ``t`` seconds, by the gap's ``total_seconds()``, after the last
@@ -447,8 +447,7 @@ def filter_duplicates(alerts: list[Alert], t: float) -> list[Alert]:
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    if any(map(gt, map(_TIMESTAMP, alerts), map(_TIMESTAMP, itertools.islice(alerts, 1, None)))):
-        raise ValueError("alerts must be sorted by timestamp ascending")
+    _check_sorted(alerts)
     last_kept: dict[tuple[str, str, AttackStage, str], datetime] = {}
     kept: list[Alert] = []
     for alert in alerts:

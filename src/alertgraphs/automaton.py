@@ -221,8 +221,6 @@ class SuffixPdfa:
 
 def dot_quote(*lines: str) -> str:
     """DOT string literal showing ``lines`` one below the other."""
-    if len(lines) == 1 and '"' not in lines[0] and "\\" not in lines[0]:
-        return '"' + lines[0] + '"'  # nothing to escape
     escaped = (line.replace("\\", "\\\\").replace('"', '\\"') for line in lines)
     return '"' + "\\n".join(escaped) + '"'
 

@@ -13,11 +13,11 @@ import re
 from collections import Counter
 from datetime import datetime
 from functools import partial
-from itertools import groupby, islice
-from operator import gt, itemgetter
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .alerts import Alert, _Memo, _new_record
+from .alerts import Alert, _check_sorted, _Memo, _new_record
 from .stages import AttackStage, Severity
 
 Pair = tuple[str, str]  # (attacker, victim)
@@ -122,7 +122,7 @@ def _mode_service(services: list[str]) -> str:
     return min(counts, key=lambda s: (-counts[s], s))
 
 
-_TIMESTAMP, _SERVICE = itemgetter(0), itemgetter(4)  # of an Alert
+_SERVICE = itemgetter(4)  # of an Alert
 _STAGE_SERVICE = itemgetter(2, 3)  # of an Episode
 _EPISODE_PAIR = itemgetter(5, 6)  # (attacker, victim) of an Episode
 
@@ -148,8 +148,7 @@ def aggregate_episodes(alerts: list[Alert], w: float) -> list[Episode]:
     """
     if not w > 0:
         raise ValueError("w must be positive")
-    if any(map(gt, map(_TIMESTAMP, alerts), map(_TIMESTAMP, islice(alerts, 1, None)))):
-        raise ValueError("alerts must be sorted by timestamp ascending")
+    _check_sorted(alerts)
     open_runs: dict[tuple[str, str, AttackStage], list[Alert]] = {}  # by (attacker, victim, stage)
     runs = []  # in order of their first alert
     for alert in alerts:

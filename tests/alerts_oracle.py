@@ -3,7 +3,8 @@
 Each EVE line goes through ``json.JSONDecoder().raw_decode``, and each field
 through one shared memo keyed by ``(check, type(value), value)``, so equal
 values of different types never share an entry. Records are built by
-``raw_from_eve`` and ``raw_from_csv_row`` with ``parse_timestamp``. The
+``raw_from_eve`` and ``raw_from_csv_row`` with the strip-first
+``parse_timestamp`` below, which ``alerts.parse_timestamp`` replaced. The
 field checks themselves are the module's own; ``oracle_parse_eve`` in
 ``test_alerts.py`` checks them against plain rewrites.
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from datetime import datetime, timezone
 from types import SimpleNamespace
 
 from alertgraphs.alerts import (
@@ -25,12 +27,23 @@ from alertgraphs.alerts import (
     _category,
     _port,
     _text,
-    parse_timestamp,
 )
 
 RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
 JSON_WHITESPACE = " \t\n\r"
 decode_json = json.JSONDecoder().raw_decode
+
+
+def parse_timestamp(value: str) -> datetime:
+    """Strip ``value``, read a ``Z`` or ``z`` suffix as ``+00:00``, parse it
+    with ``fromisoformat`` and normalize it to UTC, a naive one taken as UTC."""
+    text = value.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    dt = datetime.fromisoformat(text)
+    if dt.tzinfo is None:
+        return dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc)
 
 
 class Checked(dict):

@@ -1,4 +1,5 @@
 import copy
+import csv
 import io
 import json
 import math
@@ -31,6 +32,7 @@ from alertgraphs.alerts import (
 from alertgraphs.automaton import LearnParams
 from alertgraphs.stages import AttackStage, Severity
 
+import alerts_oracle
 from alerts_oracle import oracle_parse_alerts
 from util import mk_alert, ts
 
@@ -455,7 +457,7 @@ def test_fixture_parse_matches_plain_oracle():
             continue
         expected.append(
             RawAlert(
-                timestamp=parse_timestamp(record["timestamp"]),
+                timestamp=alerts_oracle.parse_timestamp(record["timestamp"]),
                 src_ip=record["src_ip"],
                 dst_ip=record["dest_ip"],
                 dst_port=record.get("dest_port", 0),
@@ -573,7 +575,21 @@ def record_outcome(fn, value):
 def eve_record_timestamp(value):
     """The timestamp of the record ``parse_alerts`` reads from an EVE line
     whose ``timestamp`` is ``value``; raises ``ValueError`` when it skips it."""
-    records, stats = parse_alerts(log(eve_line(timestamp=value)), format="eve-json")
+    return record_timestamp(log(eve_line(timestamp=value)), "eve-json")
+
+
+def csv_record_timestamp(value: str):
+    """As ``eve_record_timestamp``, from a CSV row whose quoted
+    ``timestamp`` field is ``value``."""
+    row = io.StringIO()
+    csv.writer(row, quoting=csv.QUOTE_ALL, lineterminator="\n").writerow(
+        [value, "10.0.254.1", "10.0.0.1", 22, "ET SCAN Nmap", "Misc"]
+    )
+    return record_timestamp(log(CSV_HEADER + row.getvalue()), "csv")
+
+
+def record_timestamp(source, format):
+    records, stats = parse_alerts(source, format=format)
     if stats.skipped:
         assert (records, stats.total) == ([], 1)
         raise ValueError("record skipped")
@@ -618,10 +634,14 @@ iso_timestamps = st.tuples(
 @example("9999-12-31T23:59:59-01:00")  # after year 9999 in UTC
 @example("2018-11-03T23:16:09.148520z")
 def test_record_timestamp_matches_parse_timestamp(value):
-    # the record path tries fromisoformat before parse_timestamp: a line is
-    # skipped exactly when parse_timestamp fails, and read as it reads it
-    outcome = record_outcome(parse_timestamp, value)
+    # parse_timestamp tries fromisoformat before it strips and rewrites a
+    # "z": it, and so an EVE or CSV record, skips a value exactly when the
+    # strip-first rule fails, and reads it as that rule reads it
+    outcome = record_outcome(alerts_oracle.parse_timestamp, value)
+    assert record_outcome(parse_timestamp, value) == outcome
     assert record_outcome(eve_record_timestamp, value) == outcome
+    if isinstance(value, str):  # a CSV field holds nothing else
+        assert record_outcome(csv_record_timestamp, value) == outcome
     if outcome != "error":
         assert outcome[1] == timezone.utc
 
@@ -734,7 +754,7 @@ def oracle_parse_eve(source: bytes):
                 raise ValueError("an address must be non-empty")
             category = alert.get("category")
             raw = RawAlert(
-                timestamp=parse_timestamp(record["timestamp"]),
+                timestamp=alerts_oracle.parse_timestamp(record["timestamp"]),
                 src_ip=addresses[0],
                 dst_ip=addresses[1],
                 dst_port=oracle_port(record.get("dest_port", 0)),

@@ -1,25 +1,23 @@
-"""The committed ``BENCH_*.json`` records hold what the CI scale-run smoke
-requires of a ``scripts/scale_run.py --json`` record, from at least 3 runs."""
+"""The committed ``BENCH_*.json`` records pass ``check_record`` of
+``scripts/scale_run.py``, the check its every run applies, and come from at
+least 3 runs; ``check_record`` finds each fault it is there to catch."""
 
-import ast
 import json
+import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+sys.path.insert(0, str(ROOT / "scripts"))
+
+from scale_run import check_record  # noqa: E402
 
 
-def count_fields() -> dict[str, tuple[str, ...]]:
-    """``WORK_COUNTS`` and ``LEARNER_COUNTS`` as the script declares them."""
-    tree = ast.parse((ROOT / "scripts" / "scale_run.py").read_text(encoding="utf-8"))
-    return {
-        node.targets[0].id: ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and getattr(node.targets[0], "id", None) in ("WORK_COUNTS", "LEARNER_COUNTS")
-    }
+def load(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_records_are_committed():
@@ -28,22 +26,33 @@ def test_records_are_committed():
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
 def test_record_holds_what_the_scale_run_smoke_requires(path):
-    counts = count_fields()
-    record = json.loads(path.read_text(encoding="utf-8"))
-    wanted = ["workload", "seed", "teams", "victims", "log_mb", "runs", *counts["WORK_COUNTS"], "wall_s",
-              "stage_s", "stage_rss_mb", "learn_pdfa", "gc_collections", "vmhwm_mb",
-              "commit", "python", "nproc", "PYTHONDONTWRITEBYTECODE", "src_lines"]
-    assert [key for key in wanted if key not in record] == []
+    record = load(path)
+    assert check_record(record) == []
     assert record["runs"] >= 3
-    assert record["vmhwm_mb"]["median"] > 0
-    for stage in record["stage_s"]:
-        assert all(record["stage_rss_mb"][stage][name]["median"] > 0 for name in ("VmRSS", "VmHWM"))
-    assert not any(record["gc_collections"].values())
-    calls = record["learn_pdfa"]
-    assert record["workload"] != "campaign" or sorted(calls) == ["learn", "stats"]
-    for call in calls.values():
-        assert [key for key in (*counts["LEARNER_COUNTS"], "s", "cpu_s") if key not in call] == []
-        assert call["reused"] + call["bounds"] == call["evaluated"] + call["pruned"]
-        if record["workload"] == "campaign":
-            assert call["pruned"] > 0 and call["calls"] > 0 and call["bounds"] > 0
-            assert call["cpu_s"]["median"] > 0
+
+
+BREAKS = [  # (a dotted path in a campaign record, the value put there or None to delete it, the problem)
+    ("episodes", None, "no episodes"),
+    ("nproc", None, "no nproc"),
+    ("learn_pdfa.stats.cpu_s", None, "learn_pdfa.stats has no ['cpu_s']"),
+    ("stage_rss_mb.graphs.VmRSS.median", 0, "stage_rss_mb.graphs.VmRSS is not above 0"),
+    ("gc_collections.learn", 1, "gc_collections.learn is 1"),
+    ("learn_pdfa.learn.reused", 0, "learn_pdfa.learn: reused + bounds != evaluated + pruned"),
+    ("learn_pdfa.learn.pruned", 0, "learn_pdfa.learn.pruned is not above 0"),
+    ("learn_pdfa.learn.calls", 0, "learn_pdfa.learn.calls is not above 0"),
+    ("learn_pdfa.learn.bounds", 0, "learn_pdfa.learn.bounds is not above 0"),
+    ("learn_pdfa.learn.cpu_s.median", 0, "learn_pdfa.learn.cpu_s is not above 0"),
+    ("learn_pdfa.stats", None, "learn_pdfa holds ['learn'], not the learn and stats calls"),
+]
+
+
+@pytest.mark.parametrize("path, value, problem", BREAKS, ids=[path for path, _, _ in BREAKS])
+def test_check_record_finds_each_fault(path, value, problem):
+    record = load(ROOT / "BENCH_campaign_v200.json")
+    *parents, key = path.split(".")
+    part = reduce(dict.__getitem__, parents, record)
+    if value is None:
+        del part[key]
+    else:
+        part[key] = value
+    assert problem in check_record(record)

@@ -502,6 +502,25 @@ class TestCsvInput:
         assert result.parse_stats.parsed == 2
         assert len(result.ags) == 1
 
+    def test_each_annotated_sequence_is_one_pairs_sequence(self, tmp_path):
+        # one attacker reaches a high-severity objective at two victims: each
+        # (attacker, victim) sequence is replayed on its own, in sequence order
+        csv_file = tmp_path / "alerts.csv"
+        csv_file.write_text(CSV_HEADER + "".join(
+            f"2018-11-03T10:{minute:02d}:00+00:00,10.0.254.1,{victim},{port},{signature},x\n"
+            for minute, victim, port, signature in [
+                (0, "10.0.0.1", 22, "ET SCAN Nmap"),
+                (5, "10.0.0.1", 5653, "Exfiltration"),
+                (10, "10.0.0.2", 22, "ET SCAN Nmap"),
+                (15, "10.0.0.2", 5653, "Exfiltration"),
+            ]
+        ))
+        result = run_pipeline(PipelineConfig(alerts=[csv_file], out_dir=tmp_path / "out", format="csv"))
+        assert len(result.sequences) == len(result.ags) == 2
+        assert [(a.attacker, a.victim, [episode for episode, _ in a.entries]) for a in result.annotated] == [
+            (es.attacker, es.victim, es.episodes) for es in result.sequences
+        ]
+
     def test_multiple_inputs_merge_time_sorted(self, tmp_path):
         header = "timestamp,src_ip,dst_ip,dst_port,signature,category\n"
         a = tmp_path / "a.csv"
