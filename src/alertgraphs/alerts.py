@@ -18,8 +18,7 @@ import json
 import pkgutil
 from datetime import datetime, timezone
 from operator import gt, itemgetter
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .stages import AttackStage
 
@@ -118,62 +117,48 @@ class ParseStats(NamedTuple):
     skipped: int = 0
 
 
-class _MappingFields(NamedTuple):
-    signature_rules: tuple[tuple[str, AttackStage], ...] = ()
-    port_service: Mapping[int, str] = MappingProxyType({})
-
-
-class MappingConfig(_MappingFields):
+class MappingConfig(NamedTuple):
     """Ordered signature rules plus a port->service registry.
 
     Each rule is ``(pattern, stage)``; the first rule whose pattern occurs
     (case-insensitively) in the alert signature or category wins. The
-    pattern ``*`` matches everything; a catch-all ``*`` rule mapping to
-    SURFING is appended when the rules hold none.
-
-    A config is a named tuple, and ``signature_rules`` is stored as a tuple,
-    so the rules cannot change under the memo of ``stage_for``, which keeps
-    the stage of each ``(signature, category)`` pair it has seen; a changed
-    copy, such as one ``_replace`` makes, is built anew with a memo of its own.
+    pattern ``*`` matches everything, and a pair that no rule matches maps
+    to SURFING. A run maps its alerts through one ``stage_memo`` of the rules.
     """
 
-    def __new__(cls, *args, **kwargs):
-        rules, ports = _MappingFields(*args, **kwargs)
-        rules = tuple(rules)
-        if not any(pattern == CATCH_ALL_PATTERN for pattern, _ in rules):
-            rules += ((CATCH_ALL_PATTERN, DEFAULT_STAGE),)
-        # the catch-all becomes the empty pattern, which every haystack contains
-        lowered = [("" if pattern == CATCH_ALL_PATTERN else pattern.lower(), stage)
-                   for pattern, stage in rules]
-
-        def scan(key: tuple[str, str]) -> AttackStage:
-            haystack = "\n".join(key).lower()
-            for pattern, stage in lowered:  # the catch-all ends every scan
-                if pattern in haystack:
-                    return stage
-
-        self = super().__new__(cls, rules, ports)
-        object.__setattr__(self, "_stages", _Memo(scan))
-        return self
-
-    __new__.__wrapped__ = _MappingFields.__new__  # so help() shows the fields
-    _make, __reduce__ = _checked_make(_MappingFields._make), _reduce
-
-    def __setattr__(self, name, value):  # the memo is as fixed as the fields
-        raise AttributeError(f"cannot assign {name!r} of a MappingConfig")
+    signature_rules: Sequence[tuple[str, AttackStage]]
+    port_service: Mapping[int, str]
 
     def stage_for(self, signature: str, category: str) -> AttackStage:
-        return self._stages[signature, category]
+        return stage_memo(self.signature_rules)[signature, category]
 
     def service_for(self, port: int) -> str:
         return self.port_service.get(port, UNKNOWN_SERVICE)
+
+
+def stage_memo(rules: Iterable[tuple[str, AttackStage]]) -> _Memo:
+    """``memo[signature, category]`` is the stage ``rules`` give that pair,
+    scanned once per distinct pair. The patterns are lowered as the memo is
+    built, so a later change to ``rules`` does not reach it."""
+    # the catch-all becomes the empty pattern, which every haystack contains
+    lowered = [("" if pattern == CATCH_ALL_PATTERN else pattern.lower(), stage)
+               for pattern, stage in rules]
+
+    def scan(key: tuple[str, str]) -> AttackStage:
+        haystack = "\n".join(key).lower()
+        for pattern, stage in lowered:
+            if pattern in haystack:
+                return stage
+        return DEFAULT_STAGE
+
+    return _Memo(scan)
 
 
 def load_signature_rules(lines: Iterable[str]) -> list[tuple[str, AttackStage]]:
     """Read rules from ``PATTERN<TAB>STAGE_ACRONYM`` lines.
 
     Blank lines and ``#`` comments are ignored; the rules are returned as
-    read, and ``MappingConfig`` supplies the catch-all.
+    read.
     """
     rules: list[tuple[str, AttackStage]] = []
     for lineno, line in enumerate(lines, start=1):
@@ -200,8 +185,9 @@ def load_port_services(lines: Iterable[str]) -> dict[int, str]:
 
     Port ranges (``6000-6063``) are expanded; rows without a port number or
     marked Unassigned are dropped. The first name registered for a port wins.
-    A port or range end outside 0-65535, or a range whose low end is above
-    its high end, raises ``ValueError``: no alert can carry such a port.
+    A port or range end that is not ASCII digits or lies outside 0-65535, or
+    a range whose low end is above its high end, raises ``ValueError``: no
+    alert can carry such a port.
     """
     ports: dict[int, str] = {}
     reader = csv.DictReader(lines)
@@ -213,9 +199,9 @@ def load_port_services(lines: Iterable[str]) -> dict[int, str]:
             continue
         bounds = port_field.split("-", 1)
         try:
-            low, high = int(bounds[0]), int(bounds[-1])
+            low, high = _port_digits(bounds[0]), _port_digits(bounds[-1])
         except ValueError:
-            low = high = -1  # not a number: reported below with its line
+            low = high = -1  # not ASCII digits: reported below with its line
         if not 0 <= low <= high <= 65535:
             raise ValueError(
                 f"port registry line {reader.line_num}: {port_field!r} is not a port"
@@ -248,9 +234,9 @@ class _Memo(dict):
     equals only a string and ``None`` only ``None``, and equal numbers, such
     as ``1`` and ``1.0`` or ``0`` and ``-0.0``, give one port. Only a ``bool``
     port breaks the rule (``True == 1``, yet ``True`` is no port), so
-    ``_raw_alert`` checks a ``bool`` port without its memo. A
-    ``MappingConfig`` keeps one more, of the stage of each ``(signature,
-    category)`` pair; the text artifacts keep one of each name's escapes
+    ``_raw_alert`` checks a ``bool`` port without its memo. The ingest stage
+    keeps one more per run, the ``stage_memo`` of each ``(signature,
+    category)`` pair's stage; the text artifacts keep one of each name's escapes
     (``episodes.escaped``) and of each DOT vertex's text (``graphs.vertex_texts``);
     ``episodes.to_symbols`` keeps one ``Symbol`` per (stage, service).
     """
@@ -284,11 +270,20 @@ def _address(value) -> str:
     return _text(value)
 
 
+def _port_digits(text: str) -> int:
+    """A port written as text: ASCII digits once whitespace is stripped.
+    ``int`` alone would also read ``"8_0"``, ``"+80"`` and ``"٨٠"`` as 80."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a port number")
+    return int(digits)
+
+
 def _port(value) -> int:
-    """``value`` as a port; numeric strings and integral floats are accepted."""
+    """``value`` as a port; strings of ASCII digits and integral floats are accepted."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError("a port must be an integer")
-    port = int(value)
+    port = _port_digits(value) if isinstance(value, str) else int(value)
     if not 0 <= port <= 65535:
         raise ValueError(f"dst_port out of range: {port}")
     return port
@@ -420,12 +415,12 @@ def parse_alerts(source: Iterable[bytes], format: str) -> tuple[list[RawAlert], 
     return alerts, ParseStats(total, total - skipped, skipped)
 
 
-def map_alert(raw: RawAlert, cfg: MappingConfig) -> Alert:
-    """Assign the attack stage and targeted service to one raw alert."""
+def map_alert(raw: RawAlert, stages: _Memo, services: Mapping[int, str]) -> Alert:
+    """Assign the attack stage and targeted service to one raw alert, from
+    the ``stage_memo`` of a run's rules and its port registry."""
     timestamp, src_ip, dst_ip, dst_port, signature, category = raw
-    stage = cfg._stages[signature, category]
-    service = cfg.port_service.get(dst_port, UNKNOWN_SERVICE)
-    return _new_record(Alert, (timestamp, src_ip, dst_ip, stage, service))
+    service = services.get(dst_port, UNKNOWN_SERVICE)
+    return _new_record(Alert, (timestamp, src_ip, dst_ip, stages[signature, category], service))
 
 
 _TIMESTAMP = itemgetter(0)  # of either record

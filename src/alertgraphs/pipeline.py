@@ -261,6 +261,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
 def _stage_ingest(cfg: PipelineConfig, result: PipelineResult, writer: _StageWriter) -> None:
     mapping = _load_mapping(cfg)
+    stages, services = alerts_mod.stage_memo(mapping.signature_rules), mapping.port_service
     mapped: list[Alert] = []
     for path in cfg.alerts:
         with open(path, "rb") as fh:
@@ -269,7 +270,7 @@ def _stage_ingest(cfg: PipelineConfig, result: PipelineResult, writer: _StageWri
         # map in input order, letting each raw record go as it is mapped
         raws.reverse()
         pop, map_alert = raws.pop, alerts_mod.map_alert
-        mapped.extend(map_alert(pop(), mapping) for _ in range(len(raws)))
+        mapped.extend(map_alert(pop(), stages, services) for _ in range(len(raws)))
     mapped.sort(key=itemgetter(0))  # by timestamp; stable: ties keep input order
     result.mapped_alerts = mapped
     result.filtered_alerts = alerts_mod.filter_duplicates(mapped, cfg.t)

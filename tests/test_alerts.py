@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import random
+import re
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from alertgraphs.alerts import (
     ParseStats,
     RawAlert,
     checked,
+    stage_memo,
 )
 from alertgraphs.automaton import LearnParams
 from alertgraphs.stages import AttackStage, Severity
@@ -232,6 +234,11 @@ class TestTypedEveFields:
             ("dest_port", False),
             ("dest_port", 22.7),
             ("dest_port", None),
+            # int() reads each of these as 80, yet none is ASCII digits
+            ("dest_port", "8_0"),
+            ("dest_port", "\u0668\u0660"),
+            ("dest_port", "\uff18\uff10"),
+            ("dest_port", "+80"),
         ],
     )
     def test_mistyped_field_skips_record(self, key, value):
@@ -247,7 +254,7 @@ class TestTypedEveFields:
         assert stats.parsed == 2
         assert [a.category for a in alerts] == ["", ""]
 
-    @pytest.mark.parametrize("port,expected", [("22", 22), (22.0, 22), (0, 0)])
+    @pytest.mark.parametrize("port,expected", [("22", 22), (" 22 ", 22), ("022", 22), (22.0, 22), (0, 0)])
     def test_numeric_ports_accepted(self, port, expected):
         alerts, stats = parse_alerts(log(eve_with("dest_port", port)), format="eve-json")
         assert stats.parsed == 1
@@ -334,8 +341,12 @@ class TestCsvRows:
             "2018-11-03T10:00:00+00:00,10.0.254.1\n",  # no victim
             "2018-11-03T10:00:00+00:00, ,10.0.0.1,22,ET SCAN Nmap,Misc\n",  # blank attacker
             "2018-11-03T10:00:00+00:00,10.0.254.1,10.0.0.1,,ET SCAN Nmap,Misc\n",  # no port
+            # int() reads the first four as 80, yet a port is ASCII digits only
+            *(CSV_ROW.replace(",22,", f",{port},")
+              for port in ("8_0", "\u0668\u0660", "\uff18\uff10", "+80", "-0", "0x50", "80.0")),
         ],
-        ids=["short-row-no-signature", "short-row-no-victim", "blank-attacker", "empty-port"],
+        ids=["short-row-no-signature", "short-row-no-victim", "blank-attacker", "empty-port",
+             "port-8_0", "port-arabic-indic", "port-fullwidth", "port-plus", "port-minus", "port-hex", "port-float"],
     )
     def test_short_or_blank_row_skipped(self, bad):
         alerts, stats = parse_alerts(log(CSV_HEADER + CSV_ROW + bad + CSV_ROW), format="csv")
@@ -415,7 +426,7 @@ class TestRecordContract:
 class TestRecordMemory:
     def test_records_have_no_instance_dict(self):
         raw = parse_alerts(log(eve_line()), format="eve-json")[0][0]
-        alert = map_alert(raw, default_mapping_config())
+        alert = map_by(default_mapping_config(), raw)
         for record in (raw, alert):
             assert not hasattr(record, "__dict__")
 
@@ -438,7 +449,7 @@ class TestRecordMemory:
             assert other.dst_port is first.dst_port
             assert other.signature is first.signature
             assert other.category is first.category
-        mapped = [map_alert(a, default_mapping_config()) for a in alerts]
+        mapped = [map_by(default_mapping_config(), a) for a in alerts]
         assert all(m.attacker is first.src_ip and m.victim is first.dst_ip for m in mapped)
 
 
@@ -730,6 +741,8 @@ def oracle_text(value, name):
 def oracle_port(value):
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError("a port must be an integer")
+    if isinstance(value, str) and not re.fullmatch(r"\s*[0-9]+\s*", value):
+        raise ValueError("a port string must be ASCII digits")
     port = int(value)
     if not 0 <= port <= 65535:
         raise ValueError(f"dst_port out of range: {port}")
@@ -987,11 +1000,16 @@ class TestStageTable:
         assert isinstance(member.severity, Severity)
 
 
+def map_by(cfg, raw):
+    """``raw`` mapped as a run maps it, by the ``stage_memo`` of ``cfg``'s rules."""
+    return map_alert(raw, stage_memo(cfg.signature_rules), cfg.port_service)
+
+
 class TestMapping:
     def test_rule_and_iana_lookup(self):
         cfg = default_mapping_config()
         raw = RawAlert(ts(0), "10.0.254.1", "10.0.0.1", 22, "ET SCAN Nmap Scripting Engine", "")
-        alert = map_alert(raw, cfg)
+        alert = map_by(cfg, raw)
         assert alert.stage == AttackStage.SERVICE_DISC
         assert alert.service == "ssh"  # IANA registry entry for port 22
         assert alert.attacker == "10.0.254.1"
@@ -1000,7 +1018,7 @@ class TestMapping:
     def test_catch_all_and_unknown_port(self):
         cfg = default_mapping_config()
         raw = RawAlert(ts(0), "a", "b", 6667, "Totally unheard-of signature", "")
-        alert = map_alert(raw, cfg)
+        alert = map_by(cfg, raw)
         assert alert.stage == AttackStage.SURFING
         assert alert.service == "unknown"
 
@@ -1010,48 +1028,44 @@ class TestMapping:
                 ("scan", AttackStage.SERVICE_DISC),
                 ("nmap scan", AttackStage.VULN_DISC),
                 ("*", AttackStage.SURFING),
-            ]
+            ],
+            port_service={},
         )
         raw = RawAlert(ts(0), "a", "b", 1, "Nmap Scan detected", "")
-        assert map_alert(raw, cfg).stage == AttackStage.SERVICE_DISC
+        assert map_by(cfg, raw).stage == AttackStage.SERVICE_DISC
 
     def test_category_matching(self):
         cfg = default_mapping_config()
         raw = RawAlert(ts(0), "a", "b", 1, "GPL misc", category="Attempted Information Leak")
-        assert map_alert(raw, cfg).stage == AttackStage.INFO_DISC
+        assert map_by(cfg, raw).stage == AttackStage.INFO_DISC
 
-    def test_rules_without_a_catch_all_get_one(self):
-        cfg = MappingConfig(signature_rules=[("scan", AttackStage.SERVICE_DISC)])
-        assert cfg.signature_rules == (("scan", AttackStage.SERVICE_DISC), ("*", AttackStage.SURFING))
-        assert cfg.stage_for("something else", "") == AttackStage.SURFING
-        own = (("*", AttackStage.VULN_DISC), ("scan", AttackStage.SERVICE_DISC))
-        assert MappingConfig(signature_rules=own).signature_rules == own
+    @pytest.mark.parametrize(
+        "rules, stage",
+        [
+            ([("scan", AttackStage.SERVICE_DISC)], AttackStage.SURFING),
+            ([("scan", AttackStage.SERVICE_DISC), ("*", AttackStage.SURFING)], AttackStage.SURFING),
+            ([("scan", AttackStage.SERVICE_DISC), ("*", AttackStage.VULN_DISC)], AttackStage.VULN_DISC),
+        ],
+        ids=["no-catch-all", "catch-all-surfing", "catch-all-vuln-disc"],
+    )
+    def test_a_pair_no_pattern_matches_takes_the_catch_all_or_surfing(self, rules, stage):
+        cfg = MappingConfig(signature_rules=list(rules), port_service={})
+        assert cfg.signature_rules == rules  # no catch-all rule is added
+        assert stage_memo(rules)["something else", ""] is stage
+        assert cfg.stage_for("something else", "") is stage
+        assert stage_memo(rules)["Nmap scan", ""] is AttackStage.SERVICE_DISC
 
     def test_rules_cannot_change_behind_the_memo(self):
         rules = [("scan", AttackStage.SERVICE_DISC), ("*", AttackStage.SURFING)]
-        cfg = MappingConfig(signature_rules=rules)
-        assert cfg.stage_for("Exploit attempt", "") == AttackStage.SURFING
-        rules.insert(0, ("exploit", AttackStage.PRIV_ESC))  # the caller's list, not cfg's
-        assert cfg.stage_for("Exploit attempt", "") == AttackStage.SURFING
-        with pytest.raises(AttributeError):
-            cfg.signature_rules.append(("exploit", AttackStage.PRIV_ESC))
-        with pytest.raises(TypeError):
-            cfg.signature_rules[0] = ("exploit", AttackStage.PRIV_ESC)
+        stages = stage_memo(rules)
+        rules.insert(0, ("exploit", AttackStage.PRIV_ESC))  # after the memo was built
+        assert stages["Exploit attempt", ""] == AttackStage.SURFING
+        assert stage_memo(rules)["Exploit attempt", ""] == AttackStage.PRIV_ESC
+        cfg = MappingConfig(signature_rules=rules, port_service={})
         with pytest.raises(AttributeError):
             cfg.signature_rules = rules
-        changed = cfg._replace(signature_rules=rules)
-        assert changed.stage_for("Exploit attempt", "") == AttackStage.PRIV_ESC
-        assert cfg.stage_for("Exploit attempt", "") == AttackStage.SURFING
 
-    def test_a_changed_copy_starts_a_memo_of_its_own(self):
-        cfg = MappingConfig(signature_rules=[("scan", AttackStage.SERVICE_DISC)])
-        assert cfg.stage_for("Nmap scan", "") == AttackStage.SERVICE_DISC
-        changed = cfg._replace(signature_rules=[("scan", AttackStage.VULN_DISC)])
-        assert type(changed) is MappingConfig and changed._stages == {}
-        assert changed.stage_for("Nmap scan", "") == AttackStage.VULN_DISC
-        assert cfg._stages == {("Nmap scan", ""): AttackStage.SERVICE_DISC}
-
-    @pytest.mark.parametrize("name", [*MappingConfig._fields, "_stages"])
+    @pytest.mark.parametrize("name", MappingConfig._fields)
     def test_fields_cannot_be_assigned(self, name):
         cfg = default_mapping_config()
         with pytest.raises(AttributeError):
@@ -1072,20 +1086,26 @@ class TestMapping:
             ",1023,tcp,Unassigned",
             "http,80,tcp,World Wide Web HTTP",
             "http,80,udp,World Wide Web HTTP",
+            "ssh, 22 ,tcp,The Secure Shell (SSH) Protocol",
         ]
         ports = load_port_services(lines)
         assert ports[6001] == "x11"
         assert 1023 not in ports
         assert ports[80] == "http"
+        assert ports[22] == "ssh"
 
-    @pytest.mark.parametrize("port_field", ["65530-70000", "70000", "100-90", "abc", "80-", "-1"])
+    @pytest.mark.parametrize(
+        "port_field",
+        ["65530-70000", "70000", "100-90", "abc", "80-", "-1",
+         "8_0", "\u0668\u0660", "\uff18\uff10", "+80", "79-8_0", "+79-80"],
+    )
     def test_load_port_services_rejects_ports_no_alert_can_carry(self, port_field):
         lines = [
             "Service Name,Port Number,Transport Protocol,Description",
             "http,80,tcp,World Wide Web HTTP",
             f"x,{port_field},tcp,demo",
         ]
-        with pytest.raises(ValueError, match=f"line 3: '{port_field}'"):
+        with pytest.raises(ValueError, match=re.escape(f"line 3: '{port_field}'")):
             load_port_services(lines)
 
 
@@ -1117,11 +1137,12 @@ lookups = st.lists(
 
 @given(rule_lists, rule_lists, lookups, lookups)
 def test_memoized_stage_for_matches_scan(first_rules, second_rules, before, after):
-    cfg = MappingConfig(signature_rules=first_rules)
     for rules, pairs in ((first_rules, before), (second_rules, before + after)):
-        cfg = cfg._replace(signature_rules=rules)  # a fresh memo: no answer carries over
+        stages = stage_memo(rules)  # a fresh memo: no answer carries over
+        cfg = MappingConfig(signature_rules=rules, port_service={})
         for signature, category in pairs + pairs:  # every pair is looked up again
-            assert cfg.stage_for(signature, category) == oracle_stage_for(rules, signature, category)
+            expected = oracle_stage_for(rules, signature, category)
+            assert stages[signature, category] == cfg.stage_for(signature, category) == expected
 
 
 def dedup_oracle(alerts, t):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alertgraphs import pipeline
+from alertgraphs import alerts, pipeline
 from alertgraphs.alerts import Alert, ParseStats, parse_alerts
 from alertgraphs.automaton import LearnParams
 from alertgraphs.cli import build_parser, config_from_args, main
@@ -533,6 +534,31 @@ class TestCsvInput:
 
 
 class TestCustomMappings:
+    def test_one_stage_memo_scans_each_distinct_pair_once(self, tmp_path, monkeypatch):
+        memos, scans = [], Counter()
+        build = alerts.stage_memo
+
+        def counted(rules):
+            memo = build(rules)
+            scan = memo.check
+            memo.check = lambda key: scans.update([key]) or scan(key)
+            memos.append(memo)
+            return memo
+
+        monkeypatch.setattr(alerts, "stage_memo", counted)
+        # the fixture repeats a few signatures across ~200 records, split
+        # over two logs so that both are mapped through the run's one memo
+        lines = FIXTURE.read_bytes().splitlines(keepends=True)
+        logs = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        logs[0].write_bytes(b"".join(lines[::2]))
+        logs[1].write_bytes(b"".join(lines[1::2]))
+        result = run_pipeline(PipelineConfig(alerts=logs, out_dir=tmp_path / "out", stop_after="ingest"))
+        raws, _ = parse_alerts(lines, format="eve-json")
+        pairs = {(raw.signature, raw.category) for raw in raws}
+        assert len(raws) == len(result.mapped_alerts) > 10 * len(pairs)
+        assert len(memos) == 1
+        assert scans == Counter(dict.fromkeys(pairs, 1))
+
     def test_sig_and_port_overrides(self, tmp_path):
         rules = tmp_path / "rules.tsv"
         rules.write_text("ET SCAN\tVULN_DISC\n*\tSURFING\n")
