@@ -15,7 +15,7 @@ from itertools import product
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .alerts import _new_record, checked
+from .alerts import _new_record
 from .automaton import OUT_OF_MODEL, AnnotatedSequence, dot_quote
 from .episodes import _HIGH_STAGES, TEAM_ESCAPES, Episode, escaped
 from .stages import AttackStage, Severity
@@ -24,7 +24,6 @@ VertexKey = tuple[AttackStage, str, int]  # (stage, service, state id)
 Attempt = tuple[str, int, list[tuple[Episode, int]]]  # (team, 1-based number, entries)
 
 
-@checked
 class ObjectiveKey(NamedTuple):
     """A high-severity stage at a victim's service: one attack graph each."""
 
@@ -32,18 +31,13 @@ class ObjectiveKey(NamedTuple):
     stage: AttackStage
     service: str
 
-    def _check(self):
-        if self.stage.severity != Severity.HIGH:
-            raise ValueError(f"objective stage must be high severity: {self.stage}")
-
 
 class AgVertex(NamedTuple):
-    stage: AttackStage
-    service: str
-    sid: int
-    is_objective_variant: bool = False
-    is_sink: bool = False
-    is_path_start: bool = False
+    """A vertex's flags; its (stage, service, state id) triple is its key."""
+
+    is_objective_variant: bool
+    is_sink: bool
+    is_path_start: bool
 
 
 class AgEdge(NamedTuple):
@@ -125,9 +119,9 @@ def extract_ag(
     sequences, as ``team_start_times`` gives it; an edge's label is the time
     from it to the end of the latest episode drawn at the edge's source.
     """
-    # each vertex's fields as a list, its flags set in place as its paths are
-    # drawn; each becomes an AgVertex once the graph is whole
-    fields: dict[VertexKey, list] = {}
+    # each vertex's flags, keyed by its triple, as a list set in place as its
+    # paths are drawn; each becomes an AgVertex once the graph is whole
+    flags: dict[VertexKey, list[bool]] = {}
     edges: list[AgEdge] = []
     paths: list[AttemptPath] = []
     for team, number, entries in attempts:
@@ -135,28 +129,25 @@ def extract_ag(
         path: list[VertexKey] = []
         triple = None  # the last vertex drawn
         for episode, sid in entries:
-            stage, service = episode.stage, episode.service
-            current = (stage, service, sid)
+            current = (episode.stage, episode.service, sid)
             if current == triple:
                 latest = episode
                 continue
             source, triple = triple, current
-            vertex = fields.get(triple)
+            vertex = flags.get(triple)
             if vertex is None:
-                vertex = fields[triple] = [
-                    stage, service, sid, False, sid == OUT_OF_MODEL or sid in sink_ids, False
-                ]
+                vertex = flags[triple] = [False, sid == OUT_OF_MODEL or sid in sink_ids, False]
             if source is None:
-                vertex[5] = True  # is_path_start
+                vertex[2] = True  # is_path_start
             else:
                 seconds = int((latest.et - start).total_seconds())
                 edges.append(_new_record(AgEdge, (source, triple, team, seconds)))
             path.append(triple)
             latest = episode
         if path:
-            vertex[3] = True  # is_objective_variant
+            vertex[0] = True  # is_objective_variant
         paths.append(_new_record(AttemptPath, (team, number, path)))
-    vertices = {triple: _new_record(AgVertex, vertex) for triple, vertex in fields.items()}
+    vertices = {triple: _new_record(AgVertex, vertex) for triple, vertex in flags.items()}
     teams = tuple(sorted({p.team for p in paths}))
     return _new_record(AttackGraph, (key, vertices, edges, paths, teams))
 

@@ -24,10 +24,10 @@ def simplicity_oracle(ag):
 def rank_teams_oracle(ags):
     severe, medium, by_team = set(), set(), {}
     for ag in ags:
-        for triple, vertex in ag.vertices.items():
-            if vertex.stage.severity == Severity.HIGH:
+        for triple in ag.vertices:
+            if triple[0].severity == Severity.HIGH:
                 severe.add(triple)
-            elif vertex.stage.severity == Severity.MED:
+            elif triple[0].severity == Severity.MED:
                 medium.add(triple)
         for edge in ag.edges:
             team = by_team.setdefault(edge.team, set())

@@ -129,8 +129,9 @@ def emit_dot(ag) -> str:
     team_style = {t: _TEAM_EDGE_STYLES[i % n_styles] for i, t in enumerate(sorted(ag.teams))}
     ids = {triple: dot_quote(f"{triple[0].value}|{triple[1]}|{triple[2]}") for triple in ag.vertices}
     for triple in sorted(ag.vertices, key=lambda t: (t[0].value, t[1], t[2])):
+        stage, service, sid = triple
         v = ag.vertices[triple]
-        attrs = [f"shape={_SEVERITY_SHAPES[v.stage.severity]}"]
+        attrs = [f"shape={_SEVERITY_SHAPES[stage.severity]}"]
         styles = []
         fill = None
         if v.is_objective_variant:
@@ -145,7 +146,7 @@ def emit_dot(ag) -> str:
             attrs.append(f"style={dot_quote(','.join(styles))}")
         if fill:
             attrs.append(f"fillcolor={dot_quote(fill)}")
-        attrs.append(f"label={dot_quote(v.stage.value, v.service, str(v.sid))}")
+        attrs.append(f"label={dot_quote(stage.value, service, str(sid))}")
         lines.append(f"    {ids[triple]} [{', '.join(attrs)}];")
     for edge in ag.edges:
         hours = edge.seconds_since_first_alert / 3600.0

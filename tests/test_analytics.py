@@ -357,7 +357,7 @@ def test_graph_summary_adds_left_to_right():
     ags = [
         AttackGraph(
             key=ObjectiveKey(f"v{i}", EXFIL, "rw"),
-            vertices={vertex: AgVertex(EXFIL, "rw", 0)},
+            vertices={vertex: AgVertex(False, False, False)},
             edges=[AgEdge(vertex, vertex, "t1", 0)] * 10,
             attempts=[],
             teams=("t1",),

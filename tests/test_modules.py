@@ -75,7 +75,15 @@ def test_every_public_definition_is_named_outside_the_tests():
 
 def parameter_defaults(node: ast.AST, prefix: str):
     """``module.qualified.name.parameter`` of each parameter under ``node``
-    that has a default, in functions, methods, nested functions and lambdas."""
+    that has a default, in functions, methods, nested functions and lambdas,
+    and ``module.Class.field`` of each field with a value in a ``NamedTuple``
+    class body."""
+    if isinstance(node, ast.ClassDef) and any(ast.unparse(base) == "NamedTuple" for base in node.bases):
+        yield from (
+            f"{prefix}.{item.target.id}"
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and item.value is not None
+        )
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
@@ -112,6 +120,29 @@ def test_parameter_defaults_are_the_ones_callers_outside_the_tests_omit():
         # graphs and the pipeline set TEAM_ESCAPES for team names, and the
         # pipeline SYMBOL_ESCAPES; episodes.render_episode_dump omits it
         "episodes.escaped.table",
+        # PipelineResult starts its stats as ParseStats(), omitting all three
+        "alerts.ParseStats.total",
+        "alerts.ParseStats.parsed",
+        "alerts.ParseStats.skipped",
+        # PipelineConfig's learn default, LearnParams(), omits all four, and
+        # cli.build_parser reads each as its flag's default
+        "automaton.LearnParams.symbol_count",
+        "automaton.LearnParams.state_count",
+        "automaton.LearnParams.sink_count",
+        "automaton.LearnParams.alpha",
+        # bench/child.py and scripts/scale_run.py set format and omit the rest;
+        # cli.build_parser reads format, t, w, split and seed as its flags'
+        # defaults, sets learn, and passes None where --sig-map, --port-map or
+        # --stop-after is not given
+        "pipeline.PipelineConfig.format",
+        "pipeline.PipelineConfig.sig_map",
+        "pipeline.PipelineConfig.port_map",
+        "pipeline.PipelineConfig.t",
+        "pipeline.PipelineConfig.w",
+        "pipeline.PipelineConfig.learn",
+        "pipeline.PipelineConfig.split",
+        "pipeline.PipelineConfig.seed",
+        "pipeline.PipelineConfig.stop_after",
     }
 
 

@@ -9,14 +9,15 @@ import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from types import FunctionType, ModuleType
+from types import FunctionType, ModuleType, SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import episodes_oracle
 from alertgraphs import alerts, pipeline
 from alertgraphs.alerts import Alert, ParseStats, parse_alerts
 from alertgraphs.automaton import LearnParams
@@ -895,6 +896,58 @@ def test_fixture_ingest_matches_frozen_record_oracle(tmp_path, seed):
     log.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = assert_ingest_matches_oracle(PipelineConfig(alerts=[log], out_dir=tmp_path))
     assert len(result.filtered_alerts) > 100
+
+
+# gaps in microseconds: within a microsecond of t = 1 s and of w = 150 s, and
+# within the window and past it
+GAPS_US = [0, 1, 500_000, 999_999, 1_000_000, 1_000_001, 149_999_999, 150_000_000, 150_000_001, 400_000_000]
+# what each row's signature and port are drawn from: the default mapping gives
+# the first signature a low stage and the second a high one, the ports ssh and http
+SIGNATURES, PORTS = ["ET SCAN Nmap", "Exfiltration"], [22, 80]
+csv_log_rows = st.lists(
+    st.tuples(
+        st.sampled_from(GAPS_US),
+        st.sampled_from(["10.0.254.1", "10.0.254.2"]),
+        st.sampled_from(["10.0.0.1", "10.0.0.2"]),
+        st.sampled_from(SIGNATURES),
+        st.sampled_from(PORTS),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(csv_log_rows)
+# two alerts of one pair and stage on two services, closer than t: dedup keeps both
+@example([(0, "10.0.254.1", "10.0.0.1", SIGNATURES[0], 22), (500_000, "10.0.254.1", "10.0.0.1", SIGNATURES[0], 80)])
+# two alerts of one pair and stage exactly w apart: one episode
+@example([(0, "10.0.254.1", "10.0.0.1", SIGNATURES[0], 22), (150_000_000, "10.0.254.1", "10.0.0.1", SIGNATURES[0], 22)])
+def test_episode_dump_matches_the_composed_oracles(rows):
+    """Ingest and episodes joined, as ``run_pipeline`` runs them, give the
+    episode dump of ``oracle_ingest`` followed by the episode oracle, run on
+    each (attacker, victim) pair's kept alerts apart."""
+    lines, at = [CSV_HEADER], datetime(2018, 11, 3, 10, tzinfo=timezone.utc)
+    for gap, attacker, victim, signature, port in rows:
+        at += timedelta(microseconds=gap)
+        lines.append(f"{at.isoformat()},{attacker},{victim},{port},{signature},x\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "alerts.csv"
+        log.write_text("".join(lines), encoding="utf-8")
+        cfg = PipelineConfig(alerts=[log], out_dir=Path(tmp) / "out", format="csv", stop_after="episodes")
+        run_pipeline(cfg)
+        dump = (cfg.out_dir / pipeline.EPISODE_DUMP).read_bytes()
+        _, _, kept = oracle_ingest(cfg)
+    by_pair: dict[tuple[str, str], list[Alert]] = {}  # as tuples: the oracle reads fields by position
+    for alert in kept:
+        by_pair.setdefault((alert.attacker, alert.victim), []).append(
+            Alert(*(getattr(alert, name) for name in ALERT_FIELDS))
+        )
+    sequences = [
+        SimpleNamespace(episodes=episodes_oracle.aggregate_episodes(by_pair[pair], cfg.w))
+        for pair in sorted(by_pair)
+    ]
+    assert dump == episodes_oracle.render_episode_dump(sequences).encode("utf-8")
 
 
 def read_tsv(path: Path) -> list[list[str]]:
