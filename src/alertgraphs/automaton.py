@@ -9,7 +9,7 @@ discarded, so infrequent severe behavior stays visible.
 
 One counted-automaton class, ``SuffixPdfa``, holds the trie, the learned
 S-PDFA and the first-order Markov baseline (``evaluation.learn_markov_chain``);
-the merger works on copies of the trie's count tables. The Markov chain has
+the merger folds the trie's own count tables. The Markov chain has
 one state per symbol, and a transition it never saw still leads to that
 symbol's state: a first-order context is just the last symbol consumed, so
 an unseen bigram changes the probability of that step but not the context
@@ -278,7 +278,9 @@ def learn_pdfa(
     params: LearnParams,
     trace: Callable[[dict], None] | None = None,
 ) -> SuffixPdfa:
-    """Learn the merged automaton from a suffix trie; ``tree`` is left intact.
+    """Learn the merged automaton from a suffix trie, which the learner
+    takes over: it folds ``tree``'s counts in place and leaves ``tree`` with
+    no state, so a later read of it raises ``IndexError``.
 
     Deterministic by construction: candidate merges are ordered by
     (score descending, red id, blue id) and state ids in the result come
@@ -307,7 +309,7 @@ def learn_pdfa(
                 order[tgt] = len(order)
                 queue.append(tgt)
     total = [merger.total[node] for node in order]
-    return SuffixPdfa(
+    model = SuffixPdfa(
         tree.symbols,
         total,
         [merger.final[node] for node in order],
@@ -315,6 +317,9 @@ def learn_pdfa(
         [q != 0 and n < params.sink_count for q, n in enumerate(total)],
         {},
     )
+    for table in (tree.total, tree.final, tree.trans, tree.sink):
+        table.clear()
+    return model
 
 
 class AnnotatedSequence(NamedTuple):

@@ -1,6 +1,6 @@
 """Red-blue state merging: the search ``automaton.learn_pdfa`` runs.
 
-``_Merger`` folds a copy of a suffix trie's counts into a compact
+``_Merger`` folds a suffix trie's counts, in place, into a compact
 deterministic automaton. It bounds each (red, blue) pair from the two
 states' own counts, keeps that bound while neither state changes, and
 scores a pair only while it can still win; its docstring argues why this
@@ -22,7 +22,7 @@ _Table = tuple[dict[int, tuple], set[int], int]
 
 
 class _Merger:
-    """Red-blue state-merging search over a copy of the trie's counts.
+    """Red-blue state-merging search that folds the trie's own counts.
 
     Red states form the consolidated automaton core; blue states are the
     non-sink children of red states. Each round either performs the highest
@@ -105,11 +105,7 @@ class _Merger:
 
     def __init__(self, tree: SuffixPdfa, params: LearnParams):
         self.p = params
-        self.total = list(tree.total)
-        self.final = list(tree.final)
-        # the trie's own dicts until a merge changes them; see _merge
-        self.trans = list(tree.trans)
-        self.shared = tree.trans
+        self.total, self.final, self.trans = tree.total, tree.final, tree.trans
         self.tables: list[_Table | None] = [None] * len(tree)
         self.root = tree.root
         self.red: set[int] = {self.root}
@@ -189,13 +185,10 @@ class _Merger:
 
         Every state whose counts change loses its table; ``parent``'s keeps
         its table, with the one row's target patched, so the bounds made from
-        it stay. The trie's dicts are never written: ``parent``'s is
-        replaced, and a target's is copied the first time it changes.
+        it stay. The trie's lists and dicts are written in place.
         """
-        total, final, trans, tables, shared = (
-            self.total, self.final, self.trans, self.tables, self.shared
-        )
-        trans[parent] = {**trans[parent], via: (red_id, trans[parent][via][1])}
+        total, final, trans, tables = self.total, self.final, self.trans, self.tables
+        trans[parent][via] = (red_id, trans[parent][via][1])
         if tables[parent] is not None:  # its counts stay: only the row's target moves
             rows = tables[parent][0]
             rows[via] = (red_id, *rows[via][1:])
@@ -205,8 +198,6 @@ class _Merger:
             total[target] += total[source]
             final[target] += final[source]
             tables[target] = tables[source] = None
-            if trans[target] is shared[target]:  # first change: stop sharing the trie's dict
-                trans[target] = dict(trans[target])
             ttrans, strans = trans[target], trans[source]
             for sym in sorted(strans):
                 s_tgt, s_cnt = strans[sym]

@@ -420,16 +420,19 @@ def _render_perplexity(cfg: PipelineConfig, corpus: Sequence) -> str:
             f"{cfg.split:.2f} split; perplexity skipped\n"
             "model\ttrain_perplexity\ttest_perplexity\n"
         )
+
+    def row(name: str, model: SuffixPdfa) -> str:
+        return f"{name}\t{perplexity(model, train):.4f}\t{perplexity(model, test):.4f}"
+
     tree = build_suffix_tree(train)
-    chain = learn_markov_chain(train)
-    pdfa = learn_pdfa(tree, cfg.learn)
+    # each row is written as its model is built: learn_pdfa takes the trie
+    # over, and the chain is freed before the learner runs
     lines = [
         f"# {cfg.split:.2f} split of the attack-attempt symbol corpus, "
         f"seed {cfg.seed}: {len(train)} train / {len(test)} test",
         "model\ttrain_perplexity\ttest_perplexity",
+        row("suffix_tree", tree),
+        row("markov_chain", learn_markov_chain(train)),
+        row("pdfa", learn_pdfa(tree, cfg.learn)),
     ]
-    for name, model in (("suffix_tree", tree), ("markov_chain", chain), ("pdfa", pdfa)):
-        lines.append(
-            f"{name}\t{perplexity(model, train):.4f}\t{perplexity(model, test):.4f}"
-        )
     return "\n".join(lines) + "\n"

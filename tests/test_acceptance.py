@@ -135,7 +135,7 @@ def test_criterion_3_model_quality_ordering():
         train, test = split_sequences(corpus, 0.8, seed)
         tree = build_suffix_tree(train)
         chain = learn_markov_chain(train)
-        pdfa = learn_pdfa(tree, LearnParams())
+        pdfa = learn_pdfa(build_suffix_tree(train), LearnParams())  # takes its trie over
         ok = ok and perplexity(tree, train) <= perplexity(pdfa, train)
         ok = ok and perplexity(pdfa, test) <= perplexity(tree, test)
         ok = ok and perplexity(pdfa, test) <= perplexity(chain, test)

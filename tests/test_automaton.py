@@ -18,6 +18,7 @@ from alertgraphs.automaton import (
     learn_pdfa,
 )
 from alertgraphs.episodes import EpisodeSequence, Symbol, partition_subsequences, to_symbols
+from alertgraphs.evaluation import perplexity
 from alertgraphs.merger import END, _Merger
 from alertgraphs.pipeline import PipelineConfig, run_pipeline
 from alertgraphs.stages import AttackStage
@@ -138,12 +139,25 @@ class TestLearnPdfa:
         second = learn_pdfa(build_suffix_tree(corpus), LearnParams()).to_text()
         assert first == second
 
-    def test_trie_left_intact(self):
+    def test_learner_takes_the_trie_over(self):
+        corpus, params = merge_heavy_corpus(n=200), LearnParams(0, 0, 0, alpha=0.5)
+        tree = build_suffix_tree(corpus)
+        learned = learn_pdfa(tree, params)
+        # the trie's counts were folded into the result, and a read of what
+        # is left fails rather than reading half-merged counts
+        assert len(tree) == 0
+        with pytest.raises(IndexError):
+            tree.replay(corpus[0])
+        with pytest.raises(IndexError):
+            perplexity(tree, corpus)
+        assert learned.to_text() == oracle_learn_pdfa(build_suffix_tree(corpus), params).to_text()
+
+    def test_merger_works_on_the_tries_own_lists(self):
         tree = build_suffix_tree(merge_heavy_corpus(n=200))
-        before = tree.to_text()
-        learned = learn_pdfa(tree, LearnParams(0, 0, 0, alpha=0.5))
-        assert len(learned) < len(tree)
-        assert tree.to_text() == before
+        merger = _Merger(tree, LearnParams(0, 0, 0, alpha=0.5))
+        assert merger.total is tree.total
+        assert merger.final is tree.final
+        assert merger.trans is tree.trans
 
 
 @settings(max_examples=40)
@@ -654,8 +668,8 @@ def test_str_order_differs_from_tuple_order_in_oracle_alphabet():
     learn_params,
 )
 def test_learner_matches_str_keyed_oracle(corpus, params):
-    tree = build_suffix_tree(corpus)
-    assert learn_pdfa(tree, params).to_text() == oracle_learn_pdfa(tree, params).to_text()
+    learned = learn_pdfa(build_suffix_tree(corpus), params)
+    assert learned.to_text() == oracle_learn_pdfa(build_suffix_tree(corpus), params).to_text()
 
 
 @pytest.mark.parametrize(
@@ -665,8 +679,8 @@ def test_learner_matches_str_keyed_oracle(corpus, params):
 def test_learner_matches_str_keyed_oracle_on_fixture(tmp_path, params):
     fixture = Path(__file__).parent / "fixtures/synthetic_alerts.jsonl"
     result = run_pipeline(PipelineConfig(alerts=[fixture], out_dir=tmp_path, stop_after="episodes"))
-    tree = build_suffix_tree(result.corpus)
-    assert learn_pdfa(tree, params).to_text() == oracle_learn_pdfa(tree, params).to_text()
+    learned = learn_pdfa(build_suffix_tree(result.corpus), params)
+    assert learned.to_text() == oracle_learn_pdfa(build_suffix_tree(result.corpus), params).to_text()
 
 
 def merge_heavy_corpus(seed: int = 9, n: int = 500) -> list[list[Symbol]]:
@@ -695,9 +709,10 @@ def merge_heavy_corpus(seed: int = 9, n: int = 500) -> list[list[Symbol]]:
 )
 def test_learner_matches_str_keyed_oracle_when_merge_heavy(params):
     tree = build_suffix_tree(merge_heavy_corpus())
+    trie_states = len(tree)
     learned = learn_pdfa(tree, params)
-    assert len(learned) * 2 < len(tree)
-    assert learned.to_text() == oracle_learn_pdfa(tree, params).to_text()
+    assert len(learned) * 2 < trie_states
+    assert learned.to_text() == oracle_learn_pdfa(build_suffix_tree(merge_heavy_corpus()), params).to_text()
 
 
 # Small merge-heavy cases where a stale bound or count table changes the
@@ -723,18 +738,18 @@ def test_learner_matches_str_keyed_oracle_when_merge_heavy(params):
     ],
 )
 def test_learner_caches_match_str_keyed_oracle(seed, n, params):
-    tree = build_suffix_tree(merge_heavy_corpus(seed, n))
-    assert learn_pdfa(tree, params).to_text() == oracle_learn_pdfa(tree, params).to_text()
+    corpus = merge_heavy_corpus(seed, n)
+    learned = learn_pdfa(build_suffix_tree(corpus), params)
+    assert learned.to_text() == oracle_learn_pdfa(build_suffix_tree(corpus), params).to_text()
 
 
 @pytest.mark.parametrize(
     "params", [LearnParams(), LearnParams(1, 2, 0, alpha=0.9), LearnParams(0, 0, 0, alpha=0.5)]
 )
 def test_learner_trace_accounts_for_every_pair(params):
-    tree = build_suffix_tree(merge_heavy_corpus())
     steps = []
-    model = learn_pdfa(tree, params, trace=steps.append)
-    assert learn_pdfa(tree, params).to_text() == model.to_text()
+    model = learn_pdfa(build_suffix_tree(merge_heavy_corpus()), params, trace=steps.append)
+    assert learn_pdfa(build_suffix_tree(merge_heavy_corpus()), params).to_text() == model.to_text()
     reds = pairs = 0  # non-root reds: one per promotion so far
     for step in steps:
         # every pair has a bound, reused or fresh, and is scored in full or not
@@ -782,8 +797,9 @@ low_thresholds = st.one_of(
     low_thresholds,
 )
 def test_pruned_learner_matches_str_keyed_oracle_at_low_thresholds(draws, params):
-    tree = build_suffix_tree([seq for seq, copies in draws for _ in range(copies)])
-    assert learn_pdfa(tree, params).to_text() == oracle_learn_pdfa(tree, params).to_text()
+    corpus = [seq for seq, copies in draws for _ in range(copies)]
+    learned = learn_pdfa(build_suffix_tree(corpus), params)
+    assert learned.to_text() == oracle_learn_pdfa(build_suffix_tree(corpus), params).to_text()
 
 
 def test_pair_within_margin_of_the_best_is_never_pruned():

@@ -43,8 +43,10 @@ class TestSequenceProbability:
         assert sequence_probability(model, ["a"]) == pytest.approx(4.0 / 9.0)
 
     def test_unseen_symbol_gets_smoothed_floor(self):
-        tree = build_suffix_tree([["a"], ["a"], ["b"]])
-        for model in (tree, learn_pdfa(tree, LearnParams()), learn_markov_chain([["a"], ["b"]])):
+        # learn_pdfa takes its trie over, so the learner gets a trie of its own
+        corpus = [["a"], ["a"], ["b"]]
+        learned = learn_pdfa(build_suffix_tree(corpus), LearnParams())
+        for model in (build_suffix_tree(corpus), learned, learn_markov_chain([["a"], ["b"]])):
             assert sequence_probability(model, ["zzz", "a"]) > 0.0
 
     @pytest.mark.parametrize("kind", ["tree", "pdfa", "markov"])

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 import episodes_oracle
 from alertgraphs import alerts, pipeline
 from alertgraphs.alerts import Alert, ParseStats, parse_alerts
-from alertgraphs.automaton import LearnParams
+from alertgraphs.automaton import LearnParams, build_suffix_tree, learn_pdfa
 from alertgraphs.cli import build_parser, config_from_args, main
-from alertgraphs.episodes import parse_symbol, unescape_field
+from alertgraphs.episodes import Symbol, parse_symbol, partition_subsequences, to_symbols, unescape_field
+from alertgraphs.evaluation import learn_markov_chain, perplexity, split_sequences
 from alertgraphs.graphs import AgVertex, AttackGraph, AttemptPath
 from alertgraphs.pipeline import PipelineConfig, PipelineResult, StageError, run_pipeline
 from alertgraphs.stages import AttackStage
@@ -917,6 +918,15 @@ csv_log_rows = st.lists(
 )
 
 
+def csv_log(rows) -> str:
+    """The CSV log of drawn rows, each stamped its gap after the last one."""
+    lines, at = [CSV_HEADER], datetime(2018, 11, 3, 10, tzinfo=timezone.utc)
+    for gap, attacker, victim, signature, port in rows:
+        at += timedelta(microseconds=gap)
+        lines.append(f"{at.isoformat()},{attacker},{victim},{port},{signature},x\n")
+    return "".join(lines)
+
+
 @settings(max_examples=50, deadline=None)
 @given(csv_log_rows)
 # two alerts of one pair and stage on two services, closer than t: dedup keeps both
@@ -927,13 +937,9 @@ def test_episode_dump_matches_the_composed_oracles(rows):
     """Ingest and episodes joined, as ``run_pipeline`` runs them, give the
     episode dump of ``oracle_ingest`` followed by the episode oracle, run on
     each (attacker, victim) pair's kept alerts apart."""
-    lines, at = [CSV_HEADER], datetime(2018, 11, 3, 10, tzinfo=timezone.utc)
-    for gap, attacker, victim, signature, port in rows:
-        at += timedelta(microseconds=gap)
-        lines.append(f"{at.isoformat()},{attacker},{victim},{port},{signature},x\n")
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "alerts.csv"
-        log.write_text("".join(lines), encoding="utf-8")
+        log.write_text(csv_log(rows), encoding="utf-8")
         cfg = PipelineConfig(alerts=[log], out_dir=Path(tmp) / "out", format="csv", stop_after="episodes")
         run_pipeline(cfg)
         dump = (cfg.out_dir / pipeline.EPISODE_DUMP).read_bytes()
@@ -948,6 +954,30 @@ def test_episode_dump_matches_the_composed_oracles(rows):
         for pair in sorted(by_pair)
     ]
     assert dump == episodes_oracle.render_episode_dump(sequences).encode("utf-8")
+
+
+@settings(max_examples=50, deadline=None)
+@given(csv_log_rows)
+# one attacker at two victims: two sequences, each replayed on its own
+@example([(0, "10.0.254.1", "10.0.0.1", SIGNATURES[0], 22), (0, "10.0.254.1", "10.0.0.2", SIGNATURES[1], 80)])
+def test_annotated_sequences_are_each_sequences_replayed_attempts(rows):
+    """The graphs stage's join, as ``run_pipeline`` runs it: one annotated
+    sequence per episode sequence, in order and of the same pair, holding
+    every attempt of it zipped with the learned model's replay of that
+    attempt's symbols."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "alerts.csv"
+        log.write_text(csv_log(rows), encoding="utf-8")
+        cfg = PipelineConfig(alerts=[log], out_dir=Path(tmp) / "out", format="csv", stop_after="graphs")
+        result = run_pipeline(cfg)
+    pairs = [(es.attacker, es.victim) for es in result.sequences]
+    assert [(annotated.attacker, annotated.victim) for annotated in result.annotated] == pairs
+    for annotated, es in zip(result.annotated, result.sequences):
+        assert annotated.entries == [
+            entry
+            for attempt in partition_subsequences(es)
+            for entry in zip(attempt.episodes, result.model.replay(to_symbols(attempt)))
+        ]
 
 
 def read_tsv(path: Path) -> list[list[str]]:
@@ -1093,3 +1123,51 @@ def test_every_tsv_row_has_its_headers_columns(attacker_suffix, victim_suffix, s
         assert len(tsv_files) == 5
         for path in tsv_files:
             assert_rows_match_headers(path.read_text(encoding="utf-8"))
+
+
+def parent_perplexity_report(cfg: PipelineConfig, corpus: list) -> str:
+    """The perplexity report with every model built before any row is
+    written: the trie of the ``suffix_tree`` row, then the chain, then the
+    learner, on a trie of its own, as it takes the trie it is given over."""
+    train, test = split_sequences(corpus, cfg.split, cfg.seed)
+    if not train or not test:
+        return (
+            f"# corpus of {len(corpus)} sequences is too small for a "
+            f"{cfg.split:.2f} split; perplexity skipped\n"
+            "model\ttrain_perplexity\ttest_perplexity\n"
+        )
+    models = [
+        ("suffix_tree", build_suffix_tree(train)),
+        ("markov_chain", learn_markov_chain(train)),
+        ("pdfa", learn_pdfa(build_suffix_tree(train), cfg.learn)),
+    ]
+    lines = [
+        f"# {cfg.split:.2f} split of the attack-attempt symbol corpus, "
+        f"seed {cfg.seed}: {len(train)} train / {len(test)} test",
+        "model\ttrain_perplexity\ttest_perplexity",
+    ]
+    for name, model in models:
+        lines.append(f"{name}\t{perplexity(model, train):.4f}\t{perplexity(model, test):.4f}")
+    return "\n".join(lines) + "\n"
+
+
+corpus_symbols = st.builds(Symbol, st.sampled_from(STAGES_DRAWN), st.sampled_from(["ssh", "http", "a b"]))
+# two attempts of 1,500 symbols: at a 0.50 split all six perplexities overflow to inf
+LONG_ATTEMPTS = [
+    [Symbol(STAGES_DRAWN[(i * k) % 3], "ssh" if (i + k) % 4 else "http") for i in range(1500)]
+    for k in (1, 2)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(corpus_symbols, min_size=1, max_size=6), max_size=30),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([LearnParams(), LearnParams(1, 1, 1), LearnParams(0, 0, 0, alpha=0.5)]),
+)
+@example([[Symbol(STAGES_DRAWN[0], "ssh")]], 0.8, 0, LearnParams())  # too small to split
+@example(LONG_ATTEMPTS, 0.5, 0, LearnParams())
+def test_perplexity_report_matches_the_report_with_every_model_built_first(corpus, split, seed, learn):
+    cfg = PipelineConfig(alerts=[FIXTURE], out_dir=Path("unused"), learn=learn, split=split, seed=seed)
+    assert pipeline._render_perplexity(cfg, corpus) == parent_perplexity_report(cfg, corpus)
