@@ -708,11 +708,12 @@ def merge_heavy_corpus(seed: int = 9, n: int = 500) -> list[list[Symbol]]:
     ids=["default", "loose", "zero"],
 )
 def test_learner_matches_str_keyed_oracle_when_merge_heavy(params):
-    tree = build_suffix_tree(merge_heavy_corpus())
+    corpus = merge_heavy_corpus()
+    tree = build_suffix_tree(corpus)
     trie_states = len(tree)
     learned = learn_pdfa(tree, params)
     assert len(learned) * 2 < trie_states
-    assert learned.to_text() == oracle_learn_pdfa(build_suffix_tree(merge_heavy_corpus()), params).to_text()
+    assert learned.to_text() == oracle_learn_pdfa(build_suffix_tree(corpus), params).to_text()
 
 
 # Small merge-heavy cases where a stale bound or count table changes the
@@ -747,9 +748,9 @@ def test_learner_caches_match_str_keyed_oracle(seed, n, params):
     "params", [LearnParams(), LearnParams(1, 2, 0, alpha=0.9), LearnParams(0, 0, 0, alpha=0.5)]
 )
 def test_learner_trace_accounts_for_every_pair(params):
-    steps = []
-    model = learn_pdfa(build_suffix_tree(merge_heavy_corpus()), params, trace=steps.append)
-    assert learn_pdfa(build_suffix_tree(merge_heavy_corpus()), params).to_text() == model.to_text()
+    corpus, steps = merge_heavy_corpus(), []
+    model = learn_pdfa(build_suffix_tree(corpus), params, trace=steps.append)
+    assert learn_pdfa(build_suffix_tree(corpus), params).to_text() == model.to_text()
     reds = pairs = 0  # non-root reds: one per promotion so far
     for step in steps:
         # every pair has a bound, reused or fresh, and is scored in full or not
