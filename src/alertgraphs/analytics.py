@@ -87,8 +87,8 @@ class GraphTally:
     """What the stats stage reads of a run's attack graphs, folded in one
     graph at a time by ``add``, so that no graph outlives its DOT file: the
     distinct severe and medium vertex triples, the triples each team's edges
-    touch, and the consecutive same-team attempt pairs at one objective with
-    how many of them got strictly shorter."""
+    touch, and the consecutive same-team attempt pairs at one objective, in
+    list order, with how many of them got strictly shorter."""
 
     __slots__ = ("severe", "medium", "found", "pairs", "shorter")
 
@@ -112,7 +112,7 @@ class GraphTally:
             seen = found[team]
             seen.add(src)
             seen.add(dst)
-        attempts = sorted(ag.attempts, key=attrgetter("team", "index"))
+        attempts = sorted(ag.attempts, key=attrgetter("team"))  # stable: each team's in list order
         for first, second in zip(attempts, attempts[1:]):
             if first.team == second.team:
                 self.pairs += 1

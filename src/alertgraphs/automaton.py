@@ -284,7 +284,8 @@ def learn_pdfa(
 
     Deterministic by construction: candidate merges are ordered by
     (score descending, red id, blue id) and state ids in the result come
-    from a breadth-first renumbering from the root.
+    from a breadth-first renumbering from the root. The sinks are the
+    states left out of the red core, each below ``sink_count``.
 
     ``trace``, when given, is called once per round with a dict: ``fringe``
     (blue states); ``reused`` and ``bounds`` (pairs whose bound was kept from
@@ -308,13 +309,12 @@ def learn_pdfa(
             if tgt not in order:
                 order[tgt] = len(order)
                 queue.append(tgt)
-    total = [merger.total[node] for node in order]
     model = SuffixPdfa(
         tree.symbols,
-        total,
+        [merger.total[node] for node in order],
         [merger.final[node] for node in order],
         [{sym: (order[t], c) for sym, (t, c) in merger.trans[node].items()} for node in order],
-        [q != 0 and n < params.sink_count for q, n in enumerate(total)],
+        [node not in merger.red for node in order],
         {},
     )
     for table in (tree.total, tree.final, tree.trans, tree.sink):

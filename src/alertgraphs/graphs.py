@@ -21,7 +21,7 @@ from .episodes import _HIGH_STAGES, TEAM_ESCAPES, Episode, escaped
 from .stages import AttackStage, Severity
 
 VertexKey = tuple[AttackStage, str, int]  # (stage, service, state id)
-Attempt = tuple[str, int, list[tuple[Episode, int]]]  # (team, 1-based number, entries)
+Attempt = tuple[str, list[tuple[Episode, int]]]  # (team, entries); numbered by its place
 
 
 class ObjectiveKey(NamedTuple):
@@ -50,8 +50,9 @@ class AgEdge(NamedTuple):
 
 
 class AttemptPath(NamedTuple):
+    """One attempt's path, numbered by its place among its team's in ``attempts``."""
+
     team: str
-    index: int  # 1-based per (team, sequence)
     vertices: list[VertexKey]
 
 
@@ -75,21 +76,20 @@ def find_objectives(annotated: Iterable[AnnotatedSequence]) -> dict[ObjectiveKey
     and starts after its previous occurrence there, or at the start of the
     sequence; whatever follows the last occurrence is unfinished and
     dropped. Sequences are walked in attacker order, ties in input order,
-    so each objective's attempts are grouped by team.
+    so each objective's attempts are grouped by team, each team's in order.
     """
     # keyed by (victim, stage, service), which orders as ObjectiveKey does
     found: dict[tuple[str, AttackStage, str], list[Attempt]] = {}
     for seq in sorted(annotated, key=attrgetter("attacker")):
         entries = seq.entries
-        cuts: dict[tuple[AttackStage, str], tuple[int, int]] = {}  # -> (start, attempts so far)
+        cuts: dict[tuple[AttackStage, str], int] = {}  # where each objective's next attempt starts
         for end, (episode, _) in enumerate(entries, 1):
             if episode[2] in _HIGH_STAGES:
                 objective = episode[2:4]  # (stage, service)
-                start, number = cuts.get(objective, (0, 0))
-                cuts[objective] = (end, number + 1)
                 found.setdefault((seq.victim, *objective), []).append(
-                    (seq.attacker, number + 1, entries[start:end])
+                    (seq.attacker, entries[cuts.get(objective, 0):end])
                 )
+                cuts[objective] = end
     return {ObjectiveKey(*key): found[key] for key in sorted(found)}
 
 
@@ -112,9 +112,10 @@ def extract_ag(
     """Draw the attack graph of one ⟨victim, objective⟩ from its attempts,
     as ``find_objectives`` gives them.
 
-    Each attempt is one path. Vertices are shared across attempts and teams
-    while parallel edges stay distinct per (team, attempt, position).
-    Adjacent episodes collapsing to the same vertex triple are drawn once.
+    Each attempt is one path, kept in the order given. Vertices are shared
+    across attempts and teams while parallel edges stay distinct per (team,
+    attempt, position). Adjacent episodes collapsing to the same vertex
+    triple are drawn once.
     ``starts`` maps each team to its first-alert instant over *all*
     sequences, as ``team_start_times`` gives it; an edge's label is the time
     from it to the end of the latest episode drawn at the edge's source.
@@ -124,7 +125,7 @@ def extract_ag(
     flags: dict[VertexKey, list[bool]] = {}
     edges: list[AgEdge] = []
     paths: list[AttemptPath] = []
-    for team, number, entries in attempts:
+    for team, entries in attempts:
         start = starts[team]
         path: list[VertexKey] = []
         triple = None  # the last vertex drawn
@@ -146,7 +147,7 @@ def extract_ag(
             latest = episode
         if path:
             vertex[0] = True  # is_objective_variant
-        paths.append(_new_record(AttemptPath, (team, number, path)))
+        paths.append(_new_record(AttemptPath, (team, path)))
     vertices = {triple: _new_record(AgVertex, vertex) for triple, vertex in flags.items()}
     teams = tuple(sorted({p.team for p in paths}))
     return _new_record(AttackGraph, (key, vertices, edges, paths, teams))
@@ -194,7 +195,7 @@ def vertex_texts(triple: VertexKey) -> tuple[str, str, str]:
     )
 
 
-def _flag_attrs(objective_variant: bool, path_start: bool, sink: bool) -> str:
+def _flag_attrs(objective_variant: bool, sink: bool, path_start: bool) -> str:
     """The style and fill attributes a vertex's flags give it."""
     fill = _OBJECTIVE_FILL if objective_variant else _START_FILL if path_start else None
     styles = ["filled"] * bool(fill) + ["dotted"] * sink
@@ -202,7 +203,7 @@ def _flag_attrs(objective_variant: bool, path_start: bool, sink: bool) -> str:
     return attrs + (f", fillcolor={dot_quote(fill)}" if fill else "")
 
 
-# (is_objective_variant, is_path_start, is_sink) -> attributes
+# a vertex's flags, in AgVertex order -> attributes
 _FLAG_ATTRS = {flags: _flag_attrs(*flags) for flags in product((False, True), repeat=3)}
 
 
@@ -221,9 +222,8 @@ def emit_dot(ag: AttackGraph, texts: Mapping[VertexKey, tuple[str, str, str]]) -
     team_style = {t: _TEAM_EDGE_STYLES[i % n_styles] for i, t in enumerate(ag.teams)}
     # a stage sorts as its acronym, so the triples sort by (acronym, service, sid)
     for triple in sorted(ag.vertices):
-        v = ag.vertices[triple]
         _, head, tail = texts[triple]
-        lines.append(head + _FLAG_ATTRS[v.is_objective_variant, v.is_path_start, v.is_sink] + tail)
+        lines.append(head + _FLAG_ATTRS[ag.vertices[triple]] + tail)
     for edge in ag.edges:
         hours = edge.seconds_since_first_alert / 3600.0
         lines.append(

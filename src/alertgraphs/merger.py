@@ -53,12 +53,12 @@ class _Merger:
     ending is the row of symbol id ``END``, which sorts first.
 
     Each state's count table is built the first time the state is read:
-    ``{symbol id: (target, c, c/n, c*log2(c/n))}``, the set of its frequent
-    symbols and their summed count. ``_merge`` drops the table of every
-    state whose counts it changes. Each score term runs the IEEE operations
-    of the expressions it stands for, ``abs(c1/n1 - c2/n2)`` and
-    ``c*log2(c/n) - (b1 + b2)``, where ``b = c*log2(c/n_side)`` or 0.0 for
-    an absent symbol. A symbol of the red-side state only tests
+    ``{symbol id: (c, c/n, c*log2(c/n))}``, the set of its frequent symbols
+    and their summed count; where a row leads is read from ``trans``.
+    ``_merge`` drops the table of every state whose counts it changes. Each
+    score term runs the IEEE operations of the expressions it stands for,
+    ``abs(c1/n1 - c2/n2)`` and ``c*log2(c/n) - (b1 + b2)``, where
+    ``b = c*log2(c/n_side)`` or 0.0 for an absent symbol. A symbol of the red-side state only tests
     ``r1 >= bound`` and adds ``c1*log2(c1/n) - b1``; one of the blue-side
     state only tests ``r2 >= bound`` and adds ``c2*log2(c2/n) - b2``. These
     are exact: ``r - 0.0 == r``, ``abs(0.0 - r) == r`` and
@@ -128,12 +128,12 @@ class _Merger:
     def _table(self, q: int) -> _Table:
         n, log2 = self.total[q], math.log2
         rows = {
-            s: (t, c, c / n, c * log2(c / n))
-            for s, (t, c) in [*self.trans[q].items(), (END, (END, self.final[q]))]
+            s: (c, c / n, c * log2(c / n))
+            for s, (_, c) in [*self.trans[q].items(), (END, (None, self.final[q]))]
             if c
         }
-        frequent = {s for s, row in rows.items() if row[1] >= self.p.symbol_count}
-        table = self.tables[q] = (rows, frequent, sum([rows[s][1] for s in frequent]))
+        frequent = {s for s, row in rows.items() if row[0] >= self.p.symbol_count}
+        table = self.tables[q] = (rows, frequent, sum([rows[s][0] for s in frequent]))
         return table
 
     def _evaluate(self, red_id: int, blue_id: int, floor: float) -> float | None:
@@ -145,7 +145,7 @@ class _Merger:
         ``state_count`` occurrences. The score is the summed log-likelihood
         gain of pooling the tested counts versus keeping them separate.
         """
-        total, tables = self.total, self.tables
+        total, trans, tables = self.total, self.trans, self.tables
         symbol_count, state_count = self.p.symbol_count, self.p.state_count
         log2, sqrt, threshold = math.log2, math.sqrt, self.threshold
         score = 0.0
@@ -160,16 +160,18 @@ class _Merger:
             for sym in sorted(freq1.union(rows2)):
                 e1, e2 = rows1.get(sym), rows2.get(sym)
                 if e2 is None:  # frequent in the red-side state, absent from the other
-                    _, c, diff, b = e1
+                    c, diff, b = e1
                 elif e1 is None:
-                    _, c, diff, b = e2
+                    c, diff, b = e2
                     if c < symbol_count:
                         continue
                 else:
-                    ch1, c1, r1, b1 = e1
-                    ch2, c2, r2, b2 = e2
-                    if ch1 != ch2 and total[ch1] >= state_count and total[ch2] >= state_count:
-                        stack.append((ch1, ch2))
+                    c1, r1, b1 = e1
+                    c2, r2, b2 = e2
+                    if sym != END:  # the ending leads nowhere
+                        ch1, ch2 = trans[q1][sym][0], trans[q2][sym][0]
+                        if ch1 != ch2 and total[ch1] >= state_count and total[ch2] >= state_count:
+                            stack.append((ch1, ch2))
                     if c1 < symbol_count and c2 < symbol_count:
                         continue
                     c, diff, b = c1 + c2, abs(r1 - r2), b1 + b2
@@ -183,15 +185,12 @@ class _Merger:
     def _merge(self, red_id: int, blue_id: int, parent: int, via: int) -> None:
         """Fold ``blue_id``'s subtree into ``red_id``, determinizing as we go.
 
-        Every state whose counts change loses its table; ``parent``'s keeps
-        its table, with the one row's target patched, so the bounds made from
-        it stay. The trie's lists and dicts are written in place.
+        Every state whose counts change loses its table. ``parent``'s row
+        ``via`` now leads to ``red_id``, but its counts, its table and the
+        bounds made from it stand. The trie's lists and dicts are written in place.
         """
         total, final, trans, tables = self.total, self.final, self.trans, self.tables
         trans[parent][via] = (red_id, trans[parent][via][1])
-        if tables[parent] is not None:  # its counts stay: only the row's target moves
-            rows = tables[parent][0]
-            rows[via] = (red_id, *rows[via][1:])
         stack = [(red_id, blue_id)]
         while stack:
             target, source = stack.pop()
@@ -225,14 +224,14 @@ class _Merger:
             rows2, freq2, _ = tables[blue] or self._table(blue)
             score, mass = 0.0, mass1  # mass: of the red's frequent symbols the blue lacks
             for sym in freq1.intersection(rows2):
-                _, c1, r1, b1 = rows1[sym]
-                _, c2, r2, b2 = rows2[sym]
+                c1, r1, b1 = rows1[sym]
+                c2, r2, b2 = rows2[sym]
                 mass, c = mass - c1, c1 + c2
                 score += c * log2(c / n) - (b1 + b2) if abs(r1 - r2) < limit else -math.inf
             for sym in freq2.difference(freq1):  # tested: frequent in the blue
-                _, c, diff, b = rows2[sym]
+                c, diff, b = rows2[sym]
                 if sym in rows1:
-                    _, c1, r1, b1 = rows1[sym]
+                    c1, r1, b1 = rows1[sym]
                     c, diff, b = c1 + c, abs(r1 - diff), b1 + b
                 score += c * log2(c / n) - b if diff < limit else -math.inf
             bounds.append(score - mass * log2(n / n1))

@@ -6,8 +6,9 @@ alive until the run ended.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
-from operator import add, attrgetter
+from operator import add
 
 from alertgraphs.analytics import TeamScore
 from alertgraphs.episodes import TEAM_ESCAPES, escaped
@@ -56,11 +57,17 @@ def shorter_repeat_ratio_oracle(ags):
     pairs = 0
     shorter = 0
     for ag in ags:
-        attempts = sorted(ag.attempts, key=attrgetter("team", "index"))
+        # (team, attempt number, length): an attempt's number is its place
+        # among its team's in the list
+        numbers, attempts = Counter(), []
+        for attempt in ag.attempts:
+            numbers[attempt.team] += 1
+            attempts.append((attempt.team, numbers[attempt.team], len(attempt.vertices)))
+        attempts.sort()
         for first, second in zip(attempts, attempts[1:]):
-            if first.team == second.team:
+            if first[0] == second[0]:
                 pairs += 1
-                if len(second.vertices) < len(first.vertices):
+                if second[2] < first[2]:
                     shorter += 1
     if pairs == 0:
         return None

@@ -716,13 +716,14 @@ def test_learner_matches_str_keyed_oracle_when_merge_heavy(params):
     assert learned.to_text() == oracle_learn_pdfa(build_suffix_tree(corpus), params).to_text()
 
 
-# Small merge-heavy cases where a stale bound or count table changes the
-# learned automaton. Each id names the step of ``_merge`` or ``run`` whose
-# removal the case catches: updating the table of the redirected parent,
-# which once was dropped and now has its one row's target patched (with
-# every threshold at zero, and with the thresholds of the third case),
-# reusing a bound only while the red's table stands, and dropping the table
-# of every merge target.
+# Small merge-heavy cases where a stale bound, count table or row target
+# changes the learned automaton. Each id names the step of ``_evaluate``,
+# ``run`` or ``_merge`` whose removal the case catches: reading each child
+# from ``trans``, where a merge redirects the row of the blue's parent while
+# that parent keeps its table (a copy of the rows made with the table misses
+# the redirect; with every threshold at zero, and with the thresholds of the
+# third case), reusing a bound only while the red's table stands, and
+# dropping the table of every merge target.
 @pytest.mark.parametrize(
     "seed, n, params",
     [
@@ -732,9 +733,9 @@ def test_learner_matches_str_keyed_oracle_when_merge_heavy(params):
         (21, 30, LearnParams(1, 4, 1, alpha=0.9)),
     ],
     ids=[
-        "parent-table-dropped-at-zero",
+        "redirected-row-read-at-zero",
         "red-table-identity",
-        "parent-table-dropped",
+        "redirected-row-read",
         "target-table-dropped",
     ],
 )
@@ -908,8 +909,9 @@ def test_blue_fringe_needs_no_order(seed, n, params):
 @given(st.integers(0, 99), st.integers(10, 120), low_thresholds)
 def test_kept_tables_match_the_counts(seed, n, params):
     # After every round, each count table the merger keeps equals one built
-    # anew from the state's rows, total and ending count: a merge patches
-    # the redirected row of the blue's parent in place, and drops the rest.
+    # anew from the state's rows, total and ending count: a merge drops the
+    # table of every state whose counts it changes, and the blue's parent,
+    # whose row it redirects, keeps its table, as its counts stay.
     merger = _Merger(build_suffix_tree(merge_heavy_corpus(seed, n)), params)
 
     def check(step):

@@ -88,12 +88,11 @@ def oracle_extract_ag(key, annotated, sink_ids):
     flags, edges, attempts = {}, [], []  # flags: each vertex's AgVertex flags that are set
     for seq in sorted(qualifying, key=lambda e: e.attacker):
         team = seq.attacker
-        attempt, attempt_no = [], 0
+        attempt = []
         for episode, sid in seq.entries:
             attempt.append((episode, sid))
             if not (episode.stage == key.stage and episode.service == key.service):
                 continue
-            attempt_no += 1
             path, last_episode = [], {}
             for ep, state in attempt:
                 triple = (ep.stage, ep.service, state)
@@ -111,7 +110,7 @@ def oracle_extract_ag(key, annotated, sink_ids):
                 if pos > 0:
                     seconds = int((last_episode[pos - 1].et - starts[team]).total_seconds())
                     edges.append(AgEdge(path[pos - 1], triple, team, seconds))
-            attempts.append(AttemptPath(team=team, index=attempt_no, vertices=path))
+            attempts.append(AttemptPath(team=team, vertices=path))
             attempt = []
     unset = dict.fromkeys(AgVertex._fields, False)
     vertices = {triple: AgVertex(**unset | kwargs) for triple, kwargs in flags.items()}
@@ -151,11 +150,11 @@ class TestFindObjectives:
         entries = sequence.entries
         objectives = find_objectives([sequence])
         assert objectives[ObjectiveKey("v1", EXFIL, "ssh")] == [
-            ("t1", 1, entries[0:2]),
-            ("t1", 2, entries[2:4]),
+            ("t1", entries[0:2]),
+            ("t1", entries[2:4]),
         ]
         # an occurrence of another objective does not cut this one's attempt
-        assert objectives[ObjectiveKey("v1", MANIP, "ssh")] == [("t1", 1, entries[0:3])]
+        assert objectives[ObjectiveKey("v1", MANIP, "ssh")] == [("t1", entries[0:3])]
 
 
 class TestExtractAg:
@@ -191,7 +190,8 @@ class TestExtractAg:
         assert [len(a.vertices) for a in ag.attempts] == [3, 2]
         assert len(ag.vertices) == 4
         assert len(ag.edges) == 3
-        assert [a.index for a in ag.attempts] == [1, 2]
+        # t1's first and second attempts, numbered by their place in the list
+        assert [a.team for a in ag.attempts] == ["t1", "t1"]
         assert len(ag.attempts[1].vertices) < len(ag.attempts[0].vertices)
 
     def test_distinct_sids_become_distinct_variants(self):

@@ -20,15 +20,18 @@ from hypothesis import strategies as st
 import episodes_oracle
 from alertgraphs import alerts, pipeline
 from alertgraphs.alerts import Alert, ParseStats, parse_alerts
+from alertgraphs.analytics import rank_teams, shorter_repeat_ratio
 from alertgraphs.automaton import LearnParams, build_suffix_tree, learn_pdfa
 from alertgraphs.cli import build_parser, config_from_args, main
 from alertgraphs.episodes import Symbol, parse_symbol, partition_subsequences, to_symbols, unescape_field
 from alertgraphs.evaluation import learn_markov_chain, perplexity, split_sequences
-from alertgraphs.graphs import AgVertex, AttackGraph, AttemptPath
+from alertgraphs.graphs import AG_FILE_GLOB, AgVertex, AttackGraph, AttemptPath, ag_filename
 from alertgraphs.pipeline import PipelineConfig, PipelineResult, StageError, run_pipeline
 from alertgraphs.stages import AttackStage
 
+from analytics_oracle import rank_teams_oracle, render_index_oracle, shorter_repeat_ratio_oracle
 from test_alerts import CSV_HEADER, CSV_ROW, csv_text, dedup_oracle, eve_texts
+from test_graphs import oracle_extract_ag, oracle_find_objectives
 from util import mk_alert
 
 FIXTURE = Path(__file__).parent / "fixtures/synthetic_alerts.jsonl"
@@ -905,17 +908,24 @@ GAPS_US = [0, 1, 500_000, 999_999, 1_000_000, 1_000_001, 149_999_999, 150_000_00
 # what each row's signature and port are drawn from: the default mapping gives
 # the first signature a low stage and the second a high one, the ports ssh and http
 SIGNATURES, PORTS = ["ET SCAN Nmap", "Exfiltration"], [22, 80]
-csv_log_rows = st.lists(
-    st.tuples(
-        st.sampled_from(GAPS_US),
-        st.sampled_from(["10.0.254.1", "10.0.254.2"]),
-        st.sampled_from(["10.0.0.1", "10.0.0.2"]),
-        st.sampled_from(SIGNATURES),
-        st.sampled_from(PORTS),
-    ),
-    min_size=1,
-    max_size=12,
-)
+
+
+def log_rows(signatures):
+    """Rows of a CSV log: (gap, attacker, victim, signature, port)."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(GAPS_US),
+            st.sampled_from(["10.0.254.1", "10.0.254.2"]),
+            st.sampled_from(["10.0.0.1", "10.0.0.2"]),
+            st.sampled_from(signatures),
+            st.sampled_from(PORTS),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+
+csv_log_rows = log_rows(SIGNATURES)
 
 
 def csv_log(rows) -> str:
@@ -978,6 +988,50 @@ def test_annotated_sequences_are_each_sequences_replayed_attempts(rows):
             for attempt in partition_subsequences(es)
             for entry in zip(attempt.episodes, result.model.replay(to_symbols(attempt)))
         ]
+
+
+# plus a signature the default rules map to a medium stage, so that a run's
+# graphs can hold both severities the ranking needs
+ranked_log_rows = log_rows([*SIGNATURES, "Brute Force"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(ranked_log_rows)
+# one team's two attempts at an objective of two steps each, then another
+# team's one-step attempt there: one same-team pair, none shorter
+@example(
+    [
+        (0, "10.0.254.1", "10.0.0.1", "Brute Force", 22),
+        (0, "10.0.254.1", "10.0.0.1", SIGNATURES[1], 22),
+        (400_000_000, "10.0.254.1", "10.0.0.1", SIGNATURES[0], 22),
+        (0, "10.0.254.1", "10.0.0.1", SIGNATURES[1], 22),
+        (0, "10.0.254.2", "10.0.0.1", SIGNATURES[1], 22),
+    ]
+)
+def test_graphs_and_stats_match_the_whole_graph_oracles(rows):
+    """A run's DOT files, its graph index, its team ranking and its repeat
+    ratio equal the oracles' on whole graphs, each drawn by a scan of every
+    annotated sequence of the run for each objective the oracle finds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "alerts.csv"
+        log.write_text(csv_log(rows), encoding="utf-8")
+        cfg = PipelineConfig(alerts=[log], out_dir=Path(tmp) / "out", format="csv")
+        result = run_pipeline(cfg)
+        dots = {path.name: path.read_bytes() for path in cfg.out_dir.glob(AG_FILE_GLOB)}
+        index = (cfg.out_dir / pipeline.INDEX_FILE).read_bytes()
+    sinks = result.model.sink_ids()
+    ags = [oracle_extract_ag(key, result.annotated, sinks) for key in oracle_find_objectives(result.annotated)]
+    named = sorted(((ag_filename(ag.key), ag) for ag in ags), key=lambda entry: entry[0])
+    assert dots == {name: episodes_oracle.emit_dot(ag).encode("utf-8") for name, ag in named}
+    assert index == render_index_oracle(named).encode("utf-8")
+    try:
+        want = rank_teams_oracle(ags)
+    except ValueError:
+        with pytest.raises(ValueError):
+            rank_teams(result.tally)
+    else:
+        assert rank_teams(result.tally) == want
+    assert shorter_repeat_ratio(result.tally) == shorter_repeat_ratio_oracle(ags)
 
 
 def read_tsv(path: Path) -> list[list[str]]:
