@@ -14,7 +14,7 @@ from operator import add, attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .alerts import Alert
-from .episodes import Episode, EpisodeSequence, EpisodeSubSequence
+from .episodes import EpisodeSequence, EpisodeSubSequence
 from .graphs import AttackGraph, IndexRow, VertexKey, simplicity
 from .stages import Severity
 
@@ -63,18 +63,18 @@ def _round_half_up(value: float) -> int:
 def workload_stats(
     raw_alerts: Iterable[Alert],
     filtered_alerts: Iterable[Alert],
-    episodes: Iterable[Episode],
-    sequences: Iterable[EpisodeSequence],
+    sequences: Sequence[EpisodeSequence],
     subsequences: Iterable[EpisodeSubSequence],
     rows: Iterable[IndexRow],
 ) -> list[TeamStats]:
-    """Per-team tallies of every pipeline stage; a graph, given by its index
-    row, counts toward every team appearing in it, so graph counts may
+    """Per-team tallies of every pipeline stage; a team's episodes are
+    counted from its sequences, which hold them all. A graph, given by its
+    index row, counts toward every team appearing in it, so graph counts may
     overlap across teams."""
     tallies = [  # in TeamStats field order
         Counter(map(attrgetter("attacker"), raw_alerts)),
         Counter(map(attrgetter("attacker"), filtered_alerts)),
-        Counter(map(attrgetter("attacker"), episodes)),
+        Counter(es.attacker for es in sequences for _ in es.episodes),
         Counter(map(attrgetter("attacker"), sequences)),
         Counter(ess.parent[0] for ess in subsequences),
         Counter(team for *_, teams in rows for team in teams),

@@ -25,10 +25,10 @@ from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .alerts import checked
 from .episodes import (
-    TSV_ESCAPES,
     Episode,
     EpisodeSubSequence,
     Symbol,
+    escaped,
     parse_symbol,
     render_symbol,
     unescape_field,
@@ -136,14 +136,15 @@ class SuffixPdfa:
     def to_text(self) -> str:
         """Lossless text form: one state per line, transitions inline.
 
-        Symbols are rendered with backslash, tab, LF and CR escaped, so any
-        service name keeps its line and field. The form holds no
-        ``fallback`` table, so a model with one, such as the Markov
-        baseline, raises ``ValueError``.
+        Symbols are named through ``episodes.escaped``, the one escape rule
+        of every text artifact, so any service name keeps its line and
+        field; no symbol gets the ``\\#`` escape, as each starts with a stage
+        acronym. The form holds no ``fallback`` table, so a model with one,
+        such as the Markov baseline, raises ``ValueError``.
         """
         if self.fallback:
             raise ValueError("a model with a fallback table has no text form")
-        names = [render_symbol(sym).translate(TSV_ESCAPES) for sym in self.symbols]
+        names = list(map(escaped(render_symbol).__getitem__, self.symbols))
         lines = ["alphabet\t" + "\t".join(names[self.ids[sym]] for sym in self.alphabet)]
         lines.append(f"root\t{self.root}")
         for q, trans in enumerate(self.trans):

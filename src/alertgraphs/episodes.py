@@ -206,19 +206,15 @@ def to_symbols(ess: EpisodeSubSequence) -> list[Symbol]:
 def render_episode_dump(sequences: Iterable[EpisodeSequence]) -> Iterator[str]:
     """Tab-separated debug dump, one line per episode, in the order of
     ``sequences`` and of the episodes within each; names are escaped.
+    Timestamps are written in one form, always with six microsecond digits.
     Yields the dump line by line, each line ending in a newline."""
     names = escaped()
     yield "attacker\tvictim\tst\tet\tstage\tservice\talert_count\n"
     for es in sequences:
         for st, et, stage, service, alert_count, attacker, victim in es.episodes:
-            # isoformat() writes microseconds unless they are 0, and is faster
-            # with no timespec to read; a one-alert episode ends where it starts
-            start = st.isoformat() if st.microsecond else st.isoformat(timespec="microseconds")
-            end = (
-                start if et is st
-                else et.isoformat() if et.microsecond
-                else et.isoformat(timespec="microseconds")
-            )
+            start = st.isoformat(timespec="microseconds")
+            # a one-alert episode ends where it starts
+            end = start if et is st else et.isoformat(timespec="microseconds")
             yield (
                 f"{names[attacker]}\t{names[victim]}\t{start}\t{end}"
                 f"\t{stage.value}\t{names[service]}\t{alert_count}\n"

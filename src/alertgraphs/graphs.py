@@ -33,7 +33,8 @@ class ObjectiveKey(NamedTuple):
 
 
 class AgVertex(NamedTuple):
-    """A vertex's flags; its (stage, service, state id) triple is its key."""
+    """A vertex's flags; its (stage, service, state id) triple is its key.
+    ``extract_ag`` reads them from the paths it has drawn."""
 
     is_objective_variant: bool
     is_sink: bool
@@ -119,10 +120,10 @@ def extract_ag(
     ``starts`` maps each team to its first-alert instant over *all*
     sequences, as ``team_start_times`` gives it; an edge's label is the time
     from it to the end of the latest episode drawn at the edge's source.
+    The walk draws only paths and edges; each vertex's flags are then read
+    from them: an objective variant ends a path, a path start begins one,
+    and a sink's state id is ``OUT_OF_MODEL`` or in ``sink_ids``.
     """
-    # each vertex's flags, keyed by its triple, as a list set in place as its
-    # paths are drawn; each becomes an AgVertex once the graph is whole
-    flags: dict[VertexKey, list[bool]] = {}
     edges: list[AgEdge] = []
     paths: list[AttemptPath] = []
     for team, entries in attempts:
@@ -131,24 +132,24 @@ def extract_ag(
         triple = None  # the last vertex drawn
         for episode, sid in entries:
             current = (episode.stage, episode.service, sid)
-            if current == triple:
-                latest = episode
-                continue
-            source, triple = triple, current
-            vertex = flags.get(triple)
-            if vertex is None:
-                vertex = flags[triple] = [False, sid == OUT_OF_MODEL or sid in sink_ids, False]
-            if source is None:
-                vertex[2] = True  # is_path_start
-            else:
-                seconds = int((latest.et - start).total_seconds())
-                edges.append(_new_record(AgEdge, (source, triple, team, seconds)))
-            path.append(triple)
+            if current != triple:
+                if triple is not None:
+                    seconds = int((latest.et - start).total_seconds())
+                    edges.append(_new_record(AgEdge, (triple, current, team, seconds)))
+                path.append(current)
+                triple = current
             latest = episode
-        if path:
-            vertex[0] = True  # is_objective_variant
         paths.append(_new_record(AttemptPath, (team, path)))
-    vertices = {triple: _new_record(AgVertex, vertex) for triple, vertex in flags.items()}
+    drawn = [path for _, path in paths if path]
+    firsts, lasts = {path[0] for path in drawn}, {path[-1] for path in drawn}
+    vertices = {
+        triple: _new_record(
+            AgVertex,
+            (triple in lasts, triple[2] == OUT_OF_MODEL or triple[2] in sink_ids, triple in firsts),
+        )
+        for path in drawn
+        for triple in path
+    }
     teams = tuple(sorted({p.team for p in paths}))
     return _new_record(AttackGraph, (key, vertices, edges, paths, teams))
 

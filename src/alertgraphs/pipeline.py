@@ -336,7 +336,6 @@ def _stage_stats(cfg: PipelineConfig, result: PipelineResult, writer: _StageWrit
     team_stats = analytics.workload_stats(
         result.mapped_alerts,
         result.filtered_alerts,
-        (ep for es in result.sequences for ep in es.episodes),
         result.sequences,
         result.subsequences,
         result.ags,

@@ -237,25 +237,6 @@ class TestShorterRepeatRatio:
         assert shorter_repeat_ratio(tally_of(ags)) == pytest.approx(50.0)
 
 
-def oracle_shorter_repeat_ratio(ags):
-    """The ratio by grouping each graph's attempts per team, each group in
-    list order, as an attempt's place among its team's is its number."""
-    pairs = 0
-    shorter = 0
-    for ag in ags:
-        by_team = {}
-        for attempt in ag.attempts:
-            by_team.setdefault(attempt.team, []).append(attempt)
-        for attempts in by_team.values():
-            for first, second in zip(attempts, attempts[1:]):
-                pairs += 1
-                if len(second.vertices) < len(first.vertices):
-                    shorter += 1
-    if pairs == 0:
-        return None
-    return 100.0 * shorter / pairs
-
-
 # (team, path length): few teams, so they interleave; lengths down to a
 # single vertex
 attempt_rows = st.lists(
@@ -279,7 +260,7 @@ def test_shorter_repeat_ratio_matches_group_then_sort(graphs):
         )
         for i, rows in enumerate(graphs)
     ]
-    assert shorter_repeat_ratio(tally_of(ags)) == oracle_shorter_repeat_ratio(ags)
+    assert shorter_repeat_ratio(tally_of(ags)) == shorter_repeat_ratio_oracle(ags)
 
 
 class TestWorkloadStats:
@@ -303,7 +284,7 @@ class TestWorkloadStats:
             EpisodeSubSequence(("t2", "v1"), 0, episodes[2:4]),
         ]
         _, ags = build_ags()
-        stats = workload_stats(raw, filtered, episodes, sequences, subsequences, rows_of(ags))
+        stats = workload_stats(raw, filtered, sequences, subsequences, rows_of(ags))
         by_team = {s.team: s for s in stats}
         # independent recount
         for team in ("t1", "t2"):
@@ -312,7 +293,7 @@ class TestWorkloadStats:
                 1 for a in filtered if a.attacker == team
             )
             assert by_team[team].episodes == sum(
-                1 for e in episodes if e.attacker == team
+                len(s.episodes) for s in sequences if s.attacker == team
             )
             assert by_team[team].sequence_count == sum(
                 1 for s in sequences if s.attacker == team
@@ -324,13 +305,13 @@ class TestWorkloadStats:
 
     def test_alerts_counted_from_one_pass_iterables(self):
         raw = [mk_alert(float(i), attacker=team) for i, team in enumerate("abab" + "c")]
-        stats = workload_stats(iter(raw), iter(raw[:2]), [], [], [], [])
+        stats = workload_stats(iter(raw), iter(raw[:2]), [], [], [])
         counts = {s.team: (s.raw_alerts, s.filtered_alerts) for s in stats}
         assert counts == {"a": (2, 1), "b": (2, 1), "c": (1, 0)}
 
     def test_ag_attribution_overlaps(self):
         _, ags = build_ags()
-        stats = workload_stats([], [], [], [], [], rows_of(ags))
+        stats = workload_stats([], [], [], [], rows_of(ags))
         counts = {s.team: s.ag_count for s in stats}
         assert counts == {"t1": 1, "t2": 2}
 
@@ -410,5 +391,5 @@ def test_tallies_match_the_graph_walking_statistics(rows, rng):
     assert render_index([row for row, _ in by_name]) == render_index_oracle(
         [(ag_filename(ag.key), ag) for _, ag in by_name]
     )
-    counts = {s.team: s.ag_count for s in workload_stats([], [], [], [], [], index_rows)}
+    counts = {s.team: s.ag_count for s in workload_stats([], [], [], [], index_rows)}
     assert counts == Counter(team for ag in ags for team in ag.teams)
